@@ -1,11 +1,10 @@
-"""Pure-Python enumeration kernel.
+"""The enumeration kernel behind the exhaustive oracle.
 
 Assignments over n variables are indexed 0..2^n-1; bit v of the index is the
 value of variable v.  Formula truth tables are built chunk-wise as Python
 big integers, so the per-assignment work happens inside CPython's C loops.
 
-Both kernels (this one and the compiled one in _kernel.pyx) expose the same
-two entry points:
+The kernel has two entry points:
 
     solve(num_vars, clauses, nae)             -> model index or None
     accepted_patterns(num_aux, num_boundary, clauses, nae) -> set of patterns

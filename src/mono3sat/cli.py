@@ -339,10 +339,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (dimacs.DimacsError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except oracle.CapExceededError as exc:
+    except (
+        dimacs.DimacsError,
+        FileNotFoundError,
+        oracle.CapExceededError,
+        oracle.EnumCapError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

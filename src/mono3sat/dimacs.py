@@ -54,6 +54,8 @@ def parse_dimacs(text: str) -> CnfInstance:
                 num_clauses = int(fields[3])
             except ValueError:
                 raise DimacsError(f"bad problem line {line!r}", lineno) from None
+            if num_vars < 0 or num_clauses < 0:
+                raise DimacsError(f"negative count in {line!r}", lineno)
             continue
         if num_vars is None:
             raise DimacsError("clause before 'p cnf' header", lineno)

@@ -103,6 +103,8 @@ class CnfInstance:
     def __post_init__(self):
         if self.mode not in (SAT, NAE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.num_vars < 0:
+            raise ValueError(f"negative num_vars {self.num_vars}")
         for i, c in enumerate(self.clauses):
             for lit in c.literals:
                 if lit.var >= self.num_vars:
@@ -116,12 +118,6 @@ class CnfInstance:
 
     def has_multiset_clauses(self) -> bool:
         return any(c.multiset for c in self.clauses)
-
-    def with_mode(self, mode: str) -> "CnfInstance":
-        return CnfInstance(self.num_vars, self.clauses, mode)
-
-
-Assignment = tuple  # tuple[bool, ...] of length num_vars
 
 
 def assignment_from_bits(bits: int, num_vars: int) -> tuple[bool, ...]:
@@ -213,30 +209,6 @@ class VariantSpec:
     profile: tuple | None = None  # ("exact",p,q) | ("total",k) | ("choice",pairs)
     linear: str | None = None  # None | "linear" | "exact"
     distinct_clauses: bool = True
-
-    def describe(self) -> str:
-        parts = []
-        if self.monotone == MONOTONE_SAT:
-            parts.append("mono-sat")
-        elif self.monotone == MONOTONE_NAE:
-            parts.append("mono-nae")
-        if self.profile:
-            kind = self.profile[0]
-            if kind == EXACT:
-                parts.append(f"p{self.profile[1]}q{self.profile[2]}")
-            elif kind == TOTAL:
-                parts.append(f"e{self.profile[1]}")
-            elif kind == CHOICE:
-                parts.append(
-                    "choice-" + "-".join(f"{p}{q}" for p, q in self.profile[1])
-                )
-        if self.linear == LINEAR:
-            parts.append("linear")
-        elif self.linear == EXACT_LINEAR:
-            parts.append("exact-linear")
-        if self.duplicates:
-            parts.append("star")
-        return "-".join(parts) if parts else "any"
 
 
 def validate(inst: CnfInstance, spec: VariantSpec) -> VerificationReport:

@@ -5,8 +5,7 @@ with mandatory unit propagation and pure-literal elimination, extension
 checking for gadget boundary predicates, subsumption, and the forced-literal
 split used by the conditional (2,2) machinery.
 
-The enumeration kernels come in two flavors: a compiled extension and a pure
-Python fallback, selected at import (override with MONO3SAT_BACKEND).
+Enumeration runs on the pure-Python big-integer kernel in _bitkernel.
 """
 
 from __future__ import annotations
@@ -28,34 +27,29 @@ from .formulas import (
     evaluate,
 )
 
-_FORCED = os.environ.get("MONO3SAT_BACKEND", "").strip().lower()
-if _FORCED in ("python", "pure"):
-    _kernel = _bitkernel
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        if _FORCED == "cython":
-            raise ImportError(
-                "MONO3SAT_BACKEND=cython but the compiled kernel is not built"
-            )
-        _kernel = _bitkernel
-        BACKEND = "python"
-
 
 def backend_name() -> str:
-    return BACKEND
+    """Name of the enumeration kernel, recorded with benchmark runs."""
+    return "python"
 
 
 DEFAULT_ENUM_CAP = 26
 
 
+class EnumCapError(ValueError):
+    """MONO3SAT_ENUM_CAP is set to something other than an integer."""
+
+
 def enum_cap() -> int:
     env = os.environ.get("MONO3SAT_ENUM_CAP")
-    return int(env) if env else DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise EnumCapError(
+            f"MONO3SAT_ENUM_CAP must be an integer, got {env!r}"
+        ) from None
 
 
 class CapExceededError(RuntimeError):
@@ -94,14 +88,20 @@ def solve_exhaustive(inst: CnfInstance, cap: int | None = None) -> SolveResult:
     cap = enum_cap() if cap is None else cap
     if inst.num_vars > cap:
         raise CapExceededError(inst.num_vars, cap)
-    model = _kernel.solve(
+    bits = _bitkernel.solve(
         inst.num_vars, clause_masks(inst.clauses), inst.mode == NAE
     )
-    if model is None:
+    if bits is None:
         return SolveResult("unsat", None)
-    bits = assignment_from_bits(model, inst.num_vars)
-    assert evaluate(inst, bits)
-    return SolveResult("sat", bits)
+    return _checked_model(inst, bits, "enumeration kernel")
+
+
+def _checked_model(inst: CnfInstance, bits: int, solver: str) -> SolveResult:
+    """A sat result, after re-evaluating the model against the instance."""
+    model = assignment_from_bits(bits, inst.num_vars)
+    if not evaluate(inst, model):
+        raise AssertionError(f"{solver} returned an assignment that is not a model")
+    return SolveResult("sat", model)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +146,7 @@ def solve_dpll(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
     status, bits = _dpll(inst.num_vars, clauses, timeout)
     if status != "sat":
         return SolveResult(status, None)
-    model = assignment_from_bits(bits, inst.num_vars)
-    assert evaluate(inst, model)
-    return SolveResult("sat", model)
+    return _checked_model(inst, bits, "DPLL")
 
 
 def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
@@ -293,19 +291,16 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         return learned, jump
 
     def add_learned(lits: list[int]) -> int:
+        nonlocal nsat
         ci = len(clauses)
         clauses.append(lits)
         ntrue.append(sum(1 for l in lits if val[l >> 1] == 1 - (l & 1)))
         nfree.append(sum(1 for l in lits if val[l >> 1] == -1))
         if ntrue[ci] > 0:
-            nonlocal_nsat_bump()
+            nsat += 1
         for l in lits:
             occ[l].append(ci)
         return ci
-
-    def nonlocal_nsat_bump():
-        nonlocal nsat
-        nsat += 1
 
     def assign_pures() -> tuple[bool, int]:
         """Assign queued pure literals as decisions; (moved, conflict)."""
@@ -442,7 +437,7 @@ def check_extension_property(gadget, cap: int | None = None) -> VerificationRepo
     for j, v in enumerate(boundary):
         var_map[v] = len(aux) + j
     masks = clause_masks(gadget.clauses, var_map)
-    got = _kernel.accepted_patterns(len(aux), len(boundary), masks, gadget.mode == NAE)
+    got = _bitkernel.accepted_patterns(len(aux), len(boundary), masks, gadget.mode == NAE)
     declared = set(gadget.predicate.accepted)
     if got == declared:
         return VerificationReport(True)

@@ -9,6 +9,7 @@ follow input clause order, so outputs are reproducible.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +32,15 @@ from .formulas import (
     validate,
 )
 from .gadgets import FreshAllocator, GadgetInstance, build_gadget
+from .generate import (
+    random_22,
+    random_32,
+    random_k1,
+    random_kk,
+    random_monotone_nae,
+    random_nae_e4,
+    random_nae_star,
+)
 from .oracle import solve_auto, solve_dpll, split_forced
 
 
@@ -69,14 +79,30 @@ class ReductionCertificate:
 
 @dataclass(frozen=True)
 class ReductionRow:
+    """One catalogued reduction: its variants, its construction and a sampler
+    of small random valid inputs.
+
+    The spec functions take k on the k-lifting rows and nothing otherwise.
+    apply fills a _Builder made for the input; sample(rng) returns an input
+    and its k (None on rows without k), small enough for the exhaustive
+    oracle to decide directly.
+    """
+
     rid: str
     input_mode: str
     output_mode: str
     summary: str
     input_spec: Callable[..., VariantSpec]
     output_spec: Callable[..., VariantSpec]
+    apply: Callable[["_Builder"], None]
+    sample: Callable[[random.Random], tuple[CnfInstance, int | None]]
     needs_k: bool = False
     needs_param: bool = False
+
+    def specs(self, k: int | None = None) -> tuple[VariantSpec, VariantSpec]:
+        """The (input, output) variant specs, at k on the k-lifting rows."""
+        args = (k,) if self.needs_k else ()
+        return self.input_spec(*args), self.output_spec(*args)
 
 
 def _spec_22() -> VariantSpec:
@@ -93,83 +119,25 @@ _NAE_E4_LINEAR = VariantSpec(3, False, MONOTONE_NAE, (TOTAL, 4), "linear")
 _NAE_STAR = VariantSpec(3, True, None, None, None, False)
 _CHOICE_31 = VariantSpec(3, False, MONOTONE_SAT, (CHOICE, ((3, 1), (1, 3))))
 
-REDUCTIONS: dict[str, ReductionRow] = {}
-
-
-def _register(row: ReductionRow):
-    REDUCTIONS[row.rid] = row
-
-
-_register(ReductionRow(
-    "R1", NAE, NAE,
-    "Monotone NAE-3-Sat -> Monotone NAE-3-Sat-E4 (equality rings + padding)",
-    lambda: _NAE_MONO, lambda: _NAE_E4))
-_register(ReductionRow(
-    "R2", NAE, NAE,
-    "NAE-3-Sat* -> Monotone NAE-3-Sat-E4 (equality/non-equality rings)",
-    lambda: _NAE_STAR, lambda: _NAE_E4))
-_register(ReductionRow(
-    "R3", NAE, NAE,
-    "Monotone NAE-3-Sat-E4 -> linear Monotone NAE-3-Sat-E4",
-    lambda: _NAE_E4, lambda: _NAE_E4_LINEAR))
-_register(ReductionRow(
-    "R4", NAE, SAT,
-    "linear Monotone NAE-3-Sat-E4 -> Monotone 3-Sat-(4,4) (clause doubling)",
-    lambda: _NAE_E4_LINEAR, lambda: _spec_mono(4, 4)))
-_register(ReductionRow(
-    "R5", SAT, SAT,
-    "3-Sat-(2,2) -> Monotone 3-Sat-(3,3) (variable splitting + A + SBAR)",
-    _spec_22, lambda: _spec_mono(3, 3)))
-_register(ReductionRow(
-    "R6", SAT, SAT,
-    "Monotone 3-Sat-(k,k) -> (k+1,k+1) (k+1 disjoint copies + C_inc pairs)",
-    lambda k: _spec_mono(k, k), lambda k: _spec_mono(k + 1, k + 1), needs_k=True))
-_register(ReductionRow(
-    "R7", SAT, SAT,
-    "3-Sat-(2,2) -> Monotone 3-Sat-(5,1) (D + F + y-padding rings)",
-    _spec_22, lambda: _spec_mono(5, 1)))
-_register(ReductionRow(
-    "R8", SAT, SAT,
-    "Monotone 3-Sat-(k,1) -> (k+1,1) (copies + positive links + negative triples)",
-    lambda k: _spec_mono(k, 1), lambda k: _spec_mono(k + 1, 1), needs_k=True))
-_register(ReductionRow(
-    "R9", SAT, SAT,
-    "Monotone 3-Sat-(3,3) -> Monotone 3-Sat*-(2,2) (6-way splitting + STAR22)",
-    lambda: _spec_mono(3, 3),
-    lambda: VariantSpec(3, True, MONOTONE_SAT, (EXACT, 2, 2))))
-_register(ReductionRow(
-    "R10", SAT, SAT,
-    "Monotone 3-Sat-(3,3) -> Monotone 3-Sat-(2,2), given an unsat (2,2) instance",
-    lambda: _spec_mono(3, 3), lambda: _spec_mono(2, 2), needs_param=True))
-_register(ReductionRow(
-    "R11", SAT, SAT,
-    "3-Sat-(2,2) -> Monotone 3-Sat-(3,2) (G + H + padding blocks)",
-    _spec_22, lambda: _spec_mono(3, 2)))
-_register(ReductionRow(
-    "R12", SAT, SAT,
-    "Monotone 3-Sat-(3,2) -> (4,2) (appearance increase per variable triple)",
-    lambda: _spec_mono(3, 2), lambda: _spec_mono(4, 2)))
-_register(ReductionRow(
-    "R13", SAT, SAT,
-    "3-Sat-(2,2) -> Monotone 3-Sat-E4 with per-variable profile (3,1) or (1,3)",
-    _spec_22, lambda: _CHOICE_31))
-_register(ReductionRow(
-    "R14", SAT, SAT,
-    "Monotone E4 {(3,1),(1,3)} -> 3-Sat-E4 uniform (3,1) (negation renaming)",
-    lambda: _CHOICE_31, lambda: VariantSpec(3, False, None, (EXACT, 3, 1))))
-
 
 # ---------------------------------------------------------------------------
 # Shared construction helpers
 
 
 class _Builder:
-    """Accumulates the output instance, back-map and trace log."""
+    """Accumulates the output instance, back-map and trace log of one row."""
 
-    def __init__(self, rid: str, inst: CnfInstance, out_mode: str):
-        self.rid = rid
+    def __init__(
+        self,
+        row: ReductionRow,
+        inst: CnfInstance,
+        k: int | None = None,
+        param: CnfInstance | None = None,
+    ):
+        self.row = row
         self.input = inst
-        self.out_mode = out_mode
+        self.k = k
+        self.param = param
         self.alloc = FreshAllocator(0)
         self.clauses: list[Clause] = []
         self.back_map: dict[int, tuple[int, bool]] = {}
@@ -184,19 +152,19 @@ class _Builder:
     def note(self, label: str, variables) -> None:
         self.log.append(LogEntry(label, tuple(variables), ()))
 
-    def finish(self, output_spec: VariantSpec) -> ReductionCertificate:
-        out = CnfInstance(self.alloc.next_id, tuple(self.clauses), self.out_mode)
-        rep = validate(out, output_spec)
+    def finish(self) -> ReductionCertificate:
+        rid = self.row.rid
+        out = CnfInstance(self.alloc.next_id, tuple(self.clauses), self.row.output_mode)
+        _, spec = self.row.specs(self.k)
+        rep = validate(out, spec)
         if not rep.ok:
             raise AssertionError(
-                f"{self.rid}: output violates its variant spec: {rep.reason}"
+                f"{rid}: output violates its variant spec: {rep.reason}"
             )
-        cert = ReductionCertificate(
-            self.rid, self.input, out, self.back_map, tuple(self.log)
-        )
+        cert = ReductionCertificate(rid, self.input, out, self.back_map, tuple(self.log))
         untraced = cert.untraced_variables()
         if untraced:
-            raise AssertionError(f"{self.rid}: untraced output variables {untraced}")
+            raise AssertionError(f"{rid}: untraced output variables {untraced}")
         return cert
 
 
@@ -227,11 +195,20 @@ def _replace_appearances(
     return out
 
 
-def _check_input(row: ReductionRow, inst: CnfInstance, spec: VariantSpec):
+def _check_input(
+    row: ReductionRow, inst: CnfInstance, k: int | None, param: CnfInstance | None
+):
+    if row.needs_k and k is None:
+        raise ReductionInputError(f"{row.rid} needs the appearance parameter k")
+    if row.needs_param and param is None:
+        raise ReductionInputError(
+            f"{row.rid} needs an unsatisfiable Monotone 3-Sat-(2,2) parameter instance"
+        )
     if inst.mode != row.input_mode:
         raise ReductionInputError(
             f"{row.rid} expects a {row.input_mode}-mode instance, got {inst.mode}"
         )
+    spec, _ = row.specs(k)
     rep = validate(inst, spec)
     if not rep.ok:
         raise ReductionInputError(f"{row.rid} input invalid: {rep.reason}")
@@ -241,8 +218,8 @@ def _check_input(row: ReductionRow, inst: CnfInstance, spec: VariantSpec):
 # R1 / R2 / R3: NAE splitting rings
 
 
-def _apply_r1(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R1", inst, NAE)
+def _apply_r1(b: _Builder) -> None:
+    inst = b.input
     unneg, _ = _appearance_split(inst)
     copy_of: dict[tuple[int, int], Literal] = {}
     ring_copies: list[list[int]] = []
@@ -272,7 +249,6 @@ def _apply_r1(inst: CnfInstance) -> ReductionCertificate:
                 b.add_gadget("EQ_NE", (copies[j], copies[j + 1]))
             b.add_gadget("EQ_NE", (copies[a - 1], copies[0]))
     _pad_to_four(b)
-    return b.finish(_NAE_E4)
 
 
 def _pad_to_four(b: _Builder):
@@ -286,8 +262,8 @@ def _pad_to_four(b: _Builder):
             b.add_gadget("P1", (v,))
 
 
-def _apply_r2(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R2", inst, NAE)
+def _apply_r2(b: _Builder) -> None:
+    inst = b.input
     unneg, negd = _appearance_split(inst)
     copy_of: dict[tuple[int, int], Literal] = {}
     rings: list[tuple[list[int], int]] = []  # (copies, u = unnegated count)
@@ -312,11 +288,10 @@ def _apply_r2(inst: CnfInstance) -> ReductionCertificate:
             b.add_gadget("NE9", (copies[a - 1], copies[0]))
         else:
             b.add_gadget("EQ13", (copies[a - 1], copies[0]))
-    return b.finish(_NAE_E4)
 
 
-def _apply_r3(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R3", inst, NAE)
+def _apply_r3(b: _Builder) -> None:
+    inst = b.input
     unneg, _ = _appearance_split(inst)
     copy_of: dict[tuple[int, int], Literal] = {}
     quads: list[list[int]] = []
@@ -331,18 +306,16 @@ def _apply_r3(inst: CnfInstance) -> ReductionCertificate:
     b.clauses.extend(_replace_appearances(inst, copy_of))
     for copies in quads:
         b.add_gadget("EQ4L", tuple(copies))
-    return b.finish(_NAE_E4_LINEAR)
 
 
-def _apply_r4(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R4", inst, SAT)
+def _apply_r4(b: _Builder) -> None:
+    inst = b.input
     b.alloc.fresh(inst.num_vars)
     for v in range(inst.num_vars):
         b.back_map[v] = (v, False)
     for c in inst.clauses:
         b.clauses.append(c)
         b.clauses.append(c.negated())
-    return b.finish(_spec_mono(4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +341,7 @@ def _split_22(b: _Builder):
     return pairs
 
 
-def _apply_r5(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R5", inst, SAT)
+def _apply_r5(b: _Builder) -> None:
     pairs = _split_22(b)
     n = len(pairs)
     assert n % 3 == 0  # 4n = 3m forces it
@@ -381,11 +353,9 @@ def _apply_r5(inst: CnfInstance) -> ReductionCertificate:
             b.clauses.append(Clause((Literal(x1), Literal(x2), Literal(y))))
             b.add_gadget("A", (x1, x2))
         b.add_gadget("SBAR", (y, y, y))
-    return b.finish(_spec_mono(3, 3))
 
 
-def _apply_r7(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R7", inst, SAT)
+def _apply_r7(b: _Builder) -> None:
     pairs = _split_22(b)
     n = len(pairs)
     q, r = divmod(n, 3)
@@ -413,11 +383,9 @@ def _apply_r7(inst: CnfInstance) -> ReductionCertificate:
             b.clauses.append(Clause(tuple(Literal(v) for v in tri)))
     else:
         b.add_gadget("D", (ys[0], ys[0], ys[1], ys[1], ys[2], ys[2]))
-    return b.finish(_spec_mono(5, 1))
 
 
-def _apply_r11(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R11", inst, SAT)
+def _apply_r11(b: _Builder) -> None:
     pairs = _split_22(b)
     n = len(pairs)
     k, r = divmod(n, 3)
@@ -440,11 +408,9 @@ def _apply_r11(inst: CnfInstance) -> ReductionCertificate:
         b.add_gadget("H", (u, v, w))
         b.add_gadget("G", (v, v, v))
         b.add_gadget("G", (w, w, w))
-    return b.finish(_spec_mono(3, 2))
 
 
-def _apply_r13(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R13", inst, SAT)
+def _apply_r13(b: _Builder) -> None:
     pairs = _split_22(b)
     for x1, x2 in pairs:
         y = b.alloc.fresh1()
@@ -457,7 +423,6 @@ def _apply_r13(inst: CnfInstance) -> ReductionCertificate:
         )
         b.add_gadget("BBAR", (y, y, y))
         b.add_gadget("B", (z, z, z))
-    return b.finish(_CHOICE_31)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +446,8 @@ def _copies(b: _Builder, k: int):
     return n
 
 
-def _apply_r6(inst: CnfInstance, k: int) -> ReductionCertificate:
-    b = _Builder("R6", inst, SAT)
+def _apply_r6(b: _Builder) -> None:
+    k = b.k
     n = _copies(b, k)
     y_base = b.alloc.fresh(n)[0]
     z_base = b.alloc.fresh(n)[0]
@@ -499,15 +464,11 @@ def _apply_r6(inst: CnfInstance, k: int) -> ReductionCertificate:
                     (Literal(x, True), Literal(y_base + j, True), Literal(z_base + j, True))
                 )
             )
-    cert = b.finish(_spec_mono(k + 1, k + 1))
-    m = inst.num_clauses
-    assert cert.output.num_clauses == (k + 1) * (m + 2 * n)
-    assert cert.output.num_vars == (k + 3) * n
-    return cert
+    _check_size(b, (k + 1) * (b.input.num_clauses + 2 * n), (k + 3) * n)
 
 
-def _apply_r8(inst: CnfInstance, k: int) -> ReductionCertificate:
-    b = _Builder("R8", inst, SAT)
+def _apply_r8(b: _Builder) -> None:
+    k = b.k
     n = _copies(b, k)
     q, r = divmod(n, 3)
     assert r == 0  # forced: each variable once negated, negative 3-clauses
@@ -527,11 +488,17 @@ def _apply_r8(inst: CnfInstance, k: int) -> ReductionCertificate:
             b.clauses.append(
                 Clause(tuple(Literal(base + 3 * t + s, True) for s in range(3)))
             )
-    cert = b.finish(_spec_mono(k + 1, 1))
-    m = inst.num_clauses
-    assert cert.output.num_clauses == (k + 1) * (m + n) + 2 * q
-    assert cert.output.num_vars == (k + 3) * n
-    return cert
+    _check_size(b, (k + 1) * (b.input.num_clauses + n) + 2 * q, (k + 3) * n)
+
+
+def _check_size(b: _Builder, num_clauses: int, num_vars: int) -> None:
+    """The output size the row's formula predicts, checked before finish()."""
+    got = (len(b.clauses), b.alloc.next_id)
+    if got != (num_clauses, num_vars):
+        raise AssertionError(
+            f"{b.row.rid}: output has {got[0]} clauses and {got[1]} variables, "
+            f"size formula gives {num_clauses} and {num_vars}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +529,11 @@ def _split_six(b: _Builder, keep_negations: bool):
     return sixes, copy_of
 
 
-def _apply_r9(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R9", inst, SAT)
+def _apply_r9(b: _Builder) -> None:
     sixes, copy_of = _split_six(b, keep_negations=True)
-    b.clauses.extend(_replace_appearances(inst, copy_of))
+    b.clauses.extend(_replace_appearances(b.input, copy_of))
     for six in sixes:
         b.add_gadget("STAR22", tuple(six))
-    return b.finish(VariantSpec(3, True, MONOTONE_SAT, (EXACT, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -616,19 +581,18 @@ def build_m_gadget(param: CnfInstance, timeout: float | None = None) -> MGadget:
     return MGadget(2 * nv, tuple(clauses), tuple(pos_pool), tuple(neg_pool), q)
 
 
-def _apply_r10(inst: CnfInstance, param: CnfInstance) -> ReductionCertificate:
-    rep = validate(param, _spec_mono(2, 2))
+def _apply_r10(b: _Builder) -> None:
+    rep = validate(b.param, _spec_mono(2, 2))
     if not rep.ok:
         raise ReductionInputError(
             f"R10 parameter is not a Monotone 3-Sat-(2,2) instance: {rep.reason}"
         )
-    return _assemble_r10(inst, build_m_gadget(param))
+    _assemble_r10(b, build_m_gadget(b.param))
 
 
-def _assemble_r10(inst: CnfInstance, mg: MGadget) -> ReductionCertificate:
+def _assemble_r10(b: _Builder, mg: MGadget) -> None:
     q = mg.q
-    b = _Builder("R10", inst, SAT)
-    n = inst.num_vars
+    n = b.input.num_vars
     pos2: list[tuple[int, int]] = []
     neg2: list[tuple[int, int]] = []
     full3: list[Clause] = []
@@ -663,15 +627,14 @@ def _assemble_r10(inst: CnfInstance, mg: MGadget) -> ReductionCertificate:
     for (a, c), pad in zip(neg2, neg_pool):
         full3.append(Clause((Literal(a, True), Literal(c, True), Literal(pad, True))))
     b.clauses = full3
-    return b.finish(_spec_mono(2, 2))
 
 
 # ---------------------------------------------------------------------------
 # R12 / R14
 
 
-def _apply_r12(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R12", inst, SAT)
+def _apply_r12(b: _Builder) -> None:
+    inst = b.input
     n = inst.num_vars
     assert n % 3 == 0  # 2n negated appearances fill negative 3-clauses
     b.alloc.fresh(n)
@@ -680,11 +643,10 @@ def _apply_r12(inst: CnfInstance) -> ReductionCertificate:
     b.clauses.extend(inst.clauses)
     for t in range(0, n, 3):
         b.add_gadget("INC32", (t, t + 1, t + 2))
-    return b.finish(_spec_mono(4, 2))
 
 
-def _apply_r14(inst: CnfInstance) -> ReductionCertificate:
-    b = _Builder("R14", inst, SAT)
+def _apply_r14(b: _Builder) -> None:
+    inst = b.input
     prof = appearance_profile(inst)
     flipped = [v for v, (p, q) in enumerate(prof) if (p, q) == (1, 3)]
     out = negate_rename(inst, flipped)
@@ -693,22 +655,133 @@ def _apply_r14(inst: CnfInstance) -> ReductionCertificate:
     for v in range(inst.num_vars):
         b.back_map[v] = (v, v in flipped_set)
     b.clauses.extend(out.clauses)
-    return b.finish(VariantSpec(3, False, None, (EXACT, 3, 1)))
 
 
-_APPLY = {
-    "R1": _apply_r1,
-    "R2": _apply_r2,
-    "R3": _apply_r3,
-    "R4": _apply_r4,
-    "R5": _apply_r5,
-    "R7": _apply_r7,
-    "R9": _apply_r9,
-    "R11": _apply_r11,
-    "R12": _apply_r12,
-    "R13": _apply_r13,
-    "R14": _apply_r14,
-}
+# ---------------------------------------------------------------------------
+# Input samplers: one per input variant, at sizes the exhaustive oracle
+# decides directly
+
+
+def _sample_nae(rng):
+    return random_monotone_nae(rng.randint(5, 7), rng.randint(3, 6), rng), None
+
+
+def _sample_nae_star(rng):
+    return random_nae_star(rng.randint(2, 5), rng.randint(2, 6), rng), None
+
+
+def _sample_nae_e4(rng):
+    return random_nae_e4(rng.choice((6, 9)), rng), None
+
+
+def _sample_nae_e4_linear(rng):
+    return apply_reduction("R3", random_nae_e4(6, rng)).output, None
+
+
+def _sample_22(rng):
+    return random_22(rng.choice((3, 6)), rng), None
+
+
+def _sample_kk(rng):
+    k = rng.choice((1, 2, 3))
+    return random_kk(6, k, rng), k
+
+
+def _sample_k1(rng):
+    k = rng.choice((1, 2, 3))
+    return random_k1(rng.choice((6, 9)), k, rng), k
+
+
+def _sample_33(rng):
+    return random_kk(6, 3, rng), None
+
+
+def _sample_32(rng):
+    return random_32(rng.choice((6, 9)), rng), None
+
+
+def _sample_choice_31(rng):
+    return apply_reduction("R13", random_22(3, rng)).output, None
+
+
+# ---------------------------------------------------------------------------
+# The catalogue
+
+
+REDUCTIONS: dict[str, ReductionRow] = {row.rid: row for row in (
+    ReductionRow(
+        "R1", NAE, NAE,
+        "Monotone NAE-3-Sat -> Monotone NAE-3-Sat-E4 (equality rings + padding)",
+        lambda: _NAE_MONO, lambda: _NAE_E4,
+        _apply_r1, _sample_nae),
+    ReductionRow(
+        "R2", NAE, NAE,
+        "NAE-3-Sat* -> Monotone NAE-3-Sat-E4 (equality/non-equality rings)",
+        lambda: _NAE_STAR, lambda: _NAE_E4,
+        _apply_r2, _sample_nae_star),
+    ReductionRow(
+        "R3", NAE, NAE,
+        "Monotone NAE-3-Sat-E4 -> linear Monotone NAE-3-Sat-E4",
+        lambda: _NAE_E4, lambda: _NAE_E4_LINEAR,
+        _apply_r3, _sample_nae_e4),
+    ReductionRow(
+        "R4", NAE, SAT,
+        "linear Monotone NAE-3-Sat-E4 -> Monotone 3-Sat-(4,4) (clause doubling)",
+        lambda: _NAE_E4_LINEAR, lambda: _spec_mono(4, 4),
+        _apply_r4, _sample_nae_e4_linear),
+    ReductionRow(
+        "R5", SAT, SAT,
+        "3-Sat-(2,2) -> Monotone 3-Sat-(3,3) (variable splitting + A + SBAR)",
+        _spec_22, lambda: _spec_mono(3, 3),
+        _apply_r5, _sample_22),
+    ReductionRow(
+        "R6", SAT, SAT,
+        "Monotone 3-Sat-(k,k) -> (k+1,k+1) (k+1 disjoint copies + C_inc pairs)",
+        lambda k: _spec_mono(k, k), lambda k: _spec_mono(k + 1, k + 1),
+        _apply_r6, _sample_kk, needs_k=True),
+    ReductionRow(
+        "R7", SAT, SAT,
+        "3-Sat-(2,2) -> Monotone 3-Sat-(5,1) (D + F + y-padding rings)",
+        _spec_22, lambda: _spec_mono(5, 1),
+        _apply_r7, _sample_22),
+    ReductionRow(
+        "R8", SAT, SAT,
+        "Monotone 3-Sat-(k,1) -> (k+1,1) (copies + positive links + negative triples)",
+        lambda k: _spec_mono(k, 1), lambda k: _spec_mono(k + 1, 1),
+        _apply_r8, _sample_k1, needs_k=True),
+    ReductionRow(
+        "R9", SAT, SAT,
+        "Monotone 3-Sat-(3,3) -> Monotone 3-Sat*-(2,2) (6-way splitting + STAR22)",
+        lambda: _spec_mono(3, 3),
+        lambda: VariantSpec(3, True, MONOTONE_SAT, (EXACT, 2, 2)),
+        _apply_r9, _sample_33),
+    ReductionRow(
+        "R10", SAT, SAT,
+        "Monotone 3-Sat-(3,3) -> Monotone 3-Sat-(2,2), given an unsat (2,2) instance",
+        lambda: _spec_mono(3, 3), lambda: _spec_mono(2, 2),
+        _apply_r10, _sample_33, needs_param=True),
+    ReductionRow(
+        "R11", SAT, SAT,
+        "3-Sat-(2,2) -> Monotone 3-Sat-(3,2) (G + H + padding blocks)",
+        _spec_22, lambda: _spec_mono(3, 2),
+        _apply_r11, _sample_22),
+    ReductionRow(
+        "R12", SAT, SAT,
+        "Monotone 3-Sat-(3,2) -> (4,2) (appearance increase per variable triple)",
+        lambda: _spec_mono(3, 2), lambda: _spec_mono(4, 2),
+        _apply_r12, _sample_32),
+    ReductionRow(
+        "R13", SAT, SAT,
+        "3-Sat-(2,2) -> Monotone 3-Sat-E4 with per-variable profile (3,1) or (1,3)",
+        _spec_22, lambda: _CHOICE_31,
+        _apply_r13, _sample_22),
+    ReductionRow(
+        "R14", SAT, SAT,
+        "Monotone E4 {(3,1),(1,3)} -> 3-Sat-E4 uniform (3,1) (negation renaming)",
+        lambda: _CHOICE_31,
+        lambda: VariantSpec(3, False, None, (EXACT, 3, 1)),
+        _apply_r14, _sample_choice_31),
+)}
 
 
 def apply_reduction(
@@ -721,20 +794,10 @@ def apply_reduction(
     if rid not in REDUCTIONS:
         raise KeyError(f"unknown reduction {rid!r}")
     row = REDUCTIONS[rid]
-    if row.needs_k:
-        if k is None:
-            raise ReductionInputError(f"{rid} needs the appearance parameter k")
-        _check_input(row, inst, row.input_spec(k))
-        return _apply_r6(inst, k) if rid == "R6" else _apply_r8(inst, k)
-    if row.needs_param:
-        if param is None:
-            raise ReductionInputError(
-                f"{rid} needs an unsatisfiable Monotone 3-Sat-(2,2) parameter instance"
-            )
-        _check_input(row, inst, row.input_spec())
-        return _apply_r10(inst, param)
-    _check_input(row, inst, row.input_spec())
-    return _APPLY[rid](inst)
+    _check_input(row, inst, k, param)
+    b = _Builder(row, inst, k, param)
+    row.apply(b)
+    return b.finish()
 
 
 def check_equisat(

@@ -183,11 +183,6 @@ def transversal_count(n: int) -> int:
     return 3 ** (n // 3)
 
 
-def transversals(triples):
-    """All choices of one variable per negative triple."""
-    return itertools.product(*triples)
-
-
 def check_sat_via_transversal(
     inst: CnfInstance, cap: int = DEFAULT_TRANSVERSAL_CAP
 ) -> VerificationReport:

@@ -113,5 +113,19 @@ def test_missing_file_is_error():
     assert main(["solve", "/nonexistent.cnf"]) == 1
 
 
+def test_negative_header_is_error(tmp_path, capsys):
+    path = tmp_path / "neg.cnf"
+    path.write_text("p cnf -1 0\n")
+    assert main(["solve", str(path)]) == 1
+    assert "negative" in capsys.readouterr().err
+
+
+def test_bad_enum_cap_is_error(tmp_path, capsys, monkeypatch):
+    path = _witness_file(tmp_path, "nine_var")
+    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "abc")
+    assert main(["solve", path]) == 1
+    assert "MONO3SAT_ENUM_CAP" in capsys.readouterr().err
+
+
 def test_unknown_witness():
     assert main(["witness", "nope"]) == 2

@@ -49,6 +49,8 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n1 x 0\n")
     with pytest.raises(DimacsError, match="mode"):
         parse_dimacs("c mode maybe\np cnf 1 0\n")
+    with pytest.raises(DimacsError, match="negative"):
+        parse_dimacs("p cnf -1 0\n")
 
 
 def test_multiline_clause():

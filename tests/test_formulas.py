@@ -41,6 +41,8 @@ def test_instance_checks_variable_range():
         CnfInstance(1, (Clause((pos(1),)),), SAT)
     with pytest.raises(ValueError):
         CnfInstance(1, (), "maybe")
+    with pytest.raises(ValueError, match="negative"):
+        CnfInstance(-3, (), SAT)
 
 
 def test_appearance_profile_nine_var():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,6 @@ from mono3sat.formulas import (
     negate_rename,
     pos,
 )
-from mono3sat import oracle
 from mono3sat.gadgets import FreshAllocator, build_gadget, fresh_instance
 from mono3sat.oracle import (
     BoundaryPredicate,
@@ -289,10 +291,34 @@ def test_backends_agree():
         pure = _bitkernel.solve(n, masks, inst.mode == NAE)
         status = solve_exhaustive(inst).status
         assert (pure is not None) == (status == "sat")
-        if oracle.backend_name() == "cython":
-            from mono3sat import _kernel
 
-            fast = _kernel.solve(n, masks, inst.mode == NAE)
-            assert (fast is None) == (pure is None)
-            if fast is not None:
-                assert fast == pure  # both return the lowest model index
+
+_OPTIMIZED_MODEL_CHECK = """
+import sys
+from mono3sat import _bitkernel, oracle
+from mono3sat.formulas import CnfInstance, clause
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+inst = CnfInstance(1, (clause([0]),))
+_bitkernel.solve = lambda num_vars, clauses, nae: 0
+oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
+for solve in (oracle.solve_exhaustive, oracle.solve_dpll):
+    try:
+        solve(inst)
+    except AssertionError as exc:
+        print(solve.__name__, "raised:", exc)
+"""
+
+
+def test_model_checks_survive_optimize():
+    # a solver that returns a non-model must be caught with asserts stripped
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_MODEL_CHECK],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "solve_exhaustive raised" in out.stdout
+    assert "solve_dpll raised" in out.stdout

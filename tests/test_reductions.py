@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -8,7 +9,6 @@ from mono3sat.formulas import (
     Clause,
     CnfInstance,
     Literal,
-    appearance_profile,
     neg,
     pos,
     validate,
@@ -52,49 +52,17 @@ def tiny_unsat_nae_star() -> CnfInstance:
     ), NAE)
 
 
-def _inputs_for(rid, rng, count):
-    """Small random valid inputs for one reduction row."""
-    out = []
-    while len(out) < count:
-        if rid == "R1":
-            out.append(G.random_monotone_nae(rng.randint(5, 7), rng.randint(3, 7), rng))
-        elif rid == "R2":
-            out.append(G.random_nae_star(rng.randint(2, 5), rng.randint(2, 6), rng))
-        elif rid == "R3":
-            out.append(G.random_nae_e4(rng.choice([6, 9]), rng))
-        elif rid == "R4":
-            out.append(R.apply_reduction("R3", G.random_nae_e4(6, rng)).output)
-        elif rid in ("R5", "R7", "R11", "R13"):
-            out.append(G.random_22(rng.choice([3, 6]), rng))
-        elif rid == "R6":
-            out.append(G.random_kk(6, rng.choice([1, 2, 3]), rng))
-        elif rid == "R8":
-            out.append(G.random_k1(rng.choice([6, 9]), rng.choice([1, 2, 3]), rng))
-        elif rid in ("R9", "R10"):
-            out.append(G.random_kk(6, 3, rng))
-        elif rid == "R12":
-            out.append(G.random_32(rng.choice([6, 9]), rng))
-        elif rid == "R14":
-            out.append(R.apply_reduction("R13", G.random_22(3, rng)).output)
-    return out
-
-
-def _k_of(inst):
-    p, q = appearance_profile(inst)[0]
-    return p
-
-
 UNCONDITIONAL = [r for r in R.REDUCTIONS if r != "R10"]
 
 
 @pytest.mark.parametrize("rid", UNCONDITIONAL)
 def test_structural_and_equisat(rid):
-    rng = random.Random(hash(rid) & 0xFFFF)
+    rng = random.Random(zlib.crc32(rid.encode()))
     row = R.REDUCTIONS[rid]
-    for inst in _inputs_for(rid, rng, 8):
-        k = _k_of(inst) if row.needs_k else None
+    for _ in range(8):
+        inst, k = row.sample(rng)
         cert = R.apply_reduction(rid, inst, k=k)
-        spec = row.output_spec(k) if row.needs_k else row.output_spec()
+        _, spec = row.specs(k)
         assert validate(cert.output, spec).ok
         assert cert.untraced_variables() == []
         assert cert.output.mode == row.output_mode
@@ -293,7 +261,9 @@ def test_r10_assembly_structure():
     )
     rng = random.Random(10)
     inst = G.random_kk(6, 3, rng)
-    cert = R._assemble_r10(inst, mg)
+    b = R._Builder(R.REDUCTIONS["R10"], inst)
+    R._assemble_r10(b, mg)
+    cert = b.finish()
     out = cert.output
     spec = R.REDUCTIONS["R10"].output_spec()
     assert validate(out, spec).ok
