@@ -40,23 +40,27 @@ def _var_patterns(width_log: int) -> list[int]:
     return tables
 
 
-def _clause_table(
-    pos: int,
-    neg: int,
-    chunk: int,
-    width_log: int,
-    tables: list[int],
-    full: int,
-    nae: bool,
+def _or_table(
+    pos: int, neg: int, chunk: int, width_log: int, tables: list[int], full: int
 ) -> int:
-    """Truth table of one clause restricted to a chunk of the space.
+    """Truth table of "some literal true" restricted to a chunk of the space.
 
     Variables >= width_log are constant inside the chunk; their value is the
-    corresponding bit of the chunk index.
+    corresponding bit of the chunk index, so a literal over one that is true
+    makes the whole table true before any table work is done.
     """
+    high = (pos | neg) >> width_log
+    v = 0
+    while high:
+        if high & 1:
+            bit = (chunk >> v) & 1
+            hv = width_log + v
+            if ((pos >> hv) & 1 and bit) or ((neg >> hv) & 1 and not bit):
+                return full
+        high >>= 1
+        v += 1
     low_mask = (1 << width_log) - 1
     or_t = 0
-    or_const = False
     v = 0
     low = (pos | neg) & low_mask
     while low:
@@ -67,48 +71,24 @@ def _clause_table(
                 or_t |= full ^ tables[v]
         low >>= 1
         v += 1
-    high = (pos | neg) >> width_log
-    v = 0
-    while high:
-        if high & 1:
-            bit = (chunk >> v) & 1
-            hv = width_log + v
-            if (pos >> hv) & 1 and bit:
-                or_const = True
-            if (neg >> hv) & 1 and not bit:
-                or_const = True
-        high >>= 1
-        v += 1
-    or_table = full if or_const else or_t
-    if not nae:
-        return or_table
-    # nae additionally wants at least one false literal
-    and_t = full
-    and_const_false = False
-    v = 0
-    low = (pos | neg) & low_mask
-    while low:
-        if low & 1:
-            if (pos >> v) & 1:
-                and_t &= tables[v]
-            if (neg >> v) & 1:
-                and_t &= full ^ tables[v]
-        low >>= 1
-        v += 1
-    high = (pos | neg) >> width_log
-    v = 0
-    while high:
-        if high & 1:
-            bit = (chunk >> v) & 1
-            hv = width_log + v
-            if (pos >> hv) & 1 and not bit:
-                and_const_false = True
-            if (neg >> hv) & 1 and bit:
-                and_const_false = True
-        high >>= 1
-        v += 1
-    and_table = 0 if and_const_false else and_t
-    return or_table & (full ^ and_table)
+    return or_t
+
+
+def _clause_table(
+    pos: int,
+    neg: int,
+    chunk: int,
+    width_log: int,
+    tables: list[int],
+    full: int,
+    nae: bool,
+) -> int:
+    """Truth table of one clause restricted to a chunk of the space."""
+    table = _or_table(pos, neg, chunk, width_log, tables, full)
+    if nae:
+        # nae also wants some literal false: some literal of the flip true
+        table &= _or_table(neg, pos, chunk, width_log, tables, full)
+    return table
 
 
 def solve(num_vars: int, clauses: list[tuple[int, int]], nae: bool) -> int | None:

@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 pass / decided, 1 fail / violation / indeterminate, 2 usage
-error.  --json emits one machine-readable report object on stdout
-(schema "mono3sat-report/1").  The enumeration cap honors the
-MONO3SAT_ENUM_CAP environment variable.
+error.  A stdout pipe closed by its reader (`mono3sat gadgets list --json |
+head -1`) ends the command with exit 1 and no traceback.  --json emits one
+machine-readable report object on stdout (schema "mono3sat-report/1").  The
+enumeration cap honors the MONO3SAT_ENUM_CAP environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -338,7 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); keep the exit-time flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (
         dimacs.DimacsError,
         FileNotFoundError,

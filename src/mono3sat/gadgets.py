@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .formulas import NAE, SAT, Clause, Literal, VerificationReport
+from .formulas import NAE, SAT, Clause, Literal, VerificationReport, evaluate_clause
 from .oracle import BoundaryPredicate, check_extension_property
 
 
@@ -553,25 +553,21 @@ def verify_composite(g: GadgetInstance, cap: int | None = None) -> VerificationR
                 raise AssertionError(
                     f"{g.kind}: connector uses a non-linking variable {lit.var}"
                 )
-    idx = {v: i for i, v in enumerate(abstract)}
     nb = len(g.predicate.boundary)
     feasible: set[int] = set()
     for p in range(1 << len(abstract)):
-        values = [bool((p >> i) & 1) for i in range(len(abstract))]
+        values = {v: bool((p >> i) & 1) for i, v in enumerate(abstract)}
         ok = True
         for part in g.parts:
             pat = 0
             for j, v in enumerate(part.predicate.boundary):
-                if values[idx[v]]:
+                if values[v]:
                     pat |= 1 << j
             if pat not in part.predicate.accepted:
                 ok = False
                 break
         if ok:
-            for c in g.connectors:
-                if not any(values[idx[l.var]] ^ l.neg for l in c.literals):
-                    ok = False
-                    break
+            ok = all(evaluate_clause(c, values, g.mode) for c in g.connectors)
         if ok:
             feasible.add(p & ((1 << nb) - 1))
     declared = set(g.predicate.accepted)

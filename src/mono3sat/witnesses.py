@@ -111,7 +111,7 @@ def known_unsat(name: str) -> CnfInstance:
     return builders[name]()
 
 
-def mon51_compositional_check(timeout: float | None = None) -> VerificationReport:
+def mon51_compositional_check() -> VerificationReport:
     """Certify mon51 unsatisfiable without solving all 102 variables at once.
 
     Each F enforcer is certified compositionally (its D parts by
@@ -410,9 +410,51 @@ def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> bool:
         raise AssertionError("search produced an out-of-profile candidate")
     if solve_dpll(inst).status != "unsat":
         return False
-    if inst.num_vars <= enum_cap():
-        assert solve_exhaustive(inst).status == "unsat"
+    if inst.num_vars <= enum_cap() and solve_exhaustive(inst).status != "unsat":
+        raise AssertionError("enumeration finds a model DPLL missed")
     return True
+
+
+def _canonical_pairs(n: int):
+    """Every (2,2) candidate on n variables once per canonical signature:
+    positive side outer, negative side inner, both drawn from
+    regular_hypergraphs_exhaustive in its order.  Sides are generated only
+    when the pairs first reach them and kept for the inner loop to reuse."""
+    source = regular_hypergraphs_exhaustive(n, 2)
+    sides: list[tuple] = []
+
+    def each_side():
+        for i in itertools.count():
+            if i == len(sides):
+                side = next(source, None)
+                if side is None:
+                    return
+                sides.append(side)
+            yield sides[i]
+
+    seen: set[tuple] = set()
+    for p_edges in each_side():
+        p_sig = [(t, False) for t in p_edges]
+        p_clauses = tuple(Clause(tuple(Literal(v) for v in t)) for t in p_edges)
+        for n_edges in each_side():
+            sig = canonical_signature(p_sig + [(t, True) for t in n_edges])
+            if sig in seen:
+                continue
+            seen.add(sig)
+            n_clauses = tuple(
+                Clause(tuple(Literal(v, True) for v in t)) for t in n_edges
+            )
+            yield CnfInstance(n, p_clauses + n_clauses, SAT)
+
+
+def _samples(n: int, k: int, quota: int, rng: random.Random):
+    """Up to quota random (k,1) instances on n variables; stops at the first
+    size the generator cannot fill."""
+    for _ in range(quota):
+        try:
+            yield random_k1(n, k, rng)
+        except GenerationError:
+            return
 
 
 def search_unsat(
@@ -425,8 +467,9 @@ def search_unsat(
     (3,1)/(4,1): random sampling, starting only at the n where the counting
     bounds stop guaranteeing satisfiability.  (5,1): the explicit
     204-clause construction is probed first, then random sampling.
-    Absence of a find is a valid outcome and no claim is made beyond the
-    exhausted range.
+    A size counts as exhausted only when its exhaustive stream ran dry
+    within the budget and the time limit; absence of a find is a valid
+    outcome and no claim is made beyond the exhausted range.
     """
     if profile not in SEARCH_PROFILES:
         raise KeyError(f"unsupported profile {profile}")
@@ -455,71 +498,29 @@ def search_unsat(
     for n in range(_round_up_mult3(min_n), budget.max_n + 1, 3):
         if remaining <= 0:
             break
+        emit({"event": "n-start", "n": n, "profile": list(profile)})
+        # (candidate stream, whether running dry means exhausted, progress interval)
+        if profile == (2, 2):
+            stream, exhaustive, every = _canonical_pairs(n), True, 2000
+        else:
+            quota = min(remaining, max(1, budget.max_candidates // 4))
+            stream, exhaustive, every = _samples(n, profile[0], quota, rng), False, 200
         checked = 0
         exhausted = False
-        emit({"event": "n-start", "n": n, "profile": list(profile)})
-        if profile == (2, 2):
-            seen: set[tuple] = set()
-            limit = 200_000
-            gens = list(
-                itertools.islice(regular_hypergraphs_exhaustive(n, 2), limit + 1)
-            )
-            truncated = len(gens) > limit
-            gens = gens[:limit]
-            exhausted = not truncated
-            stop = False
-            for p_edges in gens:
-                for n_edges in gens:
-                    if remaining <= 0 or (
-                        deadline is not None and time.monotonic() > deadline
-                    ):
-                        exhausted = False
-                        stop = True
-                        break
-                    sig = canonical_signature(
-                        [(t, False) for t in p_edges] + [(t, True) for t in n_edges]
-                    )
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    clauses = [Clause(tuple(Literal(v) for v in t)) for t in p_edges]
-                    clauses += [
-                        Clause(tuple(Literal(v, True) for v in t)) for t in n_edges
-                    ]
-                    inst = CnfInstance(n, tuple(clauses), SAT)
-                    checked += 1
-                    remaining -= 1
-                    if _certify_unsat_candidate(inst, spec):
-                        outcome.found = inst
-                        outcome.records.append(
-                            {"n": n, "candidates": checked, "exhausted": False}
-                        )
-                        emit({"event": "found", "n": n, "candidates": checked})
-                        return outcome
-                    if checked % 2000 == 0:
-                        emit({"event": "progress", "n": n, "candidates": checked})
-                if stop:
-                    break
-        else:
-            per_n = min(remaining, max(1, budget.max_candidates // 4))
-            for _ in range(per_n):
-                if deadline is not None and time.monotonic() > deadline:
-                    break
-                try:
-                    inst = random_k1(n, profile[0], rng)
-                except GenerationError:
-                    break
-                checked += 1
-                remaining -= 1
-                if _certify_unsat_candidate(inst, spec):
-                    outcome.found = inst
-                    outcome.records.append(
-                        {"n": n, "candidates": checked, "exhausted": False}
-                    )
-                    emit({"event": "found", "n": n, "candidates": checked})
-                    return outcome
-                if checked % 200 == 0:
-                    emit({"event": "progress", "n": n, "candidates": checked})
+        while remaining > 0 and (deadline is None or time.monotonic() <= deadline):
+            inst = next(stream, None)
+            if inst is None:
+                exhausted = exhaustive
+                break
+            checked += 1
+            remaining -= 1
+            if _certify_unsat_candidate(inst, spec):
+                outcome.found = inst
+                outcome.records.append({"n": n, "candidates": checked, "exhausted": False})
+                emit({"event": "found", "n": n, "candidates": checked})
+                return outcome
+            if checked % every == 0:
+                emit({"event": "progress", "n": n, "candidates": checked})
         outcome.records.append({"n": n, "candidates": checked, "exhausted": exhausted})
         emit({"event": "n-done", "n": n, "candidates": checked, "exhausted": exhausted})
     return outcome

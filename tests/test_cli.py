@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -129,3 +132,16 @@ def test_bad_enum_cap_is_error(tmp_path, capsys, monkeypatch):
 
 def test_unknown_witness():
     assert main(["witness", "nope"]) == 2
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "mono3sat.cli", "gadgets", "list", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        proc.stdout.close()  # the reader is gone before the command writes
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -7,6 +7,7 @@ from mono3sat.gadgets import (
     FreshAllocator,
     build_gadget,
     fresh_instance,
+    verify_composite,
     verify_gadget,
 )
 
@@ -34,6 +35,13 @@ def test_counts_match_catalogue(kind):
 def test_verify_gadget(kind):
     rep = verify_gadget(kind)
     assert rep.ok, f"{kind}: {rep.reason} {rep.witness}"
+
+
+def test_verify_composite_checks_connectors_in_gadget_mode():
+    # EQ_NE is certified by enumeration, but its nae connectors must also pass
+    # the compositional check (F, B and BBAR go through it in verify_gadget)
+    rep = verify_composite(fresh_instance("EQ_NE"))
+    assert rep.ok, f"{rep.reason} {rep.witness}"
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,17 @@ for solve in (oracle.solve_exhaustive, oracle.solve_dpll):
         solve(inst)
     except AssertionError as exc:
         print(solve.__name__, "raised:", exc)
+
+from mono3sat import witnesses
+from mono3sat.oracle import SolveResult
+
+# the search's enumeration cross-check of a DPLL unsat answer
+witnesses.solve_dpll = lambda inst: SolveResult("unsat", None)
+witnesses.solve_exhaustive = lambda inst: SolveResult("sat", None)
+try:
+    witnesses.search_unsat((2, 2), witnesses.SearchBudget(max_n=6, max_candidates=1))
+except AssertionError as exc:
+    print("search cross-check raised:", exc)
 """
 
 
@@ -322,3 +333,4 @@ def test_model_checks_survive_optimize():
     assert out.returncode == 0, out.stderr
     assert "solve_exhaustive raised" in out.stdout
     assert "solve_dpll raised" in out.stdout
+    assert "search cross-check raised" in out.stdout

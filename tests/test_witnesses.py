@@ -213,16 +213,27 @@ def test_search_22_exhausts_n3_and_n6():
     assert out.found is None
     recs = {r["n"]: r for r in out.records}
     assert recs[3]["candidates"] == 0 and recs[3]["exhausted"]
-    assert recs[6]["exhausted"] and recs[6]["candidates"] > 0
+    assert recs[6]["exhausted"] and recs[6]["candidates"] == 819
     assert any(e["event"] == "n-done" for e in events)
 
 
-def test_search_22_budget_truncation_at_n9():
-    # n=6 takes 819 canonical candidates, so n=9 starts and is then cut off
+def test_search_22_budget_truncation_at_n9(monkeypatch):
+    # n=6 takes 819 canonical candidates, so n=9 starts and is then cut off;
+    # its sides are generated only as far as the 181 remaining pairs reach
+    drawn = {}
+    enumerate_sides = W.regular_hypergraphs_exhaustive
+
+    def counted(n, degree):
+        for side in enumerate_sides(n, degree):
+            drawn[n] = drawn.get(n, 0) + 1
+            yield side
+
+    monkeypatch.setattr(W, "regular_hypergraphs_exhaustive", counted)
     out = search_unsat((2, 2), SearchBudget(max_n=9, max_candidates=1000))
     rec9 = [r for r in out.records if r["n"] == 9]
     assert rec9 and not rec9[0]["exhausted"]
-    assert rec9[0]["candidates"] > 0
+    assert rec9[0]["candidates"] == 181
+    assert drawn[9] < 2000  # of the 122,220 sides at n=9
 
 
 def test_search_41_below_bound_is_empty():
