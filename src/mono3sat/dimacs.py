@@ -7,7 +7,8 @@ satisfaction mode and the duplicate-literal policy.
     p cnf <num_vars> <num_clauses>
     <literals> 0
 
-Variables are 1-based on the wire and dense 0-based in memory.
+Variables are 1-based on the wire and dense 0-based in memory.  Reading
+stops at a line that is exactly `%`, which SATLIB files end with.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ def parse_dimacs(text: str) -> CnfInstance:
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if line == "%":
+            break  # SATLIB trailer: "%" then a lone "0"
         if not line:
             continue
         if line.startswith("c"):

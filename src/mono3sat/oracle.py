@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -109,28 +110,24 @@ def _checked_model(inst: CnfInstance, bits: int, solver: str) -> SolveResult:
 
 
 def _encoded_clauses(inst: CnfInstance) -> list[list[int]] | None:
-    """Clauses as lists of encoded literals (2*var | neg), nae doubled.
+    """Clauses as sorted lists of encoded literals (2*var | neg), nae doubled.
 
-    Tautological clauses are dropped; returns None when some clause is
-    trivially un-nae-satisfiable (all its literals coincide).
+    Repeated literals are merged and tautological clauses dropped; returns
+    None when some clause is empty.  In nae mode each clause is followed,
+    after all of them, by its literal-wise negation (`lit ^ 1`).
     """
     out = []
-    source: list[tuple[Literal, ...]] = [c.literals for c in inst.clauses]
-    if inst.mode == NAE:
-        source = source + [tuple(l.negated() for l in lits) for lits in source]
-    for lits in source:
-        seen = set()
-        taut = False
-        for l in lits:
-            if (l.var, not l.neg) in seen:
-                taut = True
-                break
-            seen.add((l.var, l.neg))
-        if taut:
-            continue
-        if not seen:
+    for c in inst.clauses:
+        lits = {(l.var << 1) | l.neg for l in c.literals}
+        if len({lit >> 1 for lit in lits}) < len(lits):
+            continue  # tautology: some variable occurs in both polarities
+        if not lits:
             return None
-        out.append([(v << 1) | n for v, n in sorted(seen)])
+        out.append(sorted(lits))
+    if inst.mode == NAE:
+        # the literals of a kept clause have distinct variables, so
+        # flipping their low bits keeps them sorted
+        out += [[lit ^ 1 for lit in lits] for lits in out]
     return out
 
 
@@ -156,7 +153,11 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     literals are assigned as decisions (they are satisfiability-preserving,
     not implied, so they must not serve as resolution reasons).  Branching
     picks the most frequent free literal among the shortest unsatisfied
-    clauses.  Deterministic; no restarts.
+    clauses, ties going to the smallest encoded literal.  The shortest
+    clauses come from an index, by_free[k], of the unsatisfied clauses
+    (learned ones included) with exactly k non-false literals, which
+    assignments, backjumps and learning keep up to date, so a decision
+    looks only at those clauses.  Deterministic; no restarts.
     """
     m = len(clauses)
     if m == 0:
@@ -183,7 +184,11 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     reason = [NO_REASON] * num_vars
     nfree = [len(c) for c in clauses]
     ntrue = [0] * m
-    nsat = 0
+    # by_free[k]: unsatisfied clauses with k non-false literals; grows when
+    # a learned clause is longer than every clause before it
+    by_free: list[set[int]] = [set() for _ in range(max(nfree) + 1)]
+    for ci, k in enumerate(nfree):
+        by_free[k].add(ci)
     trail: list[int] = []
     units: list[tuple[int, int]] = [  # (implied lit, reason clause)
         (c[0], ci) for ci, c in enumerate(clauses) if len(c) == 1
@@ -194,7 +199,6 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
 
     def assign(lit: int, why: int) -> int:
         """Make lit true; returns a conflicting clause index or -1."""
-        nonlocal nsat
         v = lit >> 1
         b = 1 - (lit & 1)
         val[v] = b
@@ -204,7 +208,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         for ci in occ[(v << 1) | (1 - b)]:  # literal made true
             ntrue[ci] += 1
             if ntrue[ci] == 1:
-                nsat += 1
+                by_free[nfree[ci]].remove(ci)
                 if ci < n_input:
                     for l in clauses[ci]:
                         cnt[l] -= 1
@@ -212,17 +216,19 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                             pure_q.append(l >> 1)
         conflict = -1
         for ci in occ[(v << 1) | b]:  # literal made false
-            nfree[ci] -= 1
+            k = nfree[ci] - 1
+            nfree[ci] = k
             if ntrue[ci] == 0:
-                if nfree[ci] == 0:
+                by_free[k + 1].remove(ci)
+                by_free[k].add(ci)
+                if k == 0:
                     conflict = ci
-                elif nfree[ci] == 1:
+                elif k == 1:
                     free = next(l for l in clauses[ci] if val[l >> 1] == -1)
                     units.append((free, ci))
         return conflict
 
     def unassign_top():
-        nonlocal nsat
         v = trail.pop()
         b = val[v]
         val[v] = -1
@@ -230,12 +236,16 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         for ci in occ[(v << 1) | (1 - b)]:
             ntrue[ci] -= 1
             if ntrue[ci] == 0:
-                nsat -= 1
+                by_free[nfree[ci]].add(ci)
                 if ci < n_input:
                     for l in clauses[ci]:
                         cnt[l] += 1
         for ci in occ[(v << 1) | b]:
-            nfree[ci] += 1
+            k = nfree[ci]
+            nfree[ci] = k + 1
+            if ntrue[ci] == 0:
+                by_free[k].remove(ci)
+                by_free[k + 1].add(ci)
 
     def backjump(target: int):
         nonlocal cur_level
@@ -283,7 +293,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
             if counter == 0:
                 learned.insert(0, (v << 1) | val[v])  # the asserting literal
                 break
-            assert reason[v] != NO_REASON, "resolving past a decision"
+            if reason[v] == NO_REASON:
+                raise AssertionError("resolving past a decision")
             cur = [l for l in clauses[reason[v]] if l >> 1 != v]
         jump = 0
         for lit in learned[1:]:
@@ -291,13 +302,15 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         return learned, jump
 
     def add_learned(lits: list[int]) -> int:
-        nonlocal nsat
         ci = len(clauses)
         clauses.append(lits)
         ntrue.append(sum(1 for l in lits if val[l >> 1] == 1 - (l & 1)))
-        nfree.append(sum(1 for l in lits if val[l >> 1] == -1))
-        if ntrue[ci] > 0:
-            nsat += 1
+        nfree.append(sum(1 for l in lits if val[l >> 1] != (l & 1)))
+        # backjumps can unassign every literal of the clause
+        while len(by_free) <= len(lits):
+            by_free.append(set())
+        if ntrue[ci] == 0:
+            by_free[nfree[ci]].add(ci)
         for l in lits:
             occ[l].append(ci)
         return ci
@@ -327,20 +340,18 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         return moved, -1
 
     def pick() -> int | None:
-        """Most frequent free literal among the shortest unsatisfied clauses."""
-        best_len = 1 << 30
-        counts: dict[int, int] = {}
-        for ci in range(len(clauses)):
-            if ntrue[ci] == 0 and nfree[ci] <= best_len:
-                if nfree[ci] < best_len:
-                    best_len = nfree[ci]
-                    counts = {}
-                for lit in clauses[ci]:
-                    if val[lit >> 1] == -1:
-                        counts[lit] = counts.get(lit, 0) + 1
+        """Most frequent free literal among the shortest unsatisfied clauses.
+
+        The result does not depend on the order the index's sets iterate in.
+        """
+        shortest = next((b for b in by_free if b), ())
+        counts = Counter([
+            lit for ci in shortest for lit in clauses[ci] if val[lit >> 1] == -1
+        ])
         if not counts:
             return None
-        return max(counts, key=lambda l: (counts[l], -l))
+        top = max(counts.values())
+        return min(lit for lit, c in counts.items() if c == top)
 
     def handle(conflict: int) -> bool:
         """Learn from the conflict; False when unsat at level 0."""
@@ -367,7 +378,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
             if not handle(conflict):
                 return "unsat", None
             continue
-        if nsat == len(clauses):
+        if not any(by_free):  # every clause is satisfied
             bits = 0
             for v in range(num_vars):
                 if val[v] == 1:
@@ -381,9 +392,10 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         if moved:
             continue
         lit = pick()
-        # nsat < len(clauses) and no pending conflict imply some clause has
-        # ntrue == 0 and a free literal
-        assert lit is not None, "unsatisfied clause without free literals"
+        # some clause is unsatisfied and no conflict is pending, so the
+        # shortest unsatisfied clauses have free literals
+        if lit is None:
+            raise AssertionError("unsatisfied clause without free literals")
         cur_level += 1
         conflict = assign(lit, NO_REASON)
         if conflict != -1 and not handle(conflict):

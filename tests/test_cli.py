@@ -123,6 +123,13 @@ def test_negative_header_is_error(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+def test_solve_satlib_file(tmp_path, capsys):
+    path = tmp_path / "uf3.cnf"
+    path.write_text("c SATLIB style\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n")
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.split()[-1] == "SAT"
+
+
 def test_bad_enum_cap_is_error(tmp_path, capsys, monkeypatch):
     path = _witness_file(tmp_path, "nine_var")
     monkeypatch.setenv("MONO3SAT_ENUM_CAP", "abc")

@@ -53,6 +53,14 @@ def test_parse_errors():
         parse_dimacs("p cnf -1 0\n")
 
 
+def test_satlib_trailer():
+    # SATLIB benchmark files end with a "%" line and a lone "0"
+    inst = parse_dimacs("c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n")
+    assert inst.num_clauses == 2
+    with pytest.raises(DimacsError, match="terminated"):
+        parse_dimacs("p cnf 3 1\n1 2\n%\n3 0\n")
+
+
 def test_multiline_clause():
     inst = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
     assert inst.num_clauses == 1

@@ -105,6 +105,71 @@ def test_dpll_agrees_with_exhaustive_fuzz():
             assert evaluate(inst, b.model)
 
 
+def random_mixed_cnf(n, rng, mode):
+    """Clauses of one length L in 1..5 (one in twenty shorter), near the
+    sat/unsat threshold for L; a fifth of the instances also carry every
+    sign pattern over min(L, 3) variables, an unsatisfiable core."""
+    length = rng.randint(1, min(5, n))
+    ratio = {SAT: (1, 1, 4.3, 9.9, 21.1), NAE: (1, 0.5, 2.1, 5, 10.5)}[mode]
+    cls = []
+    for _ in range(max(1, round(ratio[length - 1] * n * rng.uniform(0.6, 1.3)))):
+        k = rng.randint(1, length) if rng.random() < 0.05 else length
+        vs = rng.sample(range(n), k)
+        cls.append(Clause(tuple(Literal(v, rng.random() < 0.5) for v in vs)))
+    if rng.random() < 0.2:
+        core = rng.sample(range(n), min(length, 3))
+        for signs in range(1 << len(core)):
+            cls.append(Clause(tuple(
+                Literal(v, bool(signs >> j & 1)) for j, v in enumerate(core)
+            )))
+        rng.shuffle(cls)
+    return CnfInstance(n, tuple(cls), mode)
+
+
+def _solve_dpll_watched(inst):
+    """solve_dpll, plus the longest clause it learned and how many of its
+    backjumps skipped a level (read from the solver's inner calls)."""
+    seen = {"learned": 0, "backjumps": 0}
+
+    def watch(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code.co_name == "add_learned":
+            seen["learned"] = max(seen["learned"], len(frame.f_locals["lits"]))
+        elif frame.f_code.co_name == "backjump":
+            loc = frame.f_locals
+            seen["backjumps"] += loc["target"] < loc["cur_level"] - 1
+
+    outer = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        res = solve_dpll(inst)
+    finally:
+        sys.setprofile(outer)
+    return res, seen
+
+
+def test_dpll_mixed_lengths_fuzz():
+    # learned clauses longer than every input clause must survive the
+    # backjumps that unassign their literals again
+    rng = random.Random(7)
+    longer = {SAT: 0, NAE: 0}
+    backjumps = 0
+    for trial in range(160):
+        n = rng.randint(4, 14)
+        mode = SAT if trial % 2 == 0 else NAE
+        inst = random_mixed_cnf(n, rng, mode)
+        res, seen = _solve_dpll_watched(inst)
+        assert res.status == ref_solve(inst), f"disagreement on trial {trial}"
+        if res.status == "sat":
+            assert evaluate(inst, res.model)
+        longest_input = max(len(c.litset()) for c in inst.clauses)
+        longer[mode] += seen["learned"] > longest_input
+        backjumps += seen["backjumps"]
+    assert longer[SAT] > 0 and longer[NAE] > 0, longer
+    assert backjumps > 0
+
+
 def test_nae_polarity_flip_invariance():
     rng = random.Random(77)
     for _ in range(60):
@@ -300,6 +365,17 @@ from mono3sat.formulas import CnfInstance, clause
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
+
+# DPLL's own invariant: a decision is due but no free literal is found
+from mono3sat.formulas import neg
+real_counter = oracle.Counter
+oracle.Counter = lambda lits: {}
+try:
+    oracle.solve_dpll(CnfInstance(2, (clause([0, 1]), clause([neg(0), neg(1)]))))
+except AssertionError as exc:
+    print("dpll invariant raised:", exc)
+oracle.Counter = real_counter
+
 inst = CnfInstance(1, (clause([0]),))
 _bitkernel.solve = lambda num_vars, clauses, nae: 0
 oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
@@ -334,3 +410,33 @@ def test_model_checks_survive_optimize():
     assert "solve_exhaustive raised" in out.stdout
     assert "solve_dpll raised" in out.stdout
     assert "search cross-check raised" in out.stdout
+    assert "dpll invariant raised" in out.stdout
+
+
+_HASH_SEED_MODEL = """
+import hashlib, random
+from mono3sat import reductions
+from mono3sat.oracle import solve_dpll
+
+inst, k = reductions.REDUCTIONS["R1"].sample(random.Random(1))
+res = solve_dpll(reductions.apply_reduction("R1", inst, k=k).output)
+print(res.status, hashlib.sha256(repr(res.model).encode()).hexdigest())
+"""
+
+
+def test_dpll_model_ignores_hash_seed():
+    # DPLL's branching index iterates over sets; the model it returns for an
+    # R1 output must not depend on PYTHONHASHSEED
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src),
+               "PYTHONHASHSEED": hash_seed}
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_MODEL],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0].startswith("sat ")
+    assert outs[0] == outs[1]
