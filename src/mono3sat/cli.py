@@ -188,9 +188,9 @@ def _cmd_gadgets(args) -> int:
         for name in gadgets.GADGET_NAMES:
             row = gadgets.CATALOGUE[name]
             rows.append({
-                "kind": name, "boundary": row.arity, "aux": row.num_aux,
+                "kind": name, "boundary": len(row.slots), "aux": row.num_aux,
                 "clauses": row.num_clauses, "mode": row.mode,
-                "verification": "compositional" if row.compositional else "enumeration",
+                "verification": "compositional" if row.parts else "enumeration",
             })
         if args.json:
             _emit_json({"command": "gadgets-list", "gadgets": rows})

@@ -195,7 +195,6 @@ CHOICE = "choice"  # profile ("choice", ((p, q), ...))
 MONOTONE_SAT = "sat"  # every clause all-positive or all-negative
 MONOTONE_NAE = "nae"  # no negative literal anywhere
 
-LINEAR = "linear"
 EXACT_LINEAR = "exact"
 
 

@@ -1,19 +1,34 @@
 """Gadget catalogue: constructors plus declared boundary predicates.
 
-Each clause list is stored as a data table (one string per clause, slot
-placeholders for boundary variables, letters for auxiliaries) so the
-transcription can be reviewed line by line.  Composite gadgets (EQ_NE, F, B,
-BBAR) are assembled from the table-backed ones with disjoint fresh
-auxiliaries per instantiation.
+Each clause list is stored as a data table (one line per clause, slot
+placeholders for boundary variables, names for auxiliaries) so the
+transcription can be reviewed line by line; every table is parsed once, at
+import.  A composite row (EQ_NE, F, B, BBAR) also lists its parts, the
+catalogue gadgets it is assembled from; its own table then holds only the
+connector clauses.  Every row is built by the one path in `build_gadget`,
+and every instantiation draws fresh, disjoint auxiliaries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .formulas import NAE, SAT, Clause, Literal, VerificationReport, evaluate_clause
-from .oracle import BoundaryPredicate, check_extension_property
+from .oracle import BoundaryPredicate, check_extension_property, report_mismatch
+
+# A parsed clause table: one tuple of (name, negated) pairs per clause.
+Table = tuple[tuple[tuple[str, bool], ...], ...]
+
+
+def parse_table(lines: Iterable[str]) -> Table:
+    """Parse clause lines such as "~a b x", one clause per non-blank line."""
+    return tuple(
+        tuple((t[1:], True) if t.startswith("~") else (t, False) for t in line.split())
+        for line in lines
+        if line.strip()
+    )
 
 
 class FreshAllocator:
@@ -81,33 +96,32 @@ def _forced_true(s):
 
 @dataclass(frozen=True)
 class GadgetRow:
+    """One catalogue row.  A composite row lists its parts as (kind, slot
+    names) pairs, "~KIND" meaning the polarity-flipped gadget; its table
+    holds the connector clauses over its slots and auxiliary names."""
+
     name: str
-    arity: int
-    num_aux: int
+    num_aux: int  # every auxiliary of a built instance, parts' included
     num_clauses: int
     mode: str
     slot_predicate: Callable
-    slots: tuple[str, ...] = ()
+    slots: tuple[str, ...]
     aux_names: tuple[str, ...] = ()
-    table: tuple[str, ...] = ()
+    table: Table = ()
     multiset: bool = False
-    compositional: bool = False  # verified via parts, not one big enumeration
+    parts: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
-def _rows(text: str) -> tuple[str, ...]:
-    return tuple(line.strip() for line in text.strip().splitlines())
-
-
-_NE6 = _rows("""
+_NE6 = parse_table("""
 x y a
 x y b
 a b u
 a b v
 a b w
 u v w
-""")
+""".splitlines())
 
-_P1 = _rows("""
+_P1 = parse_table("""
 x a b
 a c d
 a b e
@@ -115,9 +129,9 @@ a d e
 b c d
 b c e
 c d e
-""")
+""".splitlines())
 
-_NE9 = _rows("""
+_NE9 = parse_table("""
 x a b
 y c d
 y e f
@@ -127,9 +141,9 @@ a c f
 a d e
 a b d
 b d f
-""")
+""".splitlines())
 
-_EQ13 = _rows("""
+_EQ13 = parse_table("""
 x a b
 y c d
 y e f
@@ -143,9 +157,9 @@ c e i
 c f g
 d g h
 d f i
-""")
+""".splitlines())
 
-_EQ4L = _rows("""
+_EQ4L = parse_table("""
 x a e
 x b d
 x c f
@@ -158,9 +172,9 @@ z u b
 u a c
 u d e
 b e f
-""")
+""".splitlines())
 
-_S = _rows("""
+_S = parse_table("""
 x a b
 y c d
 z e f
@@ -174,9 +188,9 @@ b d f
 ~b ~c ~d
 ~b ~c ~e
 ~b ~d ~f
-""")
+""".splitlines())
 
-_A = _rows("""
+_A = parse_table("""
 ~a ~b ~x
 ~a ~c ~x
 ~a ~d ~x
@@ -187,9 +201,9 @@ a b c
 a b d
 a c d
 b c d
-""")
+""".splitlines())
 
-_D = _rows("""
+_D = parse_table("""
 ~a ~c ~e
 ~b ~f ~h
 ~d ~g ~i
@@ -210,9 +224,9 @@ c f x3
 d e x4
 d h x5
 e h x6
-""")
+""".splitlines())
 
-_G = _rows("""
+_G = parse_table("""
 ~a ~b ~f
 ~a ~c ~d
 ~b ~c ~e
@@ -224,9 +238,9 @@ d e f
 a e x
 b d y
 c f z
-""")
+""".splitlines())
 
-_H = _rows("""
+_H = parse_table("""
 ~a ~d ~x
 ~b ~g ~y
 ~f ~i ~z
@@ -243,9 +257,9 @@ b h i
 c e i
 d e f
 d g i
-""")
+""".splitlines())
 
-_C12 = _rows("""
+_C12 = parse_table("""
 ~a ~c ~e
 ~a ~c ~f
 ~a ~d ~g
@@ -258,9 +272,9 @@ a b x
 c d x
 e f x
 g h y
-""")
+""".splitlines())
 
-_INC32 = _rows("""
+_INC32 = parse_table("""
 a b x
 c d y
 e f z
@@ -274,23 +288,23 @@ c d f
 ~a ~b ~f
 ~c ~d ~e
 ~c ~e ~f
-""")
+""".splitlines())
 
-_CHAIN22 = _rows("""
+_CHAIN22 = parse_table("""
 x1 x2
 ~x2 ~x3
 x3 x4
 ~x4 ~x5
 x5 x6
 ~x6 ~x1
-""")
+""".splitlines())
 
-_CHAIN22_NEG = _rows("""
+_CHAIN22_NEG = parse_table("""
 ~x1 ~x2 ~x6
 ~x3 ~x4 ~x5
-""")
+""".splitlines())
 
-_STAR22 = _rows("""
+_STAR22 = parse_table("""
 x1 y9 y9
 ~x1 ~y1 ~y1
 ~x1 ~y2 ~y2
@@ -309,17 +323,11 @@ x5 y6 y6
 x6 y7 y7
 x6 y8 y8
 ~x6 ~y9 ~y9
-""")
+""".splitlines())
 
 
-def _flip_table(table: tuple[str, ...]) -> tuple[str, ...]:
-    out = []
-    for line in table:
-        toks = []
-        for tok in line.split():
-            toks.append(tok[1:] if tok.startswith("~") else "~" + tok)
-        out.append(" ".join(toks))
-    return tuple(out)
+def _flip_table(table: Table) -> Table:
+    return tuple(tuple((name, not negated) for name, negated in c) for c in table)
 
 
 _XY = ("x", "y")
@@ -327,39 +335,48 @@ _XYZ = ("x", "y", "z")
 _X6 = ("x1", "x2", "x3", "x4", "x5", "x6")
 _ABCDEF = tuple("abcdef")
 _ABCDEFGHI = tuple("abcdefghi")
+_UVW = ("u", "v", "w")
+_B_PARTS = (("C12", ("u", "x")), ("C12", ("v", "y")), ("C12", ("w", "z")))
 
-CATALOGUE: dict[str, GadgetRow] = {}
-
-
-def _row(row: GadgetRow):
-    CATALOGUE[row.name] = row
-
-
-_row(GadgetRow("NE6", 2, 5, 6, NAE, _differ, _XY, tuple("ab") + tuple("uvw"), _NE6))
-_row(GadgetRow("EQ_NE", 2, 13, 14, NAE, _equal, _XY))
-_row(GadgetRow("P1", 1, 5, 7, NAE, _always, ("x",), tuple("abcde"), _P1))
-_row(GadgetRow("NE9", 2, 6, 9, NAE, _differ, _XY, _ABCDEF, _NE9))
-_row(GadgetRow("EQ13", 2, 9, 13, NAE, _equal, _XY, _ABCDEFGHI, _EQ13))
-_row(GadgetRow("EQ4L", 4, 6, 12, NAE, _all_equal, ("x", "y", "z", "u"), _ABCDEF, _EQ4L))
-_row(GadgetRow("S", 3, 6, 13, SAT, _any_true, _XYZ, _ABCDEF, _S))
-_row(GadgetRow("SBAR", 3, 6, 13, SAT, _any_false, _XYZ, _ABCDEF, _flip_table(_S)))
-_row(GadgetRow("A", 2, 4, 10, SAT, _any_false, _XY, tuple("abcd"), _A))
-_row(GadgetRow("D", 6, 9, 20, SAT, _any_true, _X6, _ABCDEFGHI, _D))
-_row(GadgetRow("F", 1, 30, 61, SAT, _forced_true, ("x",), compositional=True))
-_row(GadgetRow("G", 3, 6, 11, SAT, _any_true, _XYZ, _ABCDEF, _G))
-_row(GadgetRow("H", 3, 9, 16, SAT, _any_false, _XYZ, _ABCDEFGHI, _H))
-_row(GadgetRow("C12", 2, 8, 12, SAT, _any_true, _XY, tuple("abcdefgh"), _C12))
-_row(GadgetRow("B", 3, 27, 37, SAT, _any_true, _XYZ, compositional=True))
-_row(GadgetRow("BBAR", 3, 27, 37, SAT, _any_false, _XYZ, compositional=True))
-_row(GadgetRow("CHAIN22", 6, 0, 6, SAT, _chain22, _X6, (), _CHAIN22))
-_row(GadgetRow("CHAIN22_NEG", 6, 0, 2, SAT, _chain22_neg, _X6, (), _CHAIN22_NEG))
-_row(
+CATALOGUE: dict[str, GadgetRow] = {row.name: row for row in (
+    GadgetRow("NE6", 5, 6, NAE, _differ, _XY, tuple("ab") + tuple("uvw"), _NE6),
     GadgetRow(
-        "STAR22", 6, 9, 18, SAT, _all_equal, _X6,
+        "EQ_NE", 13, 14, NAE, _equal, _XY, ("p", "q", "r"),
+        parse_table(["x q r", "y q r"]),
+        parts=(("NE6", ("p", "q")), ("NE6", ("p", "r"))),
+    ),
+    GadgetRow("P1", 5, 7, NAE, _always, ("x",), tuple("abcde"), _P1),
+    GadgetRow("NE9", 6, 9, NAE, _differ, _XY, _ABCDEF, _NE9),
+    GadgetRow("EQ13", 9, 13, NAE, _equal, _XY, _ABCDEFGHI, _EQ13),
+    GadgetRow("EQ4L", 6, 12, NAE, _all_equal, ("x", "y", "z", "u"), _ABCDEF, _EQ4L),
+    GadgetRow("S", 6, 13, SAT, _any_true, _XYZ, _ABCDEF, _S),
+    GadgetRow("SBAR", 6, 13, SAT, _any_false, _XYZ, _ABCDEF, _flip_table(_S)),
+    GadgetRow("A", 4, 10, SAT, _any_false, _XY, tuple("abcd"), _A),
+    GadgetRow("D", 9, 20, SAT, _any_true, _X6, _ABCDEFGHI, _D),
+    GadgetRow(
+        "F", 30, 61, SAT, _forced_true, ("y",), ("u1", "u2", "u3"),
+        parse_table(["~u1 ~u2 ~u3"]),
+        parts=tuple(("D", ("y",) + (u,) * 5) for u in ("u1", "u2", "u3")),
+    ),
+    GadgetRow("G", 6, 11, SAT, _any_true, _XYZ, _ABCDEF, _G),
+    GadgetRow("H", 9, 16, SAT, _any_false, _XYZ, _ABCDEFGHI, _H),
+    GadgetRow("C12", 8, 12, SAT, _any_true, _XY, tuple("abcdefgh"), _C12),
+    GadgetRow(
+        "B", 27, 37, SAT, _any_true, _XYZ, _UVW, parse_table(["~u ~v ~w"]),
+        parts=_B_PARTS,
+    ),
+    GadgetRow(
+        "BBAR", 27, 37, SAT, _any_false, _XYZ, _UVW, parse_table(["u v w"]),
+        parts=tuple(("~" + kind, slots) for kind, slots in _B_PARTS),
+    ),
+    GadgetRow("CHAIN22", 0, 6, SAT, _chain22, _X6, (), _CHAIN22),
+    GadgetRow("CHAIN22_NEG", 0, 2, SAT, _chain22_neg, _X6, (), _CHAIN22_NEG),
+    GadgetRow(
+        "STAR22", 9, 18, SAT, _all_equal, _X6,
         tuple(f"y{i}" for i in range(1, 10)), _STAR22, multiset=True,
-    )
-)
-_row(GadgetRow("INC32", 3, 6, 13, SAT, _always, _XYZ, _ABCDEF, _INC32))
+    ),
+    GadgetRow("INC32", 6, 13, SAT, _always, _XYZ, _ABCDEF, _INC32),
+)}
 
 GADGET_NAMES = tuple(CATALOGUE)
 
@@ -379,23 +396,18 @@ def predicate_for(
 
 
 def _instantiate_table(
-    row: GadgetRow, boundary: Sequence[int], aux: Sequence[int]
+    row: GadgetRow, var_of: dict[str, int], boundary: tuple[int, ...]
 ) -> tuple[Clause, ...]:
-    slot_of = {name: boundary[i] for i, name in enumerate(row.slots)}
-    aux_of = {name: aux[i] for i, name in enumerate(row.aux_names)}
     clauses = []
-    for line in row.table:
-        lits = []
-        for tok in line.split():
-            negated = tok.startswith("~")
-            name = tok[1:] if negated else tok
-            var = slot_of[name] if name in slot_of else aux_of[name]
-            lits.append(Literal(var, negated))
+    for c in row.table:
         try:
-            clauses.append(Clause(tuple(lits), row.multiset))
+            clauses.append(
+                Clause(tuple([Literal(var_of[name], neg) for name, neg in c]), row.multiset)
+            )
         except ValueError:
+            line = " ".join(("~" if neg else "") + name for name, neg in c)
             raise ValueError(
-                f"{row.name}{tuple(boundary)}: substitution makes clause "
+                f"{row.name}{boundary}: substitution makes clause "
                 f"'{line}' repeat a variable"
             ) from None
     return tuple(clauses)
@@ -407,79 +419,33 @@ def build_gadget(
     """Instantiate a catalogue gadget on the given boundary variables.
 
     Boundary entries may repeat (e.g. D(y, u, u, u, u, u)) as long as no
-    set-flavor clause ends up with a duplicated variable.  Auxiliary
-    variables are drawn fresh from the allocator.
+    set-flavor clause ends up with a duplicated variable.  The row's named
+    auxiliaries are drawn fresh from the allocator first, then its parts are
+    built in order, then its own table is instantiated; a composite's
+    clauses are its parts' clauses followed by its connectors.
     """
     row = CATALOGUE[kind]
     boundary = tuple(boundary)
-    if len(boundary) != row.arity:
+    if len(boundary) != len(row.slots):
         raise ValueError(
-            f"{kind} takes {row.arity} boundary variables, got {len(boundary)}"
+            f"{kind} takes {len(row.slots)} boundary variables, got {len(boundary)}"
         )
-    if kind == "EQ_NE":
-        return _build_eq_ne(boundary, alloc)
-    if kind == "F":
-        return _build_f(boundary, alloc)
-    if kind in ("B", "BBAR"):
-        return _build_b(boundary, alloc, flipped=(kind == "BBAR"))
-    aux = tuple(alloc.fresh(row.num_aux))
-    clauses = _instantiate_table(row, boundary, aux)
+    aux = tuple(alloc.fresh(len(row.aux_names)))
+    var_of = dict(zip(row.slots + row.aux_names, boundary + aux))
+    parts: list[GadgetInstance] = []
+    clauses: tuple[Clause, ...] = ()
+    for part_kind, slots in row.parts:
+        part = build_gadget(part_kind.lstrip("~"), [var_of[s] for s in slots], alloc)
+        if part_kind.startswith("~"):
+            part = _flip_instance(part)
+        parts.append(part)
+        aux += part.aux
+        clauses += part.clauses
+    own = _instantiate_table(row, var_of, boundary)
     return GadgetInstance(
-        kind, boundary, aux, clauses,
+        kind, boundary, aux, clauses + own,
         predicate_for(row.slot_predicate, boundary), row.mode,
-    )
-
-
-def _build_eq_ne(boundary, alloc: FreshAllocator) -> GadgetInstance:
-    x, y = boundary
-    p, q, r = alloc.fresh(3)
-    ne1 = build_gadget("NE6", (p, q), alloc)
-    ne2 = build_gadget("NE6", (p, r), alloc)
-    connectors = (
-        Clause((Literal(x), Literal(q), Literal(r))),
-        Clause((Literal(y), Literal(q), Literal(r))),
-    )
-    return GadgetInstance(
-        "EQ_NE", boundary, (p, q, r) + ne1.aux + ne2.aux,
-        ne1.clauses + ne2.clauses + connectors,
-        predicate_for(_equal, boundary), NAE,
-        parts=(ne1, ne2), connectors=connectors,
-    )
-
-
-def _build_f(boundary, alloc: FreshAllocator) -> GadgetInstance:
-    (y,) = boundary
-    u1, u2, u3 = alloc.fresh(3)
-    parts = tuple(
-        build_gadget("D", (y, u, u, u, u, u), alloc) for u in (u1, u2, u3)
-    )
-    connector = Clause((Literal(u1, True), Literal(u2, True), Literal(u3, True)))
-    aux = (u1, u2, u3) + tuple(v for g in parts for v in g.aux)
-    clauses = tuple(c for g in parts for c in g.clauses) + (connector,)
-    return GadgetInstance(
-        "F", boundary, aux, clauses,
-        predicate_for(_forced_true, boundary), SAT,
-        parts=parts, connectors=(connector,),
-    )
-
-
-def _build_b(boundary, alloc: FreshAllocator, flipped: bool) -> GadgetInstance:
-    x, y, z = boundary
-    u, v, w = alloc.fresh(3)
-    parts = tuple(
-        build_gadget("C12", pair, alloc) for pair in ((u, x), (v, y), (w, z))
-    )
-    connector = Clause((Literal(u, True), Literal(v, True), Literal(w, True)))
-    if flipped:
-        parts = tuple(_flip_instance(g) for g in parts)
-        connector = connector.negated()
-    aux = (u, v, w) + tuple(vv for g in parts for vv in g.aux)
-    clauses = tuple(c for g in parts for c in g.clauses) + (connector,)
-    name = "BBAR" if flipped else "B"
-    pred = _any_false if flipped else _any_true
-    return GadgetInstance(
-        name, boundary, aux, clauses, predicate_for(pred, boundary), SAT,
-        parts=parts, connectors=(connector,),
+        parts=tuple(parts), connectors=own if parts else (),
     )
 
 
@@ -499,20 +465,16 @@ def _flip_instance(g: GadgetInstance) -> GadgetInstance:
 
 
 def fresh_instance(kind: str) -> GadgetInstance:
-    """The gadget on distinct fresh boundary variables 0..arity-1."""
-    row = CATALOGUE[kind]
-    alloc = FreshAllocator(row.arity)
-    return build_gadget(kind, tuple(range(row.arity)), alloc)
+    """The gadget on distinct fresh boundary variables 0..len(slots)-1."""
+    n = len(CATALOGUE[kind].slots)
+    return build_gadget(kind, tuple(range(n)), FreshAllocator(n))
 
 
 def verify_gadget(kind: str, cap: int | None = None) -> VerificationReport:
     """Certify a catalogue row's declared accepted set.
 
-    Table-backed rows are checked by direct exhaustive extension checking.
-    F, B and BBAR exceed the enumeration cap and are verified
-    compositionally: each constituent gadget is certified by enumeration,
-    then the boundary-plus-connector abstraction is enumerated using the
-    constituents' predicates in place of their clauses.
+    A row without parts is checked by direct exhaustive extension checking;
+    a composite row is verified compositionally (`verify_composite`).
     """
     row = CATALOGUE[kind]
     g = fresh_instance(kind)
@@ -523,61 +485,65 @@ def verify_gadget(kind: str, cap: int | None = None) -> VerificationReport:
             f"catalogue says {row.num_aux} / {row.num_clauses}",
             ("catalogue", kind),
         )
-    if not row.compositional:
-        return check_extension_property(g, cap)
-    return verify_composite(g, cap)
+    return verify_composite(g, cap) if g.parts else check_extension_property(g, cap)
 
 
 def verify_composite(g: GadgetInstance, cap: int | None = None) -> VerificationReport:
     """Verify a composite gadget from its parts' certified predicates.
 
-    Sound because parts share no auxiliary variables and the connector
-    clauses mention only boundary/linking variables, so the gadget's clause
-    set is satisfiable for a boundary pattern iff the abstraction over the
-    linking variables is.
+    Each part is certified first: by enumeration, or by this function when
+    it has parts of its own.  Then the boundary-plus-linking abstraction is
+    enumerated with the parts' predicates in place of their clauses.  That
+    is sound when the gadget's clauses are exactly its parts' clauses plus
+    its connectors, the parts share no auxiliary variable, and no part
+    auxiliary is a linking variable (a variable of the gadget's boundary or
+    of a part's boundary, the only ones a connector may use); all of this
+    is checked here.
     """
     for part in g.parts:
-        rep = check_extension_property(part, cap)
+        verify = verify_composite if part.parts else check_extension_property
+        rep = verify(part, cap)
         if not rep.ok:
             return VerificationReport(
                 False, f"{g.kind}: part {part.kind} failed: {rep.reason}", rep.witness
             )
-    abstract = list(dict.fromkeys(g.predicate.boundary))
-    for part in g.parts:
-        for v in part.predicate.boundary:
-            if v not in abstract:
-                abstract.append(v)
-    for c in g.connectors:
-        for lit in c.literals:
-            if lit.var not in abstract:
-                raise AssertionError(
-                    f"{g.kind}: connector uses a non-linking variable {lit.var}"
-                )
+    premise = _composite_premise(g)
+    if premise is not None:
+        return VerificationReport(False, f"{g.kind}: {premise}", ("premise", g.kind))
+    abstract = list(dict.fromkeys(
+        g.predicate.boundary + tuple(v for part in g.parts for v in part.predicate.boundary)
+    ))
     nb = len(g.predicate.boundary)
     feasible: set[int] = set()
     for p in range(1 << len(abstract)):
         values = {v: bool((p >> i) & 1) for i, v in enumerate(abstract)}
-        ok = True
-        for part in g.parts:
-            pat = 0
-            for j, v in enumerate(part.predicate.boundary):
-                if values[v]:
-                    pat |= 1 << j
-            if pat not in part.predicate.accepted:
-                ok = False
-                break
-        if ok:
-            ok = all(evaluate_clause(c, values, g.mode) for c in g.connectors)
-        if ok:
+        if all(
+            sum(1 << j for j, v in enumerate(part.predicate.boundary) if values[v])
+            in part.predicate.accepted
+            for part in g.parts
+        ) and all(evaluate_clause(c, values, g.mode) for c in g.connectors):
             feasible.add(p & ((1 << nb) - 1))
-    declared = set(g.predicate.accepted)
-    if feasible == declared:
-        return VerificationReport(True)
-    diff = sorted(feasible ^ declared)
-    p = diff[0]
-    direction = "forbidden extension" if p in feasible else "missing extension"
-    return VerificationReport(
-        False,
-        f"{g.kind}: boundary pattern {p:0{nb}b} is a {direction}",
-        {"pattern": p, "direction": direction},
-    )
+    return report_mismatch(g, feasible)
+
+
+def _composite_premise(g: GadgetInstance) -> str | None:
+    """The first broken premise of the compositional argument, or None."""
+    if Counter(g.clauses) != Counter(
+        [c for part in g.parts for c in part.clauses] + list(g.connectors)
+    ):
+        return "clauses are not exactly the parts' clauses plus the connectors"
+    linking = set(g.predicate.boundary)
+    for part in g.parts:
+        linking.update(part.predicate.boundary)
+    seen: set[int] = set()
+    for part in g.parts:
+        if seen & set(part.aux):
+            return f"part {part.kind} shares auxiliaries with another part"
+        if linking & set(part.aux):
+            return f"part {part.kind} has a linking variable among its auxiliaries"
+        seen.update(part.aux)
+    for c in g.connectors:
+        for lit in c.literals:
+            if lit.var not in linking:
+                return f"connector uses a non-linking variable {lit.var}"
+    return None

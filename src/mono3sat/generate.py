@@ -18,17 +18,18 @@ class GenerationError(RuntimeError):
 
 
 def _config_model_clauses(
-    stubs: list[int], rng: random.Random, forbidden: set, tries: int = 400
+    stubs: list[int], rng: random.Random
 ) -> list[tuple[int, ...]] | None:
-    """Partition a literal-stub pool into triples of distinct variables."""
-    for _ in range(tries):
+    """Partition a literal-stub pool into distinct triples of distinct
+    variables; None after 400 rejected shuffles."""
+    for _ in range(400):
         pool = stubs[:]
         rng.shuffle(pool)
         clauses = []
         ok = True
         for t in range(0, len(pool), 3):
             tri = tuple(sorted(pool[t : t + 3]))
-            if len(set(tri)) != 3 or tri in forbidden or tri in clauses:
+            if len(set(tri)) != 3 or tri in clauses:
                 ok = False
                 break
             clauses.append(tri)
@@ -43,7 +44,7 @@ def regular_hypergraph(n: int, degree: int, rng: random.Random) -> list[tuple[in
         raise GenerationError(f"degree {degree} * n {n} not divisible by 3")
     stubs = [v for v in range(n) for _ in range(degree)]
     for _ in range(60):
-        got = _config_model_clauses(stubs, rng, forbidden=set())
+        got = _config_model_clauses(stubs, rng)
         if got is not None:
             return got
     raise GenerationError(f"no {degree}-regular hypergraph found at n={n}")
@@ -109,13 +110,13 @@ def random_32(n: int, rng: random.Random) -> CnfInstance:
     return CnfInstance(n, tuple(clauses), SAT)
 
 
-def random_22(n: int, rng: random.Random, tries: int = 400) -> CnfInstance:
+def random_22(n: int, rng: random.Random) -> CnfInstance:
     """3-Sat-(2,2): mixed-polarity clauses, every variable twice per polarity."""
     if n % 3 != 0:
         raise GenerationError("n must be a multiple of 3 (4n = 3m)")
     # literal stubs: +v twice, -v twice; encoded as 2v / 2v+1
     stubs = [x for v in range(n) for x in ((v << 1), (v << 1), (v << 1) | 1, (v << 1) | 1)]
-    for _ in range(tries):
+    for _ in range(400):
         pool = stubs[:]
         rng.shuffle(pool)
         seen = set()

@@ -426,9 +426,6 @@ class BoundaryPredicate:
     boundary: tuple[int, ...]
     accepted: frozenset[int]
 
-    def patterns(self) -> int:
-        return 1 << len(self.boundary)
-
 
 def check_extension_property(gadget, cap: int | None = None) -> VerificationReport:
     """Certify a gadget's boundary predicate by exhaustive extension checking.
@@ -450,27 +447,28 @@ def check_extension_property(gadget, cap: int | None = None) -> VerificationRepo
         var_map[v] = len(aux) + j
     masks = clause_masks(gadget.clauses, var_map)
     got = _bitkernel.accepted_patterns(len(aux), len(boundary), masks, gadget.mode == NAE)
-    declared = set(gadget.predicate.accepted)
-    if got == declared:
+    return report_mismatch(gadget, got)
+
+
+def report_mismatch(gadget, feasible: set[int]) -> VerificationReport:
+    """Compare the boundary patterns that extend with the declared ones.
+
+    Passes iff they agree; otherwise reports the smallest differing pattern
+    as {"pattern": {var: bool}, "direction": "missing extension" (accepted
+    but no extension) or "forbidden extension" (extends but not accepted)}.
+    """
+    declared = gadget.predicate.accepted
+    if feasible == declared:
         return VerificationReport(True)
-    for p in sorted(declared | got):
-        if p in declared and p not in got:
-            return VerificationReport(
-                False,
-                "boundary assignment has no satisfying extension but is accepted",
-                {"pattern": _pattern_bits(p, boundary), "direction": "missing extension"},
-            )
-        if p in got and p not in declared:
-            return VerificationReport(
-                False,
-                "boundary assignment has a satisfying extension but is not accepted",
-                {"pattern": _pattern_bits(p, boundary), "direction": "forbidden extension"},
-            )
-    raise AssertionError("unreachable")
-
-
-def _pattern_bits(p: int, boundary: Sequence[int]) -> dict[int, bool]:
-    return {v: bool((p >> j) & 1) for j, v in enumerate(boundary)}
+    p = min(feasible ^ declared)
+    direction = "forbidden extension" if p in feasible else "missing extension"
+    boundary = gadget.predicate.boundary
+    return VerificationReport(
+        False,
+        f"{gadget.kind}: boundary pattern {p:0{len(boundary)}b} is a {direction}",
+        {"pattern": {v: bool((p >> j) & 1) for j, v in enumerate(boundary)},
+         "direction": direction},
+    )
 
 
 # ---------------------------------------------------------------------------

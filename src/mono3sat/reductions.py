@@ -257,7 +257,8 @@ def _pad_to_four(b: _Builder):
         for lit in c.literals:
             counts[lit.var] += 1
     for v in range(len(counts)):
-        assert counts[v] <= 4, f"variable {v} already appears {counts[v]} times"
+        if counts[v] > 4:
+            raise AssertionError(f"variable {v} already appears {counts[v]} times")
         for _ in range(4 - counts[v]):
             b.add_gadget("P1", (v,))
 
@@ -343,9 +344,7 @@ def _split_22(b: _Builder):
 
 def _apply_r5(b: _Builder) -> None:
     pairs = _split_22(b)
-    n = len(pairs)
-    assert n % 3 == 0  # 4n = 3m forces it
-    for g in range(n // 3):
+    for g in range(_thirds(b, len(pairs), "4n = 3m")):
         y = b.alloc.fresh1()
         b.note("PAD_FALSE_Y", (y,))
         for i in range(3 * g, 3 * g + 3):
@@ -358,8 +357,7 @@ def _apply_r5(b: _Builder) -> None:
 def _apply_r7(b: _Builder) -> None:
     pairs = _split_22(b)
     n = len(pairs)
-    q, r = divmod(n, 3)
-    assert r == 0
+    q = _thirds(b, n, "4n = 3m")
     ys = []
     for x1, x2 in pairs:
         y = b.alloc.fresh1()
@@ -377,8 +375,8 @@ def _apply_r7(b: _Builder) -> None:
         for t in range(1, q):
             pad.append((ys[3 * t - 2], ys[3 * t - 1], ys[3 * t]))
         pad.append((ys[n - 2], ys[n - 1], ys[0]))
-        assert len(set(map(tuple, map(sorted, pad)))) == len(pad), \
-            "y-padding clauses must be pairwise distinct"
+        if len(set(map(tuple, map(sorted, pad)))) != len(pad):
+            raise AssertionError("y-padding clauses must be pairwise distinct")
         for tri in pad:
             b.clauses.append(Clause(tuple(Literal(v) for v in tri)))
     else:
@@ -387,9 +385,7 @@ def _apply_r7(b: _Builder) -> None:
 
 def _apply_r11(b: _Builder) -> None:
     pairs = _split_22(b)
-    n = len(pairs)
-    k, r = divmod(n, 3)
-    assert r == 0
+    k = _thirds(b, len(pairs), "4n = 3m")
     blocks = [tuple(b.alloc.fresh(3)) for _ in range(k)]  # (u, v, w)
     for u, v, w in blocks:
         b.note("UVW_BLOCK", (u, v, w))
@@ -470,8 +466,7 @@ def _apply_r6(b: _Builder) -> None:
 def _apply_r8(b: _Builder) -> None:
     k = b.k
     n = _copies(b, k)
-    q, r = divmod(n, 3)
-    assert r == 0  # forced: each variable once negated, negative 3-clauses
+    q = _thirds(b, n, "each variable once negated, in negative 3-clauses")
     y_base = b.alloc.fresh(n)[0]
     z_base = b.alloc.fresh(n)[0]
     b.note("LINK_Y", tuple(range(y_base, y_base + n)))
@@ -489,6 +484,14 @@ def _apply_r8(b: _Builder) -> None:
                 Clause(tuple(Literal(base + 3 * t + s, True) for s in range(3)))
             )
     _check_size(b, (k + 1) * (b.input.num_clauses + n) + 2 * q, (k + 3) * n)
+
+
+def _thirds(b: _Builder, n: int, why: str) -> int:
+    """n // 3, for an n the row's input variant makes a multiple of 3."""
+    q, r = divmod(n, 3)
+    if r:
+        raise AssertionError(f"{b.row.rid}: n = {n} is not a multiple of 3 ({why})")
+    return q
 
 
 def _check_size(b: _Builder, num_clauses: int, num_vars: int) -> None:
@@ -577,7 +580,11 @@ def build_m_gadget(param: CnfInstance, timeout: float | None = None) -> MGadget:
         else:
             pos_pool.append(lit.var)
             neg_pool.append(lit.var + nv)
-    assert len(pos_pool) == len(neg_pool) == 3 * q
+    if not len(pos_pool) == len(neg_pool) == 3 * q:
+        raise AssertionError(
+            f"M-gadget pools have {len(pos_pool)} and {len(neg_pool)} entries, "
+            f"3q = {3 * q}"
+        )
     return MGadget(2 * nv, tuple(clauses), tuple(pos_pool), tuple(neg_pool), q)
 
 
@@ -620,8 +627,12 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
             full3.append(Clause(tuple(Literal(base + l.var, l.neg) for l in c.literals)))
         pos_pool += [base + v for v in mg.pos_pool]
         neg_pool += [base + v for v in mg.neg_pool]
-    assert len(pos_pool) == len(pos2) == 3 * n * q
-    assert len(neg_pool) == len(neg2) == 3 * n * q
+    for pool, pairs in ((pos_pool, pos2), (neg_pool, neg2)):
+        if not len(pool) == len(pairs) == 3 * n * q:
+            raise AssertionError(
+                f"R10: {len(pool)} pad variables for {len(pairs)} 2-clauses, "
+                f"3nq = {3 * n * q}"
+            )
     for (a, c), pad in zip(pos2, pos_pool):
         full3.append(Clause((Literal(a), Literal(c), Literal(pad))))
     for (a, c), pad in zip(neg2, neg_pool):
@@ -636,7 +647,7 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
 def _apply_r12(b: _Builder) -> None:
     inst = b.input
     n = inst.num_vars
-    assert n % 3 == 0  # 2n negated appearances fill negative 3-clauses
+    _thirds(b, n, "2n negated appearances fill negative 3-clauses")
     b.alloc.fresh(n)
     for v in range(n):
         b.back_map[v] = (v, False)

@@ -21,9 +21,15 @@ from .formulas import (
     appearance_profile,
     validate,
 )
-from .gadgets import FreshAllocator, build_gadget, verify_composite
+from .gadgets import FreshAllocator, GadgetInstance, build_gadget, parse_table
 from .generate import GenerationError, random_k1
-from .oracle import CapExceededError, enum_cap, solve_dpll, solve_exhaustive
+from .oracle import (
+    BoundaryPredicate,
+    CapExceededError,
+    enum_cap,
+    solve_dpll,
+    solve_exhaustive,
+)
 
 # The 9-variable, 18-clause unsatisfiable Monotone 3-Sat-(3,3) instance,
 # transcribed as a frozen table (variables a..i are ids 0..8).
@@ -52,15 +58,11 @@ WITNESS_NAMES = ("ss_bar", "nine_var", "mon51", "hitting27")
 
 
 def _nine_var() -> CnfInstance:
-    clauses = []
-    for line in NINE_VAR_TABLE:
-        lits = []
-        for tok in line.split():
-            negated = tok.startswith("~")
-            name = tok[1:] if negated else tok
-            lits.append(Literal(ord(name) - ord("a"), negated))
-        clauses.append(Clause(tuple(lits)))
-    return CnfInstance(9, tuple(clauses), SAT)
+    clauses = tuple(
+        Clause(tuple(Literal(ord(name) - ord("a"), negated) for name, negated in c))
+        for c in parse_table(NINE_VAR_TABLE)
+    )
+    return CnfInstance(9, clauses, SAT)
 
 
 def _ss_bar() -> CnfInstance:
@@ -70,21 +72,29 @@ def _ss_bar() -> CnfInstance:
     return CnfInstance(alloc.next_id, s.clauses + sbar.clauses, SAT)
 
 
-def mon51_structure():
-    """The 204-clause construction: three true-enforcers whose outputs share
-    a negative clause, padded by one more D instance."""
+def mon51_structure() -> GadgetInstance:
+    """The 204-clause construction as a gadget on an empty boundary that
+    accepts nothing: three true-enforcers F on y1, y2, y3 whose outputs share
+    the negative connector clause (~y1 ~y2 ~y3), padded by one more D
+    instance.  Its clauses are the enforcers', the connector, then the pad's,
+    so `verify_composite` of it certifies mon51 unsatisfiable."""
     alloc = FreshAllocator(3)
-    y1, y2, y3 = 0, 1, 2
-    fs = tuple(build_gadget("F", (y,), alloc) for y in (y1, y2, y3))
-    connector = Clause((Literal(y1, True), Literal(y2, True), Literal(y3, True)))
-    pad = build_gadget("D", (y1, y1, y2, y2, y3, y3), alloc)
-    clauses = tuple(c for f in fs for c in f.clauses) + (connector,) + pad.clauses
-    inst = CnfInstance(alloc.next_id, clauses, SAT)
-    return inst, fs, connector, pad
+    ys = (0, 1, 2)
+    fs = tuple(build_gadget("F", (y,), alloc) for y in ys)
+    connector = Clause(tuple(Literal(y, True) for y in ys))
+    pad = build_gadget("D", (0, 0, 1, 1, 2, 2), alloc)
+    parts = fs + (pad,)
+    return GadgetInstance(
+        "MON51", (), ys + tuple(v for g in parts for v in g.aux),
+        tuple(c for f in fs for c in f.clauses) + (connector,) + pad.clauses,
+        BoundaryPredicate((), frozenset()), SAT,
+        parts=parts, connectors=(connector,),
+    )
 
 
 def _mon51() -> CnfInstance:
-    return mon51_structure()[0]
+    g = mon51_structure()
+    return CnfInstance(len(g.aux), g.clauses, SAT)
 
 
 def _hitting27() -> CnfInstance:
@@ -109,36 +119,6 @@ def known_unsat(name: str) -> CnfInstance:
     if name not in builders:
         raise KeyError(f"unknown witness {name!r}; choices: {WITNESS_NAMES}")
     return builders[name]()
-
-
-def mon51_compositional_check() -> VerificationReport:
-    """Certify mon51 unsatisfiable without solving all 102 variables at once.
-
-    Each F enforcer is certified compositionally (its D parts by
-    enumeration), which forces its output variable true; the residual
-    12-variable instance (the shared negative clause plus the padding D)
-    conjoined with those forced values is then refuted exhaustively.
-    """
-    inst, fs, connector, pad = mon51_structure()
-    for f in fs:
-        rep = verify_composite(f)
-        if not rep.ok:
-            return VerificationReport(False, f"F enforcer failed: {rep.reason}", rep.witness)
-        if f.predicate.accepted != frozenset({1}):
-            return VerificationReport(False, "F does not force its output true")
-    residual_vars = [0, 1, 2] + list(pad.aux)
-    remap = {v: i for i, v in enumerate(residual_vars)}
-    clauses = [Clause((Literal(remap[0]),)), Clause((Literal(remap[1]),)),
-               Clause((Literal(remap[2]),))]
-    for c in (connector,) + pad.clauses:
-        clauses.append(Clause(tuple(Literal(remap[l.var], l.neg) for l in c.literals)))
-    residual = CnfInstance(len(residual_vars), tuple(clauses), SAT)
-    res = solve_exhaustive(residual)
-    if res.status != "unsat":
-        return VerificationReport(
-            False, "residual instance satisfiable despite forced enforcer outputs"
-        )
-    return VerificationReport(True, "forced outputs contradict the shared negative clause")
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +232,10 @@ def min_transversal_hitting_set(n: int, node_budget: int = 2_000_000) -> int:
 
     Defined for n >= 9 (for n in {3, 6} a transversal has fewer than three
     variables, so no 3-clause fits inside one and no blocking set exists).
-    Exact branch and bound; every transversal is blocked by at most
-    C(n/3, 3)*? candidate clauses, and each uncovered transversal branches
-    over the clauses inside it.
+    Exact branch and bound over the 27 * C(n/3, 3) candidate clauses (three
+    of the n/3 triples, one variable from each).  Each candidate blocks
+    3^(n/3 - 3) transversals, every transversal contains exactly C(n/3, 3)
+    candidates, and each uncovered transversal branches over those.
     """
     if n % 3 != 0:
         raise ValueError("n must be a multiple of 3")

@@ -15,7 +15,7 @@ import pytest
 from mono3sat.formulas import appearance_profile, evaluate, validate
 from mono3sat import generate as G
 from mono3sat import reductions as R
-from mono3sat.gadgets import GADGET_NAMES, verify_gadget
+from mono3sat.gadgets import GADGET_NAMES, verify_composite, verify_gadget
 from mono3sat.oracle import solve_auto, solve_dpll, solve_exhaustive
 from mono3sat import witnesses as W
 
@@ -67,7 +67,7 @@ def test_criterion_2_witness_suite():
     res = solve_dpll(m51, timeout=60)
     elapsed = time.perf_counter() - t0
     assert res.status == "unsat" and elapsed < 60
-    comp = W.mon51_compositional_check()
+    comp = verify_composite(W.mon51_structure())
     assert comp.ok, comp.reason
     print(f"\nACCEPTANCE 2 witness suite (mon51 DPLL {elapsed:.2f}s "
           f"+ compositional): PASS")

@@ -1,6 +1,16 @@
+import dataclasses
+
 import pytest
 
-from mono3sat.formulas import NAE, CnfInstance, Literal, appearance_profile, is_linear
+from mono3sat import gadgets
+from mono3sat.formulas import (
+    NAE,
+    Clause,
+    CnfInstance,
+    Literal,
+    appearance_profile,
+    is_linear,
+)
 from mono3sat.gadgets import (
     CATALOGUE,
     GADGET_NAMES,
@@ -10,6 +20,8 @@ from mono3sat.gadgets import (
     verify_composite,
     verify_gadget,
 )
+from mono3sat.oracle import BoundaryPredicate, check_extension_property
+from mono3sat.witnesses import mon51_structure
 
 from reference import ref_accepted
 
@@ -28,7 +40,8 @@ def test_counts_match_catalogue(kind):
     g = fresh_instance(kind)
     assert len(g.aux) == row.num_aux
     assert len(g.clauses) == row.num_clauses
-    assert len(g.boundary) == row.arity
+    assert len(g.boundary) == len(row.slots)
+    assert bool(g.parts) == bool(row.parts)
 
 
 @pytest.mark.parametrize("kind", GADGET_NAMES)
@@ -38,16 +51,20 @@ def test_verify_gadget(kind):
 
 
 def test_verify_composite_checks_connectors_in_gadget_mode():
-    # EQ_NE is certified by enumeration, but its nae connectors must also pass
-    # the compositional check (F, B and BBAR go through it in verify_gadget)
+    # EQ_NE's connectors are nae clauses: judged in sat mode, pattern 01
+    # would read as a forbidden extension
     rep = verify_composite(fresh_instance("EQ_NE"))
     assert rep.ok, f"{rep.reason} {rep.witness}"
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [k for k in GADGET_NAMES if not CATALOGUE[k].compositional],
-)
+def _num_vars(kind):
+    g = fresh_instance(kind)
+    return len(g.predicate.boundary) + len(g.aux)
+
+
+# the independent enumeration is naive, so only instances of up to 15
+# variables (EQ_NE and D are the largest, F, B and BBAR are far beyond)
+@pytest.mark.parametrize("kind", [k for k in GADGET_NAMES if _num_vars(k) <= 15])
 def test_accepted_sets_against_independent_enumeration(kind):
     g = fresh_instance(kind)
     assert ref_accepted(g) == set(g.predicate.accepted)
@@ -181,3 +198,64 @@ def test_gadget_modes():
     for kind in GADGET_NAMES:
         g = fresh_instance(kind)
         assert g.mode == CATALOGUE[kind].mode
+
+
+def test_verify_composite_checks_its_premise():
+    # an extra clause (~x) leaves x = 1 without an extension, although the
+    # parts and the connector alone still give the declared predicate
+    g = fresh_instance("B")
+    extra = Clause((Literal(g.boundary[0], True),))
+    rep = verify_composite(dataclasses.replace(g, clauses=g.clauses + (extra,)))
+    assert not rep.ok and "connectors" in rep.reason
+    # two parts on the same auxiliaries
+    f = fresh_instance("F")
+    d = f.parts[0]
+    twice = dataclasses.replace(f, parts=(d, d), clauses=d.clauses * 2 + f.connectors)
+    rep = verify_composite(twice)
+    assert not rep.ok and "shares auxiliaries" in rep.reason
+    # a part auxiliary on another part's boundary
+    alloc = FreshAllocator(2)
+    ne1 = build_gadget("NE6", (0, 1), alloc)
+    ne2 = build_gadget("NE6", (ne1.aux[0], 1), alloc)
+    linked = type(g)(
+        "LINKED", (0, 1), ne1.aux + ne2.aux, ne1.clauses + ne2.clauses,
+        BoundaryPredicate((0, 1), frozenset({0b01, 0b10})), NAE, parts=(ne1, ne2),
+    )
+    rep = verify_composite(linked)
+    assert not rep.ok and "linking variable" in rep.reason
+
+
+def test_composite_mismatch_reported_like_extension_check():
+    claims_sat = dataclasses.replace(
+        mon51_structure(), predicate=BoundaryPredicate((), frozenset({0}))
+    )
+    rep = verify_composite(claims_sat)
+    assert not rep.ok
+    assert rep.witness == {"pattern": {}, "direction": "missing extension"}
+    eq = fresh_instance("EQ_NE")
+    wrong = dataclasses.replace(
+        eq, predicate=BoundaryPredicate(eq.predicate.boundary, frozenset({0b00}))
+    )
+    rep = verify_composite(wrong)
+    assert not rep.ok
+    assert rep.witness == {
+        "pattern": {0: True, 1: True}, "direction": "forbidden extension"
+    }
+    # EQ_NE is small enough to enumerate: both checks report the same
+    direct = check_extension_property(wrong)
+    assert (direct.reason, direct.witness) == (rep.reason, rep.witness)
+
+
+def test_mon51_verified_through_f_into_d(monkeypatch):
+    enumerated = []
+    real = gadgets.check_extension_property
+
+    def spy(g, cap=None):
+        enumerated.append(g.kind)
+        return real(g, cap)
+
+    monkeypatch.setattr(gadgets, "check_extension_property", spy)
+    rep = verify_composite(mon51_structure())
+    assert rep.ok, rep.reason
+    # three D parts in each of the three enforcers F, plus the pad D
+    assert enumerated == ["D"] * 10

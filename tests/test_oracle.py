@@ -376,6 +376,16 @@ except AssertionError as exc:
     print("dpll invariant raised:", exc)
 oracle.Counter = real_counter
 
+# R1's padding, handed a variable that already appears five times
+from mono3sat import reductions
+b = reductions._Builder(reductions.REDUCTIONS["R1"], CnfInstance(3, ()))
+b.alloc.fresh(3)
+b.clauses = [clause([0, 1, 2])] * 5
+try:
+    reductions._pad_to_four(b)
+except AssertionError as exc:
+    print("pad_to_four raised:", exc)
+
 inst = CnfInstance(1, (clause([0]),))
 _bitkernel.solve = lambda num_vars, clauses, nae: 0
 oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
@@ -411,6 +421,7 @@ def test_model_checks_survive_optimize():
     assert "solve_dpll raised" in out.stdout
     assert "search cross-check raised" in out.stdout
     assert "dpll invariant raised" in out.stdout
+    assert "pad_to_four raised" in out.stdout
 
 
 _HASH_SEED_MODEL = """

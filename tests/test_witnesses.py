@@ -13,6 +13,7 @@ from mono3sat.formulas import (
     pos,
 )
 from mono3sat import witnesses as W
+from mono3sat.gadgets import verify_composite
 from mono3sat.oracle import solve_dpll, solve_exhaustive
 from mono3sat.witnesses import (
     NINE_VAR_TABLE,
@@ -23,7 +24,7 @@ from mono3sat.witnesses import (
     check_sat_via_transversal,
     known_unsat,
     min_transversal_hitting_set,
-    mon51_compositional_check,
+    mon51_structure,
     search_unsat,
     transversal_count,
 )
@@ -63,7 +64,7 @@ def test_all_witnesses_unsat():
     for name in ("nine_var", "ss_bar", "hitting27"):
         assert solve_exhaustive(known_unsat(name)).status == "unsat"
     assert solve_dpll(known_unsat("mon51"), timeout=60).status == "unsat"
-    assert mon51_compositional_check().ok
+    assert verify_composite(mon51_structure()).ok
 
 
 def test_unknown_witness():
