@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 pass / decided, 1 fail / violation / indeterminate, 2 usage
-error.  A stdout pipe closed by its reader (`mono3sat gadgets list --json |
-head -1`) ends the command with exit 1 and no traceback.  --json emits one
-machine-readable report object on stdout (schema "mono3sat-report/1").  The
-enumeration cap honors the MONO3SAT_ENUM_CAP environment variable.
+Exit codes: 0 pass / decided, 1 fail / violation / indeterminate / bad
+input, 2 usage error.  Bad input (malformed or undecodable DIMACS, a file
+that cannot be read or written, a bad MONO3SAT_ENUM_CAP) is reported as
+`error: ...` on stderr, never as a traceback.  A stdout pipe closed by its
+reader (`mono3sat gadgets list --json | head -1`) ends the command with exit
+1 and no traceback.  --json emits one machine-readable report object on
+stdout (schema "mono3sat-report/1").  The enumeration cap honors the
+MONO3SAT_ENUM_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -351,7 +354,8 @@ def main(argv=None) -> int:
         return 1
     except (
         dimacs.DimacsError,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
         oracle.CapExceededError,
         oracle.EnumCapError,
     ) as exc:

@@ -49,6 +49,8 @@ def parse_dimacs(text: str) -> CnfInstance:
                 duplicates = fields[1] == "allowed"
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError("second 'p cnf' header", lineno)
             fields = line.split()
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise DimacsError(f"bad problem line {line!r}", lineno)
@@ -103,10 +105,11 @@ def emit_dimacs(inst: CnfInstance, variant: str | None = None) -> str:
     if variant:
         lines.append(f"c variant {variant}")
     lines.append(f"p cnf {inst.num_vars} {inst.num_clauses}")
-    for c in inst.clauses:
-        nums = sorted(
-            (-(l.var + 1) if l.neg else l.var + 1) for l in c.literals
-        )
-        nums.sort(key=abs)
-        lines.append(" ".join(str(x) for x in nums) + " 0")
+    for c in inst.codes:
+        # by variable, negative literal first: the codes sorted with the sign bit flipped
+        nums = [
+            -(x >> 1) - 1 if x & 1 else (x >> 1) + 1
+            for x in sorted(c, key=lambda x: x ^ 1)
+        ]
+        lines.append(" ".join(map(str, nums)) + " 0")
     return "\n".join(lines) + "\n"

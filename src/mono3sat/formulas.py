@@ -3,11 +3,17 @@
 Variables are dense non-negative integers 0..num_vars-1; textual names only
 exist in the DIMACS layer.  All types are immutable after construction and
 every operation here is pure.
+
+`Literal` and `Clause` are the public view.  The machine form is one code
+per literal, 2·var | neg (MiniSat's encoding), made by `encode` alone;
+`CnfInstance.codes` holds it, built once, and every validator, evaluator,
+solver set-up and kernel mask reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 SAT = "sat"
@@ -88,6 +94,20 @@ def clause(lits: Iterable[Literal | int], multiset: bool = False) -> Clause:
     return Clause(tuple(out), multiset)
 
 
+Codes = tuple[tuple[int, ...], ...]
+
+
+def encode(clauses: Iterable[Clause]) -> Codes:
+    """Each clause as a tuple of literal codes 2·var | neg, clause order and
+    literal order kept."""
+    return tuple([tuple([(v << 1) | n for v, n in c.literals]) for c in clauses])
+
+
+def decode(codes: Iterable[Sequence[int]]) -> tuple[Clause, ...]:
+    """The set-flavor clauses of literal codes; the inverse of `encode`."""
+    return tuple(Clause(tuple(Literal(x >> 1, bool(x & 1)) for x in c)) for c in codes)
+
+
 @dataclass(frozen=True)
 class CnfInstance:
     """A CNF formula plus the mode selecting its satisfaction semantics.
@@ -99,18 +119,19 @@ class CnfInstance:
     num_vars: int
     clauses: tuple[Clause, ...]
     mode: str = SAT
+    codes: Codes = field(init=False, compare=False, repr=False)  # encode(clauses)
 
     def __post_init__(self):
         if self.mode not in (SAT, NAE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.num_vars < 0:
             raise ValueError(f"negative num_vars {self.num_vars}")
-        for i, c in enumerate(self.clauses):
-            for lit in c.literals:
-                if lit.var >= self.num_vars:
-                    raise ValueError(
-                        f"clause {i} uses variable {lit.var} >= num_vars={self.num_vars}"
-                    )
+        codes = encode(self.clauses)
+        limit = 2 * self.num_vars
+        if max(chain.from_iterable(codes), default=-1) >= limit:
+            i, v = next((i, x >> 1) for i, c in enumerate(codes) for x in c if x >= limit)
+            raise ValueError(f"clause {i} uses variable {v} >= num_vars={self.num_vars}")
+        object.__setattr__(self, "codes", codes)
 
     @property
     def num_clauses(self) -> int:
@@ -124,8 +145,9 @@ def assignment_from_bits(bits: int, num_vars: int) -> tuple[bool, ...]:
     return tuple(bool((bits >> v) & 1) for v in range(num_vars))
 
 
-def evaluate_clause(c: Clause, assignment: Sequence[bool], mode: str = SAT) -> bool:
-    values = [assignment[l.var] ^ l.neg for l in c.literals]
+def evaluate_clause(c: Sequence[int], assignment, mode: str = SAT) -> bool:
+    """One clause of literal codes under any var-indexed assignment."""
+    values = [assignment[x >> 1] ^ (x & 1) for x in c]
     if mode == SAT:
         return any(values)
     return any(values) and not all(values)
@@ -136,7 +158,7 @@ def evaluate(inst: CnfInstance, assignment: Sequence[bool]) -> bool:
         raise ValueError(
             f"assignment length {len(assignment)} != num_vars {inst.num_vars}"
         )
-    return all(evaluate_clause(c, assignment, inst.mode) for c in inst.clauses)
+    return all(evaluate_clause(c, assignment, inst.mode) for c in inst.codes)
 
 
 @dataclass(frozen=True)
@@ -178,11 +200,11 @@ def appearance_profile(inst: CnfInstance) -> list[tuple[int, int]]:
 
     Duplicates inside multiset clauses are counted as separate appearances.
     """
-    prof = [[0, 0] for _ in range(inst.num_vars)]
-    for c in inst.clauses:
-        for lit in c.literals:
-            prof[lit.var][1 if lit.neg else 0] += 1
-    return [(p, q) for p, q in prof]
+    counts = [0] * (2 * inst.num_vars)
+    for c in inst.codes:
+        for x in c:
+            counts[x] += 1
+    return list(zip(counts[0::2], counts[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,28 +238,29 @@ def validate(inst: CnfInstance, spec: VariantSpec) -> VerificationReport:
     Returns pass, or fail naming the first violated constraint with a
     concrete witness (clause index, variable id, or clause pair).
     """
+    codes = inst.codes
     if spec.arity is not None:
-        for i, c in enumerate(inst.clauses):
-            if len(c.literals) != spec.arity:
+        for i, c in enumerate(codes):
+            if len(c) != spec.arity:
                 return VerificationReport(
-                    False, f"clause {i} has arity {len(c.literals)} != {spec.arity}",
+                    False, f"clause {i} has arity {len(c)} != {spec.arity}",
                     ("clause", i),
                 )
     if not spec.duplicates:
-        for i, c in enumerate(inst.clauses):
-            if len({l.var for l in c.literals}) != len(c.literals):
+        for i, c in enumerate(codes):
+            if len({x >> 1 for x in c}) != len(c):
                 return VerificationReport(
                     False, f"clause {i} repeats a variable", ("clause", i)
                 )
     if spec.monotone == MONOTONE_SAT:
-        for i, c in enumerate(inst.clauses):
-            if not (c.all_positive() or c.all_negative()):
+        for i, c in enumerate(codes):
+            if len({x & 1 for x in c}) > 1:
                 return VerificationReport(
                     False, f"clause {i} mixes polarities", ("clause", i)
                 )
     elif spec.monotone == MONOTONE_NAE:
-        for i, c in enumerate(inst.clauses):
-            if not c.all_positive():
+        for i, c in enumerate(codes):
+            if any(x & 1 for x in c):
                 return VerificationReport(
                     False, f"clause {i} contains a negated literal", ("clause", i)
                 )
@@ -271,8 +294,8 @@ def validate(inst: CnfInstance, spec: VariantSpec) -> VerificationReport:
             return rep
     if spec.distinct_clauses:
         seen: dict[tuple, int] = {}
-        for i, c in enumerate(inst.clauses):
-            key = c.sorted_key()
+        for i, c in enumerate(codes):
+            key = tuple(sorted(c))
             if key in seen:
                 return VerificationReport(
                     False,
@@ -291,7 +314,7 @@ def is_linear(inst: CnfInstance, exact: bool = False) -> VerificationReport:
     """
     if inst.has_multiset_clauses():
         raise ValueError("is_linear is defined for set-flavor clauses only")
-    varsets = [c.varset() for c in inst.clauses]
+    varsets = [frozenset(x >> 1 for x in c) for c in inst.codes]
     m = len(varsets)
     for i in range(m):
         for j in range(i + 1, m):

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
-from .formulas import NAE, SAT, Clause, Literal, VerificationReport, evaluate_clause
+from .formulas import NAE, SAT, Clause, Literal, VerificationReport, encode, evaluate_clause
 from .oracle import BoundaryPredicate, check_extension_property, report_mismatch
 
 # A parsed clause table: one tuple of (name, negated) pairs per clause.
@@ -381,18 +382,23 @@ CATALOGUE: dict[str, GadgetRow] = {row.name: row for row in (
 GADGET_NAMES = tuple(CATALOGUE)
 
 
-def predicate_for(
-    slot_predicate: Callable, boundary: Sequence[int]
-) -> BoundaryPredicate:
-    """Materialize the slot predicate over the distinct boundary variables."""
-    distinct = list(dict.fromkeys(boundary))
-    idx = {v: i for i, v in enumerate(distinct)}
-    accepted = set()
-    for p in range(1 << len(distinct)):
-        slots = tuple(bool((p >> idx[v]) & 1) for v in boundary)
-        if slot_predicate(slots):
-            accepted.add(p)
-    return BoundaryPredicate(tuple(distinct), frozenset(accepted))
+def predicate_for(kind: str, boundary: Sequence[int]) -> BoundaryPredicate:
+    """Materialize the row's slot predicate over the distinct boundary variables."""
+    idx: dict[int, int] = {}
+    shape = tuple(idx.setdefault(v, len(idx)) for v in boundary)
+    return BoundaryPredicate(tuple(idx), _accepted(kind, shape))
+
+
+@cache
+def _accepted(kind: str, shape: tuple[int, ...]) -> frozenset[int]:
+    """The accepted patterns of a row whose slot j holds distinct boundary
+    variable shape[j]; bit i of a pattern is distinct variable i."""
+    slot_predicate = CATALOGUE[kind].slot_predicate
+    width = len(set(shape))
+    return frozenset(
+        p for p in range(1 << width)
+        if slot_predicate(tuple(bool((p >> i) & 1) for i in shape))
+    )
 
 
 def _instantiate_table(
@@ -444,7 +450,7 @@ def build_gadget(
     own = _instantiate_table(row, var_of, boundary)
     return GadgetInstance(
         kind, boundary, aux, clauses + own,
-        predicate_for(row.slot_predicate, boundary), row.mode,
+        predicate_for(kind, boundary), row.mode,
         parts=tuple(parts), connectors=own if parts else (),
     )
 
@@ -470,7 +476,7 @@ def fresh_instance(kind: str) -> GadgetInstance:
     return build_gadget(kind, tuple(range(n)), FreshAllocator(n))
 
 
-def verify_gadget(kind: str, cap: int | None = None) -> VerificationReport:
+def verify_gadget(kind: str) -> VerificationReport:
     """Certify a catalogue row's declared accepted set.
 
     A row without parts is checked by direct exhaustive extension checking;
@@ -485,10 +491,10 @@ def verify_gadget(kind: str, cap: int | None = None) -> VerificationReport:
             f"catalogue says {row.num_aux} / {row.num_clauses}",
             ("catalogue", kind),
         )
-    return verify_composite(g, cap) if g.parts else check_extension_property(g, cap)
+    return verify_composite(g) if g.parts else check_extension_property(g)
 
 
-def verify_composite(g: GadgetInstance, cap: int | None = None) -> VerificationReport:
+def verify_composite(g: GadgetInstance) -> VerificationReport:
     """Verify a composite gadget from its parts' certified predicates.
 
     Each part is certified first: by enumeration, or by this function when
@@ -502,7 +508,7 @@ def verify_composite(g: GadgetInstance, cap: int | None = None) -> VerificationR
     """
     for part in g.parts:
         verify = verify_composite if part.parts else check_extension_property
-        rep = verify(part, cap)
+        rep = verify(part)
         if not rep.ok:
             return VerificationReport(
                 False, f"{g.kind}: part {part.kind} failed: {rep.reason}", rep.witness
@@ -514,6 +520,7 @@ def verify_composite(g: GadgetInstance, cap: int | None = None) -> VerificationR
         g.predicate.boundary + tuple(v for part in g.parts for v in part.predicate.boundary)
     ))
     nb = len(g.predicate.boundary)
+    connectors = encode(g.connectors)
     feasible: set[int] = set()
     for p in range(1 << len(abstract)):
         values = {v: bool((p >> i) & 1) for i, v in enumerate(abstract)}
@@ -521,7 +528,7 @@ def verify_composite(g: GadgetInstance, cap: int | None = None) -> VerificationR
             sum(1 << j for j, v in enumerate(part.predicate.boundary) if values[v])
             in part.predicate.accepted
             for part in g.parts
-        ) and all(evaluate_clause(c, values, g.mode) for c in g.connectors):
+        ) and all(evaluate_clause(c, values, g.mode) for c in connectors):
             feasible.add(p & ((1 << nb) - 1))
     return report_mismatch(g, feasible)
 
@@ -543,7 +550,7 @@ def _composite_premise(g: GadgetInstance) -> str | None:
             return f"part {part.kind} has a linking variable among its auxiliaries"
         seen.update(part.aux)
     for c in g.connectors:
-        for lit in c.literals:
-            if lit.var not in linking:
-                return f"connector uses a non-linking variable {lit.var}"
+        for v in c.variables():
+            if v not in linking:
+                return f"connector uses a non-linking variable {v}"
     return None

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Callable
 
-from .formulas import NAE, SAT, Clause, CnfInstance, Literal
+from .formulas import NAE, SAT, Clause, CnfInstance, Literal, clause, decode, encode, neg
 
 
 class GenerationError(RuntimeError):
@@ -18,22 +19,22 @@ class GenerationError(RuntimeError):
 
 
 def _config_model_clauses(
-    stubs: list[int], rng: random.Random
+    stubs: list[int], rng: random.Random, var: Callable[[int], int]
 ) -> list[tuple[int, ...]] | None:
-    """Partition a literal-stub pool into distinct triples of distinct
-    variables; None after 400 rejected shuffles."""
+    """Partition a stub pool into distinct sorted triples whose stubs have
+    distinct var(stub); None after 400 rejected shuffles."""
     for _ in range(400):
         pool = stubs[:]
         rng.shuffle(pool)
         clauses = []
-        ok = True
+        seen = set()
         for t in range(0, len(pool), 3):
             tri = tuple(sorted(pool[t : t + 3]))
-            if len(set(tri)) != 3 or tri in clauses:
-                ok = False
+            if len({var(x) for x in tri}) != 3 or tri in seen:
                 break
+            seen.add(tri)
             clauses.append(tri)
-        if ok:
+        else:
             return clauses
     return None
 
@@ -44,10 +45,17 @@ def regular_hypergraph(n: int, degree: int, rng: random.Random) -> list[tuple[in
         raise GenerationError(f"degree {degree} * n {n} not divisible by 3")
     stubs = [v for v in range(n) for _ in range(degree)]
     for _ in range(60):
-        got = _config_model_clauses(stubs, rng)
+        got = _config_model_clauses(stubs, rng, lambda v: v)
         if got is not None:
             return got
     raise GenerationError(f"no {degree}-regular hypergraph found at n={n}")
+
+
+def _monotone(n: int, positive, negative, mode: str) -> CnfInstance:
+    """Positive clauses over the positive triples, then negative ones."""
+    clauses = [clause(tri) for tri in positive]
+    clauses += [clause(map(neg, tri)) for tri in negative]
+    return CnfInstance(n, tuple(clauses), mode)
 
 
 def random_monotone_nae(n: int, m: int, rng: random.Random) -> CnfInstance:
@@ -55,16 +63,12 @@ def random_monotone_nae(n: int, m: int, rng: random.Random) -> CnfInstance:
     all_triples = list(itertools.combinations(range(n), 3))
     if m > len(all_triples):
         raise GenerationError("m too large for distinct clauses")
-    chosen = rng.sample(all_triples, m)
-    clauses = tuple(Clause(tuple(Literal(v) for v in tri)) for tri in chosen)
-    return CnfInstance(n, clauses, NAE)
+    return _monotone(n, rng.sample(all_triples, m), (), NAE)
 
 
 def random_nae_e4(n: int, rng: random.Random) -> CnfInstance:
     """Monotone NAE-3-Sat-E4: a 4-regular positive 3-uniform hypergraph."""
-    edges = regular_hypergraph(n, 4, rng)
-    clauses = tuple(Clause(tuple(Literal(v) for v in tri)) for tri in edges)
-    return CnfInstance(n, clauses, NAE)
+    return _monotone(n, regular_hypergraph(n, 4, rng), (), NAE)
 
 
 def random_nae_star(n: int, m: int, rng: random.Random) -> CnfInstance:
@@ -78,63 +82,42 @@ def random_nae_star(n: int, m: int, rng: random.Random) -> CnfInstance:
     return CnfInstance(n, tuple(clauses), NAE)
 
 
+def _regular_monotone(n: int, p: int, q: int, rng: random.Random) -> CnfInstance:
+    """Monotone 3-Sat with a p-regular positive and a q-regular negative side."""
+    positive = regular_hypergraph(n, p, rng)
+    return _monotone(n, positive, regular_hypergraph(n, q, rng), SAT)
+
+
 def random_kk(n: int, k: int, rng: random.Random) -> CnfInstance:
     """Monotone 3-Sat-(k,k): positive and negative sides k-regular."""
-    pos = regular_hypergraph(n, k, rng)
-    neg_side = regular_hypergraph(n, k, rng)
-    clauses = [Clause(tuple(Literal(v) for v in tri)) for tri in pos]
-    clauses += [Clause(tuple(Literal(v, True) for v in tri)) for tri in neg_side]
-    return CnfInstance(n, tuple(clauses), SAT)
+    return _regular_monotone(n, k, k, rng)
+
+
+def random_32(n: int, rng: random.Random) -> CnfInstance:
+    """Monotone 3-Sat-(3,2)."""
+    return _regular_monotone(n, 3, 2, rng)
 
 
 def random_k1(n: int, k: int, rng: random.Random) -> CnfInstance:
     """Monotone 3-Sat-(k,1): disjoint negative triples plus k-regular positives."""
     if n % 3 != 0:
         raise GenerationError("n must be a multiple of 3")
-    pos = regular_hypergraph(n, k, rng)
-    clauses = [Clause(tuple(Literal(v) for v in tri)) for tri in pos]
+    positive = regular_hypergraph(n, k, rng)
     perm = list(range(n))
     rng.shuffle(perm)
-    for t in range(0, n, 3):
-        tri = sorted(perm[t : t + 3])
-        clauses.append(Clause(tuple(Literal(v, True) for v in tri)))
-    return CnfInstance(n, tuple(clauses), SAT)
-
-
-def random_32(n: int, rng: random.Random) -> CnfInstance:
-    """Monotone 3-Sat-(3,2)."""
-    pos = regular_hypergraph(n, 3, rng)
-    neg_side = regular_hypergraph(n, 2, rng)
-    clauses = [Clause(tuple(Literal(v) for v in tri)) for tri in pos]
-    clauses += [Clause(tuple(Literal(v, True) for v in tri)) for tri in neg_side]
-    return CnfInstance(n, tuple(clauses), SAT)
+    return _monotone(n, positive, [sorted(perm[t : t + 3]) for t in range(0, n, 3)], SAT)
 
 
 def random_22(n: int, rng: random.Random) -> CnfInstance:
     """3-Sat-(2,2): mixed-polarity clauses, every variable twice per polarity."""
     if n % 3 != 0:
         raise GenerationError("n must be a multiple of 3 (4n = 3m)")
-    # literal stubs: +v twice, -v twice; encoded as 2v / 2v+1
-    stubs = [x for v in range(n) for x in ((v << 1), (v << 1), (v << 1) | 1, (v << 1) | 1)]
-    for _ in range(400):
-        pool = stubs[:]
-        rng.shuffle(pool)
-        seen = set()
-        clauses = []
-        ok = True
-        for t in range(0, len(pool), 3):
-            tri = pool[t : t + 3]
-            if len({x >> 1 for x in tri}) != 3:
-                ok = False
-                break
-            key = tuple(sorted(tri))
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-            clauses.append(
-                Clause(tuple(Literal(x >> 1, bool(x & 1)) for x in sorted(tri)))
-            )
-        if ok:
-            return CnfInstance(n, tuple(clauses), SAT)
-    raise GenerationError(f"no (2,2) instance found at n={n}")
+    # literal stubs as codes: +v twice, -v twice
+    (stubs,) = encode([Clause(
+        tuple(Literal(v, s) for v in range(n) for s in (False, False, True, True)),
+        multiset=True,
+    )])
+    got = _config_model_clauses(list(stubs), rng, lambda x: x >> 1)
+    if got is None:
+        raise GenerationError(f"no (2,2) instance found at n={n}")
+    return CnfInstance(n, decode(got), SAT)

@@ -25,6 +25,7 @@ from .formulas import (
     Literal,
     VerificationReport,
     assignment_from_bits,
+    encode,
     evaluate,
 )
 
@@ -68,30 +69,29 @@ class SolveResult(NamedTuple):
     model: tuple | None  # tuple[bool, ...] when status == "sat"
 
 
-def clause_masks(clauses: Iterable[Clause], var_map=None) -> list[tuple[int, int]]:
-    """(positive, negative) variable bitmasks per clause, optionally remapped."""
+def clause_masks(codes: Iterable[Sequence[int]], var_map=None) -> list[tuple[int, int]]:
+    """(positive, negative) variable bitmasks per clause of literal codes,
+    optionally remapped."""
     out = []
-    for c in clauses:
+    for c in codes:
         pos = 0
         neg = 0
-        for lit in c.literals:
-            v = lit.var if var_map is None else var_map[lit.var]
-            if lit.neg:
-                neg |= 1 << v
+        for x in c:
+            bit = 1 << (x >> 1 if var_map is None else var_map[x >> 1])
+            if x & 1:
+                neg |= bit
             else:
-                pos |= 1 << v
+                pos |= bit
         out.append((pos, neg))
     return out
 
 
-def solve_exhaustive(inst: CnfInstance, cap: int | None = None) -> SolveResult:
+def solve_exhaustive(inst: CnfInstance) -> SolveResult:
     """Exact result by enumerating all 2^n assignments (n capped)."""
-    cap = enum_cap() if cap is None else cap
+    cap = enum_cap()
     if inst.num_vars > cap:
         raise CapExceededError(inst.num_vars, cap)
-    bits = _bitkernel.solve(
-        inst.num_vars, clause_masks(inst.clauses), inst.mode == NAE
-    )
+    bits = _bitkernel.solve(inst.num_vars, clause_masks(inst.codes), inst.mode == NAE)
     if bits is None:
         return SolveResult("unsat", None)
     return _checked_model(inst, bits, "enumeration kernel")
@@ -110,15 +110,15 @@ def _checked_model(inst: CnfInstance, bits: int, solver: str) -> SolveResult:
 
 
 def _encoded_clauses(inst: CnfInstance) -> list[list[int]] | None:
-    """Clauses as sorted lists of encoded literals (2*var | neg), nae doubled.
+    """The instance's clause codes as sorted literal lists, nae doubled.
 
     Repeated literals are merged and tautological clauses dropped; returns
     None when some clause is empty.  In nae mode each clause is followed,
     after all of them, by its literal-wise negation (`lit ^ 1`).
     """
     out = []
-    for c in inst.clauses:
-        lits = {(l.var << 1) | l.neg for l in c.literals}
+    for c in inst.codes:
+        lits = set(c)
         if len({lit >> 1 for lit in lits}) < len(lits):
             continue  # tautology: some variable occurs in both polarities
         if not lits:
@@ -205,7 +205,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         level[v] = cur_level
         reason[v] = why
         trail.append(v)
-        for ci in occ[(v << 1) | (1 - b)]:  # literal made true
+        for ci in occ[lit]:  # literal made true
             ntrue[ci] += 1
             if ntrue[ci] == 1:
                 by_free[nfree[ci]].remove(ci)
@@ -215,7 +215,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                         if cnt[l] == 0:
                             pure_q.append(l >> 1)
         conflict = -1
-        for ci in occ[(v << 1) | b]:  # literal made false
+        for ci in occ[lit ^ 1]:  # literal made false
             k = nfree[ci] - 1
             nfree[ci] = k
             if ntrue[ci] == 0:
@@ -402,13 +402,10 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
             return "unsat", None
 
 
-def solve_auto(
-    inst: CnfInstance, cap: int | None = None, timeout: float | None = None
-) -> SolveResult:
+def solve_auto(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
     """Exhaustive when the instance fits under the cap, DPLL otherwise."""
-    cap = enum_cap() if cap is None else cap
-    if inst.num_vars <= cap:
-        return solve_exhaustive(inst, cap)
+    if inst.num_vars <= enum_cap():
+        return solve_exhaustive(inst)
     return solve_dpll(inst, timeout)
 
 
@@ -427,14 +424,14 @@ class BoundaryPredicate:
     accepted: frozenset[int]
 
 
-def check_extension_property(gadget, cap: int | None = None) -> VerificationReport:
+def check_extension_property(gadget) -> VerificationReport:
     """Certify a gadget's boundary predicate by exhaustive extension checking.
 
     Passes iff for every assignment beta of the (distinct) boundary
     variables: an extension over the auxiliary variables that satisfies (or
     nae-satisfies) all gadget clauses exists exactly when beta is accepted.
     """
-    cap = enum_cap() if cap is None else cap
+    cap = enum_cap()
     boundary = list(dict.fromkeys(gadget.boundary))
     aux = list(gadget.aux)
     if tuple(boundary) != gadget.predicate.boundary:
@@ -445,7 +442,7 @@ def check_extension_property(gadget, cap: int | None = None) -> VerificationRepo
     var_map = {v: i for i, v in enumerate(aux)}
     for j, v in enumerate(boundary):
         var_map[v] = len(aux) + j
-    masks = clause_masks(gadget.clauses, var_map)
+    masks = clause_masks(encode(gadget.clauses), var_map)
     got = _bitkernel.accepted_patterns(len(aux), len(boundary), masks, gadget.mode == NAE)
     return report_mismatch(gadget, got)
 
@@ -491,9 +488,7 @@ def subsumes(cover: Sequence[Clause], target: Sequence[Clause]) -> VerificationR
 # Forced-literal split (maximal satisfiable subset, greedy in input order)
 
 
-def split_forced(
-    inst: CnfInstance, cap: int | None = None, timeout: float | None = None
-) -> tuple[list[int], list[Literal]]:
+def split_forced(inst: CnfInstance) -> tuple[list[int], list[Literal]]:
     """Split an unsatisfiable sat-mode instance into a maximal satisfiable
     clause subset plus the multiset of literals of the excluded clauses.
 
@@ -503,14 +498,14 @@ def split_forced(
     """
     if inst.mode != SAT:
         raise ValueError("split_forced is defined for sat mode")
-    if solve_auto(inst, cap, timeout).status != "unsat":
+    if solve_auto(inst).status != "unsat":
         raise ValueError("split_forced requires an unsatisfiable instance")
 
     kept: list[Clause] = []
     core: list[int] = []
     for i, c in enumerate(inst.clauses):
         trial = CnfInstance(inst.num_vars, tuple(kept) + (c,), SAT)
-        if solve_auto(trial, cap, timeout).status == "sat":
+        if solve_auto(trial).status == "sat":
             kept.append(c)
             core.append(i)
     core_set = set(core)
@@ -521,7 +516,7 @@ def split_forced(
     base = tuple(kept)
     for lit in set(forced):
         probe = CnfInstance(inst.num_vars, base + (Clause((lit,)),), SAT)
-        if solve_auto(probe, cap, timeout).status != "unsat":
+        if solve_auto(probe).status != "unsat":
             raise AssertionError(
                 f"literal {lit} from an excluded clause is not forced false"
             )

@@ -27,7 +27,9 @@ from .formulas import (
     VariantSpec,
     VerificationReport,
     appearance_profile,
+    clause,
     evaluate,
+    neg,
     negate_rename,
     validate,
 )
@@ -176,22 +178,20 @@ def _appearance_split(inst: CnfInstance):
     """
     unneg: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_vars)]
     negd: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_vars)]
-    for ci, c in enumerate(inst.clauses):
-        for li, lit in enumerate(c.literals):
-            (negd if lit.neg else unneg)[lit.var].append((ci, li))
+    for ci, c in enumerate(inst.codes):
+        for li, x in enumerate(c):
+            (negd if x & 1 else unneg)[x >> 1].append((ci, li))
     return unneg, negd
 
 
 def _replace_appearances(
-    inst: CnfInstance,
-    copy_of: dict[tuple[int, int], Literal],
-    multiset: bool = False,
+    inst: CnfInstance, copy_of: dict[tuple[int, int], Literal]
 ) -> list[Clause]:
     """Rebuild the input clauses substituting each appearance's copy literal."""
     out = []
     for ci, c in enumerate(inst.clauses):
         lits = tuple(copy_of[(ci, li)] for li in range(len(c.literals)))
-        out.append(Clause(lits, multiset or c.multiset))
+        out.append(Clause(lits, c.multiset))
     return out
 
 
@@ -275,7 +275,7 @@ def _apply_r2(b: _Builder) -> None:
         for j, (cid, app) in enumerate(zip(copies, apps)):
             copy_of[app] = Literal(cid)  # negations removed
             b.back_map[cid] = (i, j >= len(unneg[i]))
-    b.clauses.extend(_replace_appearances(inst, copy_of, multiset=False))
+    b.clauses.extend(_replace_appearances(inst, copy_of))
     for copies, u in rings:
         a = len(copies)
         if a == 0:
@@ -349,7 +349,7 @@ def _apply_r5(b: _Builder) -> None:
         b.note("PAD_FALSE_Y", (y,))
         for i in range(3 * g, 3 * g + 3):
             x1, x2 = pairs[i]
-            b.clauses.append(Clause((Literal(x1), Literal(x2), Literal(y))))
+            b.clauses.append(clause((x1, x2, y)))
             b.add_gadget("A", (x1, x2))
         b.add_gadget("SBAR", (y, y, y))
 
@@ -364,9 +364,7 @@ def _apply_r7(b: _Builder) -> None:
         ys.append(y)
         b.note("Y_RING", (y,))
         b.add_gadget("D", (x1, x1, x1, x2, x2, x2))
-        b.clauses.append(
-            Clause((Literal(x1, True), Literal(x2, True), Literal(y, True)))
-        )
+        b.clauses.append(clause(map(neg, (x1, x2, y))))
         b.add_gadget("F", (y,))
     if q > 1:
         pad = []
@@ -377,8 +375,7 @@ def _apply_r7(b: _Builder) -> None:
         pad.append((ys[n - 2], ys[n - 1], ys[0]))
         if len(set(map(tuple, map(sorted, pad)))) != len(pad):
             raise AssertionError("y-padding clauses must be pairwise distinct")
-        for tri in pad:
-            b.clauses.append(Clause(tuple(Literal(v) for v in tri)))
+        b.clauses.extend(map(clause, pad))
     else:
         b.add_gadget("D", (ys[0], ys[0], ys[1], ys[1], ys[2], ys[2]))
 
@@ -393,10 +390,8 @@ def _apply_r11(b: _Builder) -> None:
         u = blocks[i // 3][0]
         y = b.alloc.fresh1()
         b.note("FORCED_TRUE_Y", (y,))
-        b.clauses.append(Clause((Literal(x1), Literal(x2), Literal(u))))
-        b.clauses.append(
-            Clause((Literal(x1, True), Literal(x2, True), Literal(y, True)))
-        )
+        b.clauses.append(clause((x1, x2, u)))
+        b.clauses.append(clause(map(neg, (x1, x2, y))))
         b.add_gadget("G", (y, y, y))
         b.add_gadget("H", (y, x1, x2))
     for u, v, w in blocks:
@@ -413,10 +408,8 @@ def _apply_r13(b: _Builder) -> None:
         z = b.alloc.fresh1()
         b.note("FORCED_FALSE_Y", (y,))
         b.note("FORCED_TRUE_Z", (z,))
-        b.clauses.append(Clause((Literal(x1), Literal(x2), Literal(y))))
-        b.clauses.append(
-            Clause((Literal(x1, True), Literal(x2, True), Literal(z, True)))
-        )
+        b.clauses.append(clause((x1, x2, y)))
+        b.clauses.append(clause(map(neg, (x1, x2, z))))
         b.add_gadget("BBAR", (y, y, y))
         b.add_gadget("B", (z, z, z))
 
@@ -436,9 +429,7 @@ def _copies(b: _Builder, k: int):
                 b.back_map[j] = (j, False)
         else:
             b.note(f"COPY{i}", tuple(range(base, base + n)))
-        for c in inst.clauses:
-            lits = tuple(Literal(base + l.var, l.neg) for l in c.literals)
-            b.clauses.append(Clause(lits))
+        b.clauses.extend(_shifted(inst.clauses, base))
     return n
 
 
@@ -451,15 +442,9 @@ def _apply_r6(b: _Builder) -> None:
     b.note("LINK_Z", tuple(range(z_base, z_base + n)))
     for i in range(k + 1):
         for j in range(n):
-            x = i * n + j
-            b.clauses.append(
-                Clause((Literal(x), Literal(y_base + j), Literal(z_base + j)))
-            )
-            b.clauses.append(
-                Clause(
-                    (Literal(x, True), Literal(y_base + j, True), Literal(z_base + j, True))
-                )
-            )
+            link = (i * n + j, y_base + j, z_base + j)
+            b.clauses.append(clause(link))
+            b.clauses.append(clause(map(neg, link)))
     _check_size(b, (k + 1) * (b.input.num_clauses + 2 * n), (k + 3) * n)
 
 
@@ -473,17 +458,16 @@ def _apply_r8(b: _Builder) -> None:
     b.note("LINK_Z", tuple(range(z_base, z_base + n)))
     for i in range(k + 1):
         for j in range(n):
-            b.clauses.append(
-                Clause(
-                    (Literal(i * n + j), Literal(y_base + j), Literal(z_base + j))
-                )
-            )
+            b.clauses.append(clause((i * n + j, y_base + j, z_base + j)))
     for t in range(q):
         for base in (y_base, z_base):
-            b.clauses.append(
-                Clause(tuple(Literal(base + 3 * t + s, True) for s in range(3)))
-            )
+            b.clauses.append(clause(map(neg, range(base + 3 * t, base + 3 * t + 3))))
     _check_size(b, (k + 1) * (b.input.num_clauses + n) + 2 * q, (k + 3) * n)
+
+
+def _shifted(clauses, base: int) -> list[Clause]:
+    """Set-flavor copies of the clauses with every variable moved up by base."""
+    return [Clause(tuple(Literal(v + base, n) for v, n in c.literals)) for c in clauses]
 
 
 def _thirds(b: _Builder, n: int, why: str) -> int:
@@ -555,22 +539,19 @@ class MGadget:
     q: int
 
 
-def build_m_gadget(param: CnfInstance, timeout: float | None = None) -> MGadget:
+def build_m_gadget(param: CnfInstance) -> MGadget:
     """The satisfiable core plus forced literals, doubled with its polarity
     flip so the positive and negative pools balance."""
-    if solve_auto(param, timeout=timeout).status != "unsat":
+    if solve_auto(param).status != "unsat":
         raise ReductionInputError("R10 parameter instance must be unsatisfiable")
-    core, forced = split_forced(param, timeout=timeout)
+    core, forced = split_forced(param)
     q = param.num_clauses - len(core)
     if q == 0:
         raise ReductionInputError("parameter instance has no excluded clauses")
     nv = param.num_vars
     kept = [param.clauses[i] for i in core]
-    clauses = list(kept)
-    for c in kept:  # flipped copy over shifted variables
-        clauses.append(
-            Clause(tuple(Literal(l.var + nv, not l.neg) for l in c.literals))
-        )
+    # then the flipped copy over shifted variables
+    clauses = kept + [c.negated() for c in _shifted(kept, nv)]
     pos_pool: list[int] = []
     neg_pool: list[int] = []
     for lit in forced:
@@ -616,15 +597,14 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
             x1, x2, x3, x4, x5, x6 = six
             pos2 += [(x1, x2), (x3, x4), (x5, x6)]
             neg2 += [(x2, x3), (x4, x5), (x6, x1)]
-            full3.append(Clause((Literal(x1, True), Literal(x2, True), Literal(x6, True))))
-            full3.append(Clause((Literal(x3, True), Literal(x4, True), Literal(x5, True))))
+            full3.append(clause(map(neg, (x1, x2, x6))))
+            full3.append(clause(map(neg, (x3, x4, x5))))
     pos_pool: list[int] = []
     neg_pool: list[int] = []
     for _ in range(n):
         base = b.alloc.fresh(mg.num_vars)[0]
         b.note("M_GADGET", tuple(range(base, base + mg.num_vars)))
-        for c in mg.clauses:
-            full3.append(Clause(tuple(Literal(base + l.var, l.neg) for l in c.literals)))
+        full3.extend(_shifted(mg.clauses, base))
         pos_pool += [base + v for v in mg.pos_pool]
         neg_pool += [base + v for v in mg.neg_pool]
     for pool, pairs in ((pos_pool, pos2), (neg_pool, neg2)):
@@ -634,9 +614,9 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
                 f"3nq = {3 * n * q}"
             )
     for (a, c), pad in zip(pos2, pos_pool):
-        full3.append(Clause((Literal(a), Literal(c), Literal(pad))))
+        full3.append(clause((a, c, pad)))
     for (a, c), pad in zip(neg2, neg_pool):
-        full3.append(Clause((Literal(a, True), Literal(c, True), Literal(pad, True))))
+        full3.append(clause(map(neg, (a, c, pad))))
     b.clauses = full3
 
 

@@ -19,6 +19,8 @@ from .formulas import (
     VariantSpec,
     VerificationReport,
     appearance_profile,
+    clause,
+    neg,
     validate,
 )
 from .gadgets import FreshAllocator, GadgetInstance, build_gadget, parse_table
@@ -81,7 +83,7 @@ def mon51_structure() -> GadgetInstance:
     alloc = FreshAllocator(3)
     ys = (0, 1, 2)
     fs = tuple(build_gadget("F", (y,), alloc) for y in ys)
-    connector = Clause(tuple(Literal(y, True) for y in ys))
+    connector = clause(map(neg, ys))
     pad = build_gadget("D", (0, 0, 1, 1, 2, 2), alloc)
     parts = fs + (pad,)
     return GadgetInstance(
@@ -98,14 +100,9 @@ def _mon51() -> CnfInstance:
 
 
 def _hitting27() -> CnfInstance:
-    clauses = [
-        Clause(tuple(Literal(v, True) for v in tri))
-        for tri in ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-    ]
-    for a in (0, 1, 2):
-        for bvar in (3, 4, 5):
-            for c in (6, 7, 8):
-                clauses.append(Clause((Literal(a), Literal(bvar), Literal(c))))
+    triples = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    clauses = [clause(map(neg, tri)) for tri in triples]
+    clauses += map(clause, itertools.product(*triples))
     return CnfInstance(9, tuple(clauses), SAT)
 
 
@@ -136,13 +133,13 @@ def canonical_shape(inst: CnfInstance):
         raise ValueError("canonical shape needs set-flavor clauses")
     triples = []
     positives = []
-    for c in inst.clauses:
-        if c.all_negative():
-            if len(c.literals) != 3:
+    for code, c in zip(inst.codes, inst.clauses):
+        if all(x & 1 for x in code):
+            if len(code) != 3:
                 raise ValueError("negative clause is not a triple")
-            triples.append(c.variables())
-        elif c.all_positive():
-            if len(c.literals) != 3:
+            triples.append(tuple(x >> 1 for x in code))
+        elif not any(x & 1 for x in code):
+            if len(code) != 3:
                 raise ValueError("positive clause is not a triple")
             positives.append(c)
         else:
@@ -416,15 +413,13 @@ def _canonical_pairs(n: int):
     seen: set[tuple] = set()
     for p_edges in each_side():
         p_sig = [(t, False) for t in p_edges]
-        p_clauses = tuple(Clause(tuple(Literal(v) for v in t)) for t in p_edges)
+        p_clauses = tuple(map(clause, p_edges))
         for n_edges in each_side():
             sig = canonical_signature(p_sig + [(t, True) for t in n_edges])
             if sig in seen:
                 continue
             seen.add(sig)
-            n_clauses = tuple(
-                Clause(tuple(Literal(v, True) for v in t)) for t in n_edges
-            )
+            n_clauses = tuple(clause(map(neg, t)) for t in n_edges)
             yield CnfInstance(n, p_clauses + n_clauses, SAT)
 
 

@@ -12,7 +12,7 @@ import zlib
 
 import pytest
 
-from mono3sat.formulas import appearance_profile, evaluate, validate
+from mono3sat.formulas import evaluate, validate
 from mono3sat import generate as G
 from mono3sat import reductions as R
 from mono3sat.gadgets import GADGET_NAMES, verify_composite, verify_gadget

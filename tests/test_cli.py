@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from mono3sat.cli import main, parse_variant, VariantSyntaxError
+from mono3sat.dimacs import emit_dimacs
 from mono3sat.formulas import (
     CHOICE,
     EXACT,
@@ -13,6 +15,8 @@ from mono3sat.formulas import (
     MONOTONE_NAE,
     MONOTONE_SAT,
 )
+from mono3sat.generate import random_monotone_nae
+from mono3sat.witnesses import known_unsat
 
 
 def test_parse_variant_grammar():
@@ -152,3 +156,134 @@ def test_closed_stdout_pipe_exits_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_unreadable_input_and_output_are_errors(tmp_path, capsys):
+    path = _witness_file(tmp_path, "nine_var")
+    binary = tmp_path / "binary.cnf"
+    binary.write_bytes(b"p cnf 3 1\n1 -2 \xff 0\n")
+    assert main(["solve", str(binary)]) == 1
+    assert main(["solve", str(tmp_path)]) == 1
+    assert main(["reduce", "--id", "R9", "--in", path, "--out", str(tmp_path)]) == 1
+    assert main(["search-unsat", "--profile", "2,2", "--max-n", "3",
+                 "--journal", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 4, err
+
+
+# Runs every case through cli.main in one process; argparse usage errors
+# (SystemExit) are recorded as their exit code, anything else escapes.
+_FUZZ_DRIVER = """
+import json, os, sys
+from mono3sat import cli
+cases, out = json.load(open(sys.argv[1])), sys.argv[2]
+codes = []
+for argv, cap in cases:
+    if cap is None:
+        os.environ.pop("MONO3SAT_ENUM_CAP", None)
+    else:
+        os.environ["MONO3SAT_ENUM_CAP"] = cap
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+json.dump(codes, open(out, "w"))
+"""
+
+# bytes a mutation writes: DIMACS syntax, digits, and bytes that are not UTF-8
+_FUZZ_BYTES = b"0123456789- \n\t%pcnf" + bytes([0x00, 0x80, 0xC3, 0xE2, 0xFF])
+_VARIANT_CHARS = "monsatpq0123456789-eliarchoxyz_ "
+_CAP_CHARS = "0123456789-+ _.xe٣"
+
+
+def _mutate_bytes(data: bytes, rng) -> bytes:
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(data) + 1)
+        op = rng.randrange(4)
+        if op == 0 and i < len(data):
+            data[i] = rng.choice(_FUZZ_BYTES)
+        elif op == 1:
+            data.insert(i, rng.choice(_FUZZ_BYTES))
+        elif op == 2:
+            del data[i:i + rng.randint(1, 3)]
+        else:
+            j = rng.randrange(len(data) + 1)
+            data[i:i] = data[min(i, j):max(i, j)][:8]
+    return bytes(data)
+
+
+def _mutate_text(text: str, alphabet: str, rng) -> str:
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        if rng.random() < 0.5 and i < len(chars):
+            del chars[i]
+        else:
+            chars.insert(i, rng.choice(alphabet))
+    return "".join(chars)
+
+
+def test_bad_input_fuzz_never_tracebacks(tmp_path):
+    """Seeded mutations of DIMACS bytes, variant strings and
+    MONO3SAT_ENUM_CAP values end in exit 0, 1 or 2, never a traceback."""
+    rng = random.Random(0xF0221)
+    nine = _witness_file(tmp_path, "nine_var")
+    seeds = [
+        open(nine, "rb").read(),
+        emit_dimacs(random_monotone_nae(6, 5, random.Random(1))).encode(),
+        b"c SATLIB style\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n",
+        emit_dimacs(known_unsat("ss_bar")).encode(),
+    ]
+    out = str(tmp_path / "out.cnf")
+    cases = []
+    for i in range(60):
+        path = tmp_path / f"m{i}.cnf"
+        path.write_bytes(_mutate_bytes(rng.choice(seeds), rng))
+        f = str(path)
+        cases += [
+            (["solve", "--engine", rng.choice(("auto", "dpll", "exhaustive")), f], None),
+            (rng.choice((
+                ["check", "--variant=mono-sat-p3q3", f],
+                ["reduce", "--id", "R6", "--k", "3", "--in", f, "--out", out],
+                ["reduce", "--id", "R9", "--in", f, "--out", out],
+                ["reduce", "--id", "R1", "--in", f, "--out", out],
+            )), None),
+        ]
+    variants = ("mono-sat-p3q3", "mono-nae-e4-linear", "e4-choice-31-13",
+                "mono-sat-p2q2-star", "exact-linear")
+    for _ in range(30):
+        variant = _mutate_text(rng.choice(variants), _VARIANT_CHARS, rng)
+        cases.append((["check", f"--variant={variant}", nine], None))
+    caps = ["", "0", "-1", "26", "1" * 5000, "0x1a", "٣", "+9", " 12 "]
+    caps += ["".join(rng.choice(_CAP_CHARS) for _ in range(rng.randint(1, 4)))
+             for _ in range(12)]
+    for cap in caps:
+        cases.append((["solve", nine], cap))
+        cases.append((["gadgets", "verify", rng.choice(("NE6", "S", "B"))], cap))
+    two_headers = tmp_path / "two_headers.cnf"
+    two_headers.write_text("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
+    cases += [
+        (["solve", str(two_headers)], None),
+        (["solve", str(tmp_path)], None),
+        (["reduce", "--id", "R9", "--in", nine, "--out", str(tmp_path)], None),
+        (["search-unsat", "--profile", "2,2", "--max-n", "3",
+          "--journal", str(tmp_path)], None),
+        (["witness", "nine_var", "-o", str(tmp_path)], None),
+    ]
+    case_file, code_file = tmp_path / "cases.json", tmp_path / "codes.json"
+    case_file.write_text(json.dumps(cases))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    env.pop("MONO3SAT_ENUM_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FUZZ_DRIVER, str(case_file), str(code_file)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr[-3000:]
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    codes = json.loads(code_file.read_text())
+    assert len(codes) == len(cases)
+    assert set(codes) <= {0, 1, 2}, [c for c in zip(codes, cases) if c[0] not in (0, 1, 2)]
+    # the mutations reach past the parser: some inputs are decided
+    assert codes.count(0) >= 10 and codes.count(1) >= 10

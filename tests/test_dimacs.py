@@ -4,7 +4,6 @@ import pytest
 
 from mono3sat.dimacs import DimacsError, emit_dimacs, parse_dimacs
 from mono3sat.formulas import NAE, SAT, Clause, CnfInstance, Literal, pos
-from mono3sat import generate as G
 from mono3sat.witnesses import known_unsat
 
 
@@ -51,6 +50,8 @@ def test_parse_errors():
         parse_dimacs("c mode maybe\np cnf 1 0\n")
     with pytest.raises(DimacsError, match="negative"):
         parse_dimacs("p cnf -1 0\n")
+    with pytest.raises(DimacsError, match="second"):
+        parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
 
 
 def test_satlib_trailer():

@@ -1,8 +1,10 @@
 import dataclasses
+import random
+import zlib
 
 import pytest
 
-from mono3sat import gadgets
+from mono3sat import gadgets, reductions
 from mono3sat.formulas import (
     NAE,
     Clause,
@@ -21,7 +23,7 @@ from mono3sat.gadgets import (
     verify_gadget,
 )
 from mono3sat.oracle import BoundaryPredicate, check_extension_property
-from mono3sat.witnesses import mon51_structure
+from mono3sat.witnesses import WITNESS_NAMES, known_unsat, mon51_structure
 
 from reference import ref_accepted
 
@@ -250,12 +252,69 @@ def test_mon51_verified_through_f_into_d(monkeypatch):
     enumerated = []
     real = gadgets.check_extension_property
 
-    def spy(g, cap=None):
+    def spy(g):
         enumerated.append(g.kind)
-        return real(g, cap)
+        return real(g)
 
     monkeypatch.setattr(gadgets, "check_extension_property", spy)
     rep = verify_composite(mon51_structure())
     assert rep.ok, rep.reason
     # three D parts in each of the three enforcers F, plus the pad D
     assert enumerated == ["D"] * 10
+
+
+# Every (kind, repeat shape) the reductions and witnesses build: slot j holds
+# distinct boundary variable shape[j].
+REPEATED_SHAPES = {
+    ("D", (0, 1, 1, 1, 1, 1)),  # F's parts, D(y, u, u, u, u, u)
+    ("D", (0, 0, 0, 1, 1, 1)),  # R7, D(x1, x1, x1, x2, x2, x2)
+    ("D", (0, 0, 1, 1, 2, 2)),  # R7 with one y triple, and mon51's pad
+    ("EQ_NE", (0, 0)),  # R1, the ring of a variable with one appearance
+    ("EQ13", (0, 0)),  # R2, the same
+    ("S", (0, 0, 0)), ("SBAR", (0, 0, 0)), ("G", (0, 0, 0)),
+    ("B", (0, 0, 0)), ("BBAR", (0, 0, 0)),
+}
+
+
+def test_cached_predicates_match_direct_enumeration():
+    # the same kinds on distinct variables first, so that a cache keyed on
+    # the kind alone would answer the repeated boundaries below from them
+    for kind, _ in REPEATED_SHAPES:
+        fresh_instance(kind)
+    for kind, shape in sorted(REPEATED_SHAPES):
+        boundary = tuple(40 - 7 * i for i in shape)  # real, unordered ids
+        distinct = list(dict.fromkeys(boundary))
+        slot_predicate = CATALOGUE[kind].slot_predicate
+        direct = {
+            p for p in range(1 << len(distinct))
+            if slot_predicate(tuple(bool((p >> distinct.index(v)) & 1) for v in boundary))
+        }
+        assert gadgets.predicate_for(kind, boundary) == BoundaryPredicate(
+            tuple(distinct), frozenset(direct)
+        ), (kind, shape)
+        g = build_gadget(kind, boundary, FreshAllocator(41))
+        rep = (verify_composite if g.parts else check_extension_property)(g)
+        assert rep.ok, rep.reason
+
+
+def test_repeated_shapes_are_those_in_use(monkeypatch):
+    used = set()
+    real = gadgets.predicate_for
+
+    def spy(kind, boundary):
+        pred = real(kind, boundary)
+        if len(pred.boundary) < len(boundary):
+            used.add((kind, tuple(pred.boundary.index(v) for v in boundary)))
+        return pred
+
+    monkeypatch.setattr(gadgets, "predicate_for", spy)
+    for name in WITNESS_NAMES:
+        known_unsat(name)
+    for rid, row in reductions.REDUCTIONS.items():
+        if rid == "R10":
+            continue
+        rng = random.Random(zlib.crc32(rid.encode()))
+        for _ in range(6):
+            inst, k = row.sample(rng)
+            reductions.apply_reduction(rid, inst, k=k)
+    assert used == REPEATED_SHAPES

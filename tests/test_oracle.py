@@ -12,11 +12,10 @@ from mono3sat.formulas import (
     CnfInstance,
     Literal,
     evaluate,
-    neg,
     negate_rename,
     pos,
 )
-from mono3sat.gadgets import FreshAllocator, build_gadget, fresh_instance
+from mono3sat.gadgets import fresh_instance
 from mono3sat.oracle import (
     BoundaryPredicate,
     CapExceededError,
@@ -63,10 +62,11 @@ def test_exhaustive_model_is_verified():
             assert evaluate(inst, res.model)
 
 
-def test_exhaustive_cap():
+def test_exhaustive_cap(monkeypatch):
+    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "26")
     inst = CnfInstance(30, (), SAT)
     with pytest.raises(CapExceededError) as exc:
-        solve_exhaustive(inst, cap=26)
+        solve_exhaustive(inst)
     assert exc.value.needed == 30
 
 
@@ -217,10 +217,11 @@ def test_extension_reports_counterexample_direction():
     assert rep2.witness["direction"] == "forbidden extension"
 
 
-def test_extension_cap_guard():
+def test_extension_cap_guard(monkeypatch):
+    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "26")
     g = fresh_instance("F")  # 31 variables
     with pytest.raises(CapExceededError):
-        check_extension_property(g, cap=26)
+        check_extension_property(g)
 
 
 def test_extension_nae_flip_symmetry():
@@ -352,7 +353,7 @@ def test_backends_agree():
     for _ in range(200):
         n = rng.randint(1, 10)
         inst = random_3cnf(n, rng.randint(1, 15), rng, rng.choice([SAT, NAE]))
-        masks = clause_masks(inst.clauses)
+        masks = clause_masks(inst.codes)
         pure = _bitkernel.solve(n, masks, inst.mode == NAE)
         status = solve_exhaustive(inst).status
         assert (pure is not None) == (status == "sat")
