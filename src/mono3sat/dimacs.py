@@ -8,12 +8,17 @@ satisfaction mode and the duplicate-literal policy.
     <literals> 0
 
 Variables are 1-based on the wire and dense 0-based in memory.  Reading
-stops at a line that is exactly `%`, which SATLIB files end with.
+stops at a line that is exactly `%`, which SATLIB files end with.  A header
+may declare at most MAX_VARS variables.
 """
 
 from __future__ import annotations
 
 from .formulas import NAE, SAT, Clause, CnfInstance, Literal
+
+# far above the largest instance the library builds; a bigger header is
+# refused before a solver sizes anything by it
+MAX_VARS = 1 << 20
 
 
 class DimacsError(ValueError):
@@ -61,6 +66,10 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise DimacsError(f"bad problem line {line!r}", lineno) from None
             if num_vars < 0 or num_clauses < 0:
                 raise DimacsError(f"negative count in {line!r}", lineno)
+            if num_vars > MAX_VARS:
+                raise DimacsError(
+                    f"header declares {num_vars} variables, more than {MAX_VARS}", lineno
+                )
             continue
         if num_vars is None:
             raise DimacsError("clause before 'p cnf' header", lineno)
@@ -77,12 +86,13 @@ def parse_dimacs(text: str) -> CnfInstance:
             if any(abs(x) > num_vars for x in lits):
                 raise DimacsError("literal out of declared range", lineno)
             parsed = tuple(Literal(abs(x) - 1, x < 0) for x in lits)
-            if not duplicates and len({l.var for l in parsed}) != len(parsed):
+            try:
+                clauses.append(Clause(parsed, multiset=duplicates))
+            except ValueError:  # the set-flavor check
                 raise DimacsError(
                     "repeated variable in clause (no 'c duplicates allowed')",
                     lineno,
-                )
-            clauses.append(Clause(parsed, multiset=duplicates))
+                ) from None
     if num_vars is None:
         raise DimacsError("missing 'p cnf' header")
     if pending:

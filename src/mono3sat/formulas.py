@@ -246,12 +246,13 @@ def validate(inst: CnfInstance, spec: VariantSpec) -> VerificationReport:
                     False, f"clause {i} has arity {len(c)} != {spec.arity}",
                     ("clause", i),
                 )
-    if not spec.duplicates:
-        for i, c in enumerate(codes):
-            if len({x >> 1 for x in c}) != len(c):
-                return VerificationReport(
-                    False, f"clause {i} repeats a variable", ("clause", i)
-                )
+    if not spec.duplicates or spec.linear is not None:
+        # linearity is defined over set-flavor clauses only
+        i = _repeating_clause(codes)
+        if i is not None:
+            return VerificationReport(
+                False, f"clause {i} repeats a variable", ("clause", i)
+            )
     if spec.monotone == MONOTONE_SAT:
         for i, c in enumerate(codes):
             if len({x & 1 for x in c}) > 1:
@@ -306,14 +307,21 @@ def validate(inst: CnfInstance, spec: VariantSpec) -> VerificationReport:
     return PASS
 
 
+def _repeating_clause(codes: Codes) -> int | None:
+    """The index of the first clause that repeats a variable, if any."""
+    return next((i for i, c in enumerate(codes) if len({x >> 1 for x in c}) != len(c)), None)
+
+
 def is_linear(inst: CnfInstance, exact: bool = False) -> VerificationReport:
     """Pass iff every pair of distinct clauses shares at most one variable.
 
-    Exact mode wants exactly one shared variable per pair.  Multiset clauses
-    are rejected: linearity is defined over set-flavor formulas.
+    Exact mode wants exactly one shared variable per pair.  A clause that
+    repeats a variable is rejected: linearity is defined over set-flavor
+    formulas.  The multiset flag alone does not count.
     """
-    if inst.has_multiset_clauses():
-        raise ValueError("is_linear is defined for set-flavor clauses only")
+    i = _repeating_clause(inst.codes)
+    if i is not None:
+        raise ValueError(f"is_linear is defined for set-flavor clauses only (clause {i})")
     varsets = [frozenset(x >> 1 for x in c) for c in inst.codes]
     m = len(varsets)
     for i in range(m):

@@ -28,6 +28,7 @@ from .formulas import (
     VerificationReport,
     appearance_profile,
     clause,
+    decode,
     evaluate,
     neg,
     negate_rename,
@@ -170,29 +171,33 @@ class _Builder:
         return cert
 
 
-def _appearance_split(inst: CnfInstance):
-    """Per variable: ordered (clause, position) lists, unnegated then negated.
+def _split(b: _Builder, plan, keep_negations: bool = False):
+    """Replace every appearance of each input variable by one of its copies.
 
-    Appearances are numbered by scanning clauses in order and literals
-    left to right.
+    plan(u, q), for a variable with u unnegated and q negated appearances,
+    gives the copy index of each unnegated appearance, the copy index of each
+    negated appearance, and per copy its back-map negation.  Appearances are
+    numbered by scanning clauses in order and literals left to right.  A
+    negated appearance stays a negative literal only with keep_negations.
+    Returns the copies of each input variable and the rebuilt input clauses,
+    set flavor: no two appearances in a clause share a copy.
     """
-    unneg: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_vars)]
-    negd: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_vars)]
-    for ci, c in enumerate(inst.codes):
-        for li, x in enumerate(c):
-            (negd if x & 1 else unneg)[x >> 1].append((ci, li))
-    return unneg, negd
+    queues = []  # per input literal code, its appearances' output codes in order
+    copies = []
+    for v, (u, q) in enumerate(appearance_profile(b.input)):
+        unneg, negd, negations = plan(u, q)
+        vc = b.alloc.fresh(len(negations))
+        copies.append(vc)
+        for c, flip in zip(vc, negations):
+            b.back_map[c] = (v, flip)
+        queues.append(iter([vc[j] << 1 for j in unneg]))
+        queues.append(iter([vc[j] << 1 | keep_negations for j in negd]))
+    return copies, decode([[next(queues[x]) for x in c] for c in b.input.codes])
 
 
-def _replace_appearances(
-    inst: CnfInstance, copy_of: dict[tuple[int, int], Literal]
-) -> list[Clause]:
-    """Rebuild the input clauses substituting each appearance's copy literal."""
-    out = []
-    for ci, c in enumerate(inst.clauses):
-        lits = tuple(copy_of[(ci, li)] for li in range(len(c.literals)))
-        out.append(Clause(lits, c.multiset))
-    return out
+def _ring_plan(u: int, q: int):
+    """One copy per (unnegated) appearance, carrying the input value."""
+    return range(u), (), (False,) * u
 
 
 def _check_input(
@@ -219,18 +224,9 @@ def _check_input(
 
 
 def _apply_r1(b: _Builder) -> None:
-    inst = b.input
-    unneg, _ = _appearance_split(inst)
-    copy_of: dict[tuple[int, int], Literal] = {}
-    ring_copies: list[list[int]] = []
-    for i in range(inst.num_vars):
-        copies = b.alloc.fresh(len(unneg[i]))
-        ring_copies.append(copies)
-        for cid, app in zip(copies, unneg[i]):
-            copy_of[app] = Literal(cid)
-            b.back_map[cid] = (i, False)
-    b.clauses.extend(_replace_appearances(inst, copy_of))
-    for i, copies in enumerate(ring_copies):
+    ring_copies, clauses = _split(b, _ring_plan)
+    b.clauses.extend(clauses)
+    for copies in ring_copies:
         a = len(copies)
         if a == 0:
             continue
@@ -264,19 +260,12 @@ def _pad_to_four(b: _Builder):
 
 
 def _apply_r2(b: _Builder) -> None:
-    inst = b.input
-    unneg, negd = _appearance_split(inst)
-    copy_of: dict[tuple[int, int], Literal] = {}
-    rings: list[tuple[list[int], int]] = []  # (copies, u = unnegated count)
-    for i in range(inst.num_vars):
-        apps = unneg[i] + negd[i]
-        copies = b.alloc.fresh(len(apps))
-        rings.append((copies, len(unneg[i])))
-        for j, (cid, app) in enumerate(zip(copies, apps)):
-            copy_of[app] = Literal(cid)  # negations removed
-            b.back_map[cid] = (i, j >= len(unneg[i]))
-    b.clauses.extend(_replace_appearances(inst, copy_of))
-    for copies, u in rings:
+    # unnegated appearances take the first u copies, negated ones the rest;
+    # the negations are dropped, so those copies carry the complement
+    rings, clauses = _split(b, lambda u, q: (
+        range(u), range(u, u + q), (False,) * u + (True,) * q))
+    b.clauses.extend(clauses)
+    for copies, (u, _) in zip(rings, appearance_profile(b.input)):
         a = len(copies)
         if a == 0:
             continue
@@ -292,19 +281,8 @@ def _apply_r2(b: _Builder) -> None:
 
 
 def _apply_r3(b: _Builder) -> None:
-    inst = b.input
-    unneg, _ = _appearance_split(inst)
-    copy_of: dict[tuple[int, int], Literal] = {}
-    quads: list[list[int]] = []
-    for i in range(inst.num_vars):
-        copies = b.alloc.fresh(4)
-        quads.append(copies)
-        for cid, app in zip(copies, unneg[i]):
-            copy_of[app] = Literal(cid)
-            b.back_map[cid] = (i, False)
-        for cid in copies:
-            b.back_map[cid] = (i, False)
-    b.clauses.extend(_replace_appearances(inst, copy_of))
+    quads, clauses = _split(b, _ring_plan)
+    b.clauses.extend(clauses)
     for copies in quads:
         b.add_gadget("EQ4L", tuple(copies))
 
@@ -315,8 +293,8 @@ def _apply_r4(b: _Builder) -> None:
     for v in range(inst.num_vars):
         b.back_map[v] = (v, False)
     for c in inst.clauses:
-        b.clauses.append(c)
-        b.clauses.append(c.negated())
+        c = Clause(c.literals)  # set flavor, whatever the input's flag
+        b.clauses += (c, c.negated())
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +303,8 @@ def _apply_r4(b: _Builder) -> None:
 
 def _split_22(b: _Builder):
     """x_{i,1} takes the negated appearances, x_{i,2} the unnegated ones."""
-    inst = b.input
-    unneg, negd = _appearance_split(inst)
-    copy_of: dict[tuple[int, int], Literal] = {}
-    pairs = []
-    for i in range(inst.num_vars):
-        x1, x2 = b.alloc.fresh(2)
-        pairs.append((x1, x2))
-        b.back_map[x1] = (i, True)
-        b.back_map[x2] = (i, False)
-        for app in negd[i]:
-            copy_of[app] = Literal(x1)
-        for app in unneg[i]:
-            copy_of[app] = Literal(x2)
-    b.clauses.extend(_replace_appearances(inst, copy_of))
+    pairs, clauses = _split(b, lambda u, q: ((1,) * u, (0,) * q, (True, False)))
+    b.clauses.extend(clauses)
     return pairs
 
 
@@ -418,47 +384,52 @@ def _apply_r13(b: _Builder) -> None:
 # R6 / R8: lifting by disjoint copies
 
 
-def _copies(b: _Builder, k: int):
-    """k+1 disjoint copies of the input; copy 0 carries the back-map."""
+def _copies(b: _Builder, k: int) -> list[int]:
+    """k+1 disjoint copies of the input; copy 0 carries the back-map.
+
+    Returns the first variable of each copy, and none for an empty input:
+    its copies are empty, and its variant leaves k unbounded.
+    """
     inst = b.input
     n = inst.num_vars
-    for i in range(k + 1):
-        base = b.alloc.fresh(n)[0]
-        if i == 0:
-            for j in range(n):
-                b.back_map[j] = (j, False)
-        else:
-            b.note(f"COPY{i}", tuple(range(base, base + n)))
+    if n == 0:
+        return []
+    b.alloc.fresh(n)
+    for j in range(n):
+        b.back_map[j] = (j, False)
+    bases = [0] + [_noted_block(b, f"COPY{i}", n) for i in range(1, k + 1)]
+    for base in bases:
         b.clauses.extend(_shifted(inst.clauses, base))
-    return n
+    return bases
+
+
+def _noted_block(b: _Builder, label: str, n: int) -> int:
+    """n fresh consecutive variables logged under label; the first id."""
+    base = b.alloc.next_id
+    b.note(label, b.alloc.fresh(n))
+    return base
 
 
 def _apply_r6(b: _Builder) -> None:
-    k = b.k
-    n = _copies(b, k)
-    y_base = b.alloc.fresh(n)[0]
-    z_base = b.alloc.fresh(n)[0]
-    b.note("LINK_Y", tuple(range(y_base, y_base + n)))
-    b.note("LINK_Z", tuple(range(z_base, z_base + n)))
-    for i in range(k + 1):
+    k, n = b.k, b.input.num_vars
+    bases = _copies(b, k)
+    y_base, z_base = _noted_block(b, "LINK_Y", n), _noted_block(b, "LINK_Z", n)
+    for base in bases:
         for j in range(n):
-            link = (i * n + j, y_base + j, z_base + j)
+            link = (base + j, y_base + j, z_base + j)
             b.clauses.append(clause(link))
             b.clauses.append(clause(map(neg, link)))
     _check_size(b, (k + 1) * (b.input.num_clauses + 2 * n), (k + 3) * n)
 
 
 def _apply_r8(b: _Builder) -> None:
-    k = b.k
-    n = _copies(b, k)
+    k, n = b.k, b.input.num_vars
+    bases = _copies(b, k)
     q = _thirds(b, n, "each variable once negated, in negative 3-clauses")
-    y_base = b.alloc.fresh(n)[0]
-    z_base = b.alloc.fresh(n)[0]
-    b.note("LINK_Y", tuple(range(y_base, y_base + n)))
-    b.note("LINK_Z", tuple(range(z_base, z_base + n)))
-    for i in range(k + 1):
+    y_base, z_base = _noted_block(b, "LINK_Y", n), _noted_block(b, "LINK_Z", n)
+    for base in bases:
         for j in range(n):
-            b.clauses.append(clause((i * n + j, y_base + j, z_base + j)))
+            b.clauses.append(clause((base + j, y_base + j, z_base + j)))
     for t in range(q):
         for base in (y_base, z_base):
             b.clauses.append(clause(map(neg, range(base + 3 * t, base + 3 * t + 3))))
@@ -500,25 +471,13 @@ def _split_six(b: _Builder, keep_negations: bool):
     input value.  Without it (chain construction) the negation is dropped:
     the even copies carry the complemented value.
     """
-    inst = b.input
-    unneg, negd = _appearance_split(inst)
-    copy_of: dict[tuple[int, int], Literal] = {}
-    sixes = []
-    for i in range(inst.num_vars):
-        six = b.alloc.fresh(6)
-        sixes.append(six)
-        for s, cid in enumerate(six):
-            b.back_map[cid] = (i, (s % 2 == 1) and not keep_negations)
-        for (ci, li), s in zip(unneg[i], (0, 2, 4)):
-            copy_of[(ci, li)] = Literal(six[s])
-        for (ci, li), s in zip(negd[i], (1, 3, 5)):
-            copy_of[(ci, li)] = Literal(six[s], keep_negations)
-    return sixes, copy_of
+    flip = not keep_negations
+    return _split(b, lambda u, q: ((0, 2, 4), (1, 3, 5), (False, flip) * 3), keep_negations)
 
 
 def _apply_r9(b: _Builder) -> None:
-    sixes, copy_of = _split_six(b, keep_negations=True)
-    b.clauses.extend(_replace_appearances(b.input, copy_of))
+    sixes, clauses = _split_six(b, keep_negations=True)
+    b.clauses.extend(clauses)
     for six in sixes:
         b.add_gadget("STAR22", tuple(six))
 
@@ -585,14 +544,14 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
     neg2: list[tuple[int, int]] = []
     full3: list[Clause] = []
     for copy in range(q):
-        sixes, copy_of = _split_six(b, keep_negations=False)
+        sixes, clauses = _split_six(b, keep_negations=False)
         if copy > 0:
             # only the first copy carries the back-map
             for six in sixes:
                 for cid in six:
                     del b.back_map[cid]
                 b.note(f"COPY{copy}", tuple(six))
-        full3.extend(_replace_appearances(b.input, copy_of))
+        full3.extend(clauses)
         for six in sixes:
             x1, x2, x3, x4, x5, x6 = six
             pos2 += [(x1, x2), (x3, x4), (x5, x6)]
@@ -602,8 +561,7 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
     pos_pool: list[int] = []
     neg_pool: list[int] = []
     for _ in range(n):
-        base = b.alloc.fresh(mg.num_vars)[0]
-        b.note("M_GADGET", tuple(range(base, base + mg.num_vars)))
+        base = _noted_block(b, "M_GADGET", mg.num_vars)
         full3.extend(_shifted(mg.clauses, base))
         pos_pool += [base + v for v in mg.pos_pool]
         neg_pool += [base + v for v in mg.neg_pool]
@@ -631,7 +589,7 @@ def _apply_r12(b: _Builder) -> None:
     b.alloc.fresh(n)
     for v in range(n):
         b.back_map[v] = (v, False)
-    b.clauses.extend(inst.clauses)
+    b.clauses.extend(Clause(c.literals) for c in inst.clauses)
     for t in range(0, n, 3):
         b.add_gadget("INC32", (t, t + 1, t + 2))
 
@@ -645,7 +603,7 @@ def _apply_r14(b: _Builder) -> None:
     b.alloc.fresh(inst.num_vars)
     for v in range(inst.num_vars):
         b.back_map[v] = (v, v in flipped_set)
-    b.clauses.extend(out.clauses)
+    b.clauses.extend(Clause(c.literals) for c in out.clauses)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from mono3sat.formulas import (
     MONOTONE_NAE,
     MONOTONE_SAT,
 )
-from mono3sat.generate import random_monotone_nae
+from mono3sat.generate import random_monotone_nae, random_nae_star
 from mono3sat.witnesses import known_unsat
 
 
@@ -263,6 +263,10 @@ def test_bad_input_fuzz_never_tracebacks(tmp_path):
         cases.append((["gadgets", "verify", rng.choice(("NE6", "S", "B"))], cap))
     two_headers = tmp_path / "two_headers.cnf"
     two_headers.write_text("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
+    flagged = tmp_path / "flagged.cnf"  # multiset-flagged, repeats nothing
+    flagged.write_text("c duplicates allowed\np cnf 3 1\n1 2 3 0\n")
+    repeating = tmp_path / "repeating.cnf"
+    repeating.write_text("c duplicates allowed\np cnf 3 1\n1 1 3 0\n")
     cases += [
         (["solve", str(two_headers)], None),
         (["solve", str(tmp_path)], None),
@@ -270,6 +274,8 @@ def test_bad_input_fuzz_never_tracebacks(tmp_path):
         (["search-unsat", "--profile", "2,2", "--max-n", "3",
           "--journal", str(tmp_path)], None),
         (["witness", "nine_var", "-o", str(tmp_path)], None),
+        (["check", "--variant", "linear", str(flagged)], None),
+        (["check", "--variant", "star-linear", str(repeating)], None),
     ]
     case_file, code_file = tmp_path / "cases.json", tmp_path / "codes.json"
     case_file.write_text(json.dumps(cases))
@@ -285,5 +291,18 @@ def test_bad_input_fuzz_never_tracebacks(tmp_path):
     codes = json.loads(code_file.read_text())
     assert len(codes) == len(cases)
     assert set(codes) <= {0, 1, 2}, [c for c in zip(codes, cases) if c[0] not in (0, 1, 2)]
+    assert codes[-2:] == [0, 1]  # the linear checks judge repeats, not the flag
     # the mutations reach past the parser: some inputs are decided
     assert codes.count(0) >= 10 and codes.count(1) >= 10
+
+
+def test_reduce_r2_r3_r4_pipeline(tmp_path, capsys):
+    path = tmp_path / "star.cnf"
+    path.write_text(emit_dimacs(random_nae_star(2, 2, random.Random(3))))
+    src = str(path)
+    for rid in ("R2", "R3", "R4"):
+        out = str(tmp_path / f"{rid}.cnf")
+        assert main(["reduce", "--id", rid, "--in", src, "--out", out]) == 0
+        src = out
+    assert "c duplicates forbidden" in open(tmp_path / "R2.cnf").read()
+    assert main(["check", "--variant", "mono-sat-p4q4", src]) == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mono3sat.dimacs import DimacsError, emit_dimacs, parse_dimacs
+from mono3sat.dimacs import MAX_VARS, DimacsError, emit_dimacs, parse_dimacs
 from mono3sat.formulas import NAE, SAT, Clause, CnfInstance, Literal, pos
 from mono3sat.witnesses import known_unsat
 
@@ -31,7 +31,7 @@ def test_parse_annotations():
 
 
 def test_parse_rejects_duplicates_without_annotation():
-    with pytest.raises(DimacsError, match="line 2"):
+    with pytest.raises(DimacsError, match="line 2: repeated variable"):
         parse_dimacs("p cnf 2 1\n1 1 2 0\n")
 
 
@@ -52,6 +52,14 @@ def test_parse_errors():
         parse_dimacs("p cnf -1 0\n")
     with pytest.raises(DimacsError, match="second"):
         parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
+
+
+def test_declared_variable_count_is_bounded():
+    # parsing allocates nothing per declared variable; a solver would
+    assert parse_dimacs(f"p cnf {MAX_VARS} 0\n").num_vars == MAX_VARS
+    for n in (MAX_VARS + 1, 10**12):
+        with pytest.raises(DimacsError, match=f"line 2: header declares {n} variables"):
+            parse_dimacs(f"c big\np cnf {n} 0\n")
 
 
 def test_satlib_trailer():

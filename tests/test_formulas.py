@@ -155,6 +155,15 @@ def test_is_linear_rejects_multiset():
         is_linear(CnfInstance(2, (c,), SAT))
 
 
+def test_linear_spec_judges_repeats_not_the_flag():
+    flagged = CnfInstance(3, (Clause((pos(0), pos(1), pos(2)), multiset=True),), SAT)
+    assert is_linear(flagged).ok
+    assert validate(flagged, VariantSpec(3, linear="linear")).ok
+    repeating = CnfInstance(2, (Clause((pos(0), pos(0), pos(1)), multiset=True),), SAT)
+    rep = validate(repeating, VariantSpec(3, True, linear="linear"))
+    assert not rep.ok and rep.witness == ("clause", 0)
+
+
 def test_exact_linear():
     # three clauses pairwise sharing exactly one variable
     cls = (

@@ -305,3 +305,38 @@ def test_back_map_polarity_relations():
         ]
         assert len(partner) == 1
         assert res.model[out_v] != res.model[partner[0]]
+
+
+@pytest.mark.parametrize("rid", UNCONDITIONAL)
+def test_output_flavor_matches_spec(rid):
+    # output clauses are set flavor unless the output variant is a star one,
+    # also from an input whose clauses are all flagged multiset
+    rng = random.Random(zlib.crc32(rid.encode()) ^ 0xF1A)
+    row = R.REDUCTIONS[rid]
+    for _ in range(6):
+        inst, k = row.sample(rng)
+        flagged = CnfInstance(inst.num_vars, tuple(
+            Clause(c.literals, multiset=True) for c in inst.clauses), inst.mode)
+        _, spec = row.specs(k)
+        for x in (inst, flagged):
+            cert = R.apply_reduction(rid, x, k=k)
+            assert cert.output.has_multiset_clauses() == spec.duplicates
+
+
+def test_r2_r3_r4_chain():
+    rng = random.Random(234)
+    inputs = [G.random_nae_star(2, rng.randint(2, 3), rng) for _ in range(3)]
+    for inst in inputs + [tiny_unsat_nae_star()]:
+        expected = solve_exhaustive(inst).status
+        for rid in ("R2", "R3", "R4"):
+            rep = R.check_equisat(rid, inst, timeout=60)
+            assert rep.ok and expected in rep.reason, f"{rid}: {rep.reason}"
+            inst = R.apply_reduction(rid, inst).output
+
+
+@pytest.mark.parametrize("rid", ["R6", "R8"])
+def test_lifting_an_empty_instance(rid):
+    # any k is valid for the empty input; no work may scale with it
+    cert = R.apply_reduction(rid, CnfInstance(0, ()), k=10**12)
+    assert cert.output.num_vars == cert.output.num_clauses == 0
+    assert [e.label for e in cert.gadget_log] == ["LINK_Y", "LINK_Z"]
