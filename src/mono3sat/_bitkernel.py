@@ -4,15 +4,16 @@ Assignments over n variables are indexed 0..2^n-1; bit v of the index is the
 value of variable v.  Formula truth tables are built chunk-wise as Python
 big integers, so the per-assignment work happens inside CPython's C loops.
 
-The kernel has two entry points:
+The kernel decides sat-mode clauses only; nae clauses reach it through
+`oracle.sat_codes`, which mirrors them once.  It has two entry points:
 
-    solve(num_vars, clauses, nae)             -> model index or None
-    accepted_patterns(num_aux, num_boundary, clauses, nae) -> set of patterns
+    solve(num_vars, clauses)                        -> model index or None
+    accepted_patterns(num_aux, num_boundary, clauses) -> set of patterns
 
 clauses are (pos_mask, neg_mask) pairs over local variable ids.  For
 accepted_patterns the auxiliary variables occupy ids 0..num_aux-1 and the
 boundary ids num_aux..num_aux+num_boundary-1, so assignments with one
-boundary pattern form one contiguous index range.
+boundary pattern form one contiguous range of chunks.
 """
 
 from __future__ import annotations
@@ -74,32 +75,14 @@ def _or_table(
     return or_t
 
 
-def _clause_table(
-    pos: int,
-    neg: int,
-    chunk: int,
-    width_log: int,
-    tables: list[int],
-    full: int,
-    nae: bool,
-) -> int:
-    """Truth table of one clause restricted to a chunk of the space."""
-    table = _or_table(pos, neg, chunk, width_log, tables, full)
-    if nae:
-        # nae also wants some literal false: some literal of the flip true
-        table &= _or_table(neg, pos, chunk, width_log, tables, full)
-    return table
-
-
-def solve(num_vars: int, clauses: list[tuple[int, int]], nae: bool) -> int | None:
-    width_log = min(num_vars, CHUNK_LOG)
-    width = 1 << width_log
-    full = (1 << width) - 1
+def _first_model(clauses: list[tuple[int, int]], chunks: range, width_log: int) -> int | None:
+    """The smallest index in the given chunks that satisfies every clause."""
+    full = (1 << (1 << width_log)) - 1
     tables = _var_patterns(width_log)
-    for chunk in range(1 << (num_vars - width_log)):
+    for chunk in chunks:
         acc = full
         for pos, neg in clauses:
-            acc &= _clause_table(pos, neg, chunk, width_log, tables, full, nae)
+            acc &= _or_table(pos, neg, chunk, width_log, tables, full)
             if not acc:
                 break
         if acc:
@@ -107,25 +90,17 @@ def solve(num_vars: int, clauses: list[tuple[int, int]], nae: bool) -> int | Non
     return None
 
 
+def solve(num_vars: int, clauses: list[tuple[int, int]]) -> int | None:
+    width_log = min(num_vars, CHUNK_LOG)
+    return _first_model(clauses, range(1 << (num_vars - width_log)), width_log)
+
+
 def accepted_patterns(
-    num_aux: int, num_boundary: int, clauses: list[tuple[int, int]], nae: bool
+    num_aux: int, num_boundary: int, clauses: list[tuple[int, int]]
 ) -> set[int]:
     width_log = min(num_aux, CHUNK_LOG)
-    width = 1 << width_log
-    full = (1 << width) - 1
-    tables = _var_patterns(width_log)
-    shift = num_aux - width_log  # chunk -> boundary pattern
-    accepted: set[int] = set()
-    total = num_aux + num_boundary
-    for chunk in range(1 << (total - width_log)):
-        pattern = chunk >> shift
-        if pattern in accepted:
-            continue
-        acc = full
-        for pos, neg in clauses:
-            acc &= _clause_table(pos, neg, chunk, width_log, tables, full, nae)
-            if not acc:
-                break
-        if acc:
-            accepted.add(pattern)
-    return accepted
+    per = 1 << (num_aux - width_log)  # chunks per boundary pattern
+    return {
+        p for p in range(1 << num_boundary)
+        if _first_model(clauses, range(p * per, (p + 1) * per), width_log) is not None
+    }

@@ -12,6 +12,7 @@ solver set-up and kernel mask reads it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -145,20 +146,19 @@ def assignment_from_bits(bits: int, num_vars: int) -> tuple[bool, ...]:
     return tuple(bool((bits >> v) & 1) for v in range(num_vars))
 
 
-def evaluate_clause(c: Sequence[int], assignment, mode: str = SAT) -> bool:
-    """One clause of literal codes under any var-indexed assignment."""
-    values = [assignment[x >> 1] ^ (x & 1) for x in c]
-    if mode == SAT:
-        return any(values)
-    return any(values) and not all(values)
-
-
 def evaluate(inst: CnfInstance, assignment: Sequence[bool]) -> bool:
+    """Whether the assignment satisfies (or nae-satisfies) inst; it reads
+    the codes, not the solvers' nae mirror, to check their models apart."""
     if len(assignment) != inst.num_vars:
         raise ValueError(
             f"assignment length {len(assignment)} != num_vars {inst.num_vars}"
         )
-    return all(evaluate_clause(c, assignment, inst.mode) for c in inst.codes)
+    nae = inst.mode == NAE
+    for c in inst.codes:
+        values = [assignment[x >> 1] ^ (x & 1) for x in c]
+        if not any(values) or (nae and all(values)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -315,28 +315,29 @@ def _repeating_clause(codes: Codes) -> int | None:
 def is_linear(inst: CnfInstance, exact: bool = False) -> VerificationReport:
     """Pass iff every pair of distinct clauses shares at most one variable.
 
-    Exact mode wants exactly one shared variable per pair.  A clause that
-    repeats a variable is rejected: linearity is defined over set-flavor
-    formulas.  The multiset flag alone does not count.
+    Exact mode wants exactly one shared variable per pair.  The first
+    violating pair in (i, j) order is reported; shared variables are counted
+    from each variable's clause list, so outside exact mode only pairs that
+    share one cost work.  A clause that repeats a variable is rejected:
+    linearity is defined over set-flavor formulas, whatever the flag says.
     """
     i = _repeating_clause(inst.codes)
     if i is not None:
         raise ValueError(f"is_linear is defined for set-flavor clauses only (clause {i})")
-    varsets = [frozenset(x >> 1 for x in c) for c in inst.codes]
-    m = len(varsets)
-    for i in range(m):
-        for j in range(i + 1, m):
-            shared = len(varsets[i] & varsets[j])
-            if shared > 1:
-                return VerificationReport(
-                    False, f"clauses {i} and {j} share {shared} variables",
-                    ("clause_pair", i, j),
-                )
-            if exact and shared != 1:
-                return VerificationReport(
-                    False, f"clauses {i} and {j} share no variable",
-                    ("clause_pair", i, j),
-                )
+    codes = inst.codes
+    occ: list[list[int]] = [[] for _ in range(inst.num_vars)]  # clauses, in order
+    for j, c in enumerate(codes):
+        for x in c:
+            occ[x >> 1].append(j)
+    for i, c in enumerate(codes):
+        shared = Counter(j for x in c for j in occ[x >> 1] if j > i)
+        if exact:
+            j = next((j for j in range(i + 1, len(codes)) if shared[j] != 1), None)
+        else:
+            j = min((j for j, k in shared.items() if k > 1), default=None)
+        if j is not None:
+            what = f"share {shared[j]} variables" if shared[j] else "share no variable"
+            return VerificationReport(False, f"clauses {i} and {j} {what}", ("clause_pair", i, j))
     return PASS
 
 

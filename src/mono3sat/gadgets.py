@@ -16,8 +16,14 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
-from .formulas import NAE, SAT, Clause, Literal, VerificationReport, encode, evaluate_clause
-from .oracle import BoundaryPredicate, check_extension_property, report_mismatch
+from .formulas import NAE, SAT, Clause, Literal, VerificationReport, encode
+from .oracle import (
+    BoundaryPredicate,
+    check_extension_property,
+    extending_patterns,
+    report_mismatch,
+    sat_codes,
+)
 
 # A parsed clause table: one tuple of (name, negated) pairs per clause.
 Table = tuple[tuple[tuple[str, bool], ...], ...]
@@ -499,12 +505,13 @@ def verify_composite(g: GadgetInstance) -> VerificationReport:
 
     Each part is certified first: by enumeration, or by this function when
     it has parts of its own.  Then the boundary-plus-linking abstraction is
-    enumerated with the parts' predicates in place of their clauses.  That
-    is sound when the gadget's clauses are exactly its parts' clauses plus
-    its connectors, the parts share no auxiliary variable, and no part
-    auxiliary is a linking variable (a variable of the gadget's boundary or
-    of a part's boundary, the only ones a connector may use); all of this
-    is checked here.
+    enumerated, by the same kernel call as `check_extension_property`, with
+    each part's predicate in place of its clauses: one blocking clause per
+    pattern the part rejects.  That is sound when the gadget's clauses are
+    exactly its parts' clauses plus its connectors, the parts share no
+    auxiliary variable, and no part auxiliary is a linking variable (a
+    variable of the gadget's boundary or of a part's boundary, the only ones
+    a connector may use); all of this is checked here.
     """
     for part in g.parts:
         verify = verify_composite if part.parts else check_extension_property
@@ -516,21 +523,19 @@ def verify_composite(g: GadgetInstance) -> VerificationReport:
     premise = _composite_premise(g)
     if premise is not None:
         return VerificationReport(False, f"{g.kind}: {premise}", ("premise", g.kind))
-    abstract = list(dict.fromkeys(
-        g.predicate.boundary + tuple(v for part in g.parts for v in part.predicate.boundary)
+    boundary = g.predicate.boundary
+    aux = list(dict.fromkeys(
+        v for part in g.parts for v in part.predicate.boundary if v not in boundary
     ))
-    nb = len(g.predicate.boundary)
-    connectors = encode(g.connectors)
-    feasible: set[int] = set()
-    for p in range(1 << len(abstract)):
-        values = {v: bool((p >> i) & 1) for i, v in enumerate(abstract)}
-        if all(
-            sum(1 << j for j, v in enumerate(part.predicate.boundary) if values[v])
-            in part.predicate.accepted
-            for part in g.parts
-        ) and all(evaluate_clause(c, values, g.mode) for c in connectors):
-            feasible.add(p & ((1 << nb) - 1))
-    return report_mismatch(g, feasible)
+    # literal (v << 1) | bit is true exactly when v differs from bit
+    codes = [
+        [(v << 1) | ((p >> j) & 1) for j, v in enumerate(part.predicate.boundary)]
+        for part in g.parts
+        for p in range(1 << len(part.predicate.boundary))
+        if p not in part.predicate.accepted
+    ]
+    codes += sat_codes(encode(g.connectors), g.mode)
+    return report_mismatch(g, extending_patterns(boundary, aux, codes))
 
 
 def _composite_premise(g: GadgetInstance) -> str | None:

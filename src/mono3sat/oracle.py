@@ -5,7 +5,9 @@ with mandatory unit propagation and pure-literal elimination, extension
 checking for gadget boundary predicates, subsumption, and the forced-literal
 split used by the conditional (2,2) machinery.
 
-Enumeration runs on the pure-Python big-integer kernel in _bitkernel.
+Enumeration runs on the pure-Python big-integer kernel in _bitkernel, which
+this module alone calls.  Both solvers decide sat-mode clauses only: nae
+clauses are mirrored once, by `sat_codes`.
 """
 
 from __future__ import annotations
@@ -86,12 +88,22 @@ def clause_masks(codes: Iterable[Sequence[int]], var_map=None) -> list[tuple[int
     return out
 
 
+def sat_codes(codes: Iterable[Sequence[int]], mode: str) -> list[Sequence[int]]:
+    """Sat-mode clauses equivalent to the codes under mode: in nae mode each
+    clause's literal-wise negation (`x ^ 1`) follows all of them, in order
+    (the paper's clause doubling, R4), as some literal must also be false."""
+    out = list(codes)
+    if mode == NAE:
+        out += [[x ^ 1 for x in c] for c in out]
+    return out
+
+
 def solve_exhaustive(inst: CnfInstance) -> SolveResult:
     """Exact result by enumerating all 2^n assignments (n capped)."""
     cap = enum_cap()
     if inst.num_vars > cap:
         raise CapExceededError(inst.num_vars, cap)
-    bits = _bitkernel.solve(inst.num_vars, clause_masks(inst.codes), inst.mode == NAE)
+    bits = _bitkernel.solve(inst.num_vars, clause_masks(sat_codes(inst.codes, inst.mode)))
     if bits is None:
         return SolveResult("unsat", None)
     return _checked_model(inst, bits, "enumeration kernel")
@@ -110,11 +122,10 @@ def _checked_model(inst: CnfInstance, bits: int, solver: str) -> SolveResult:
 
 
 def _encoded_clauses(inst: CnfInstance) -> list[list[int]] | None:
-    """The instance's clause codes as sorted literal lists, nae doubled.
+    """The instance's clause codes as sorted literal lists, through `sat_codes`.
 
-    Repeated literals are merged and tautological clauses dropped; returns
-    None when some clause is empty.  In nae mode each clause is followed,
-    after all of them, by its literal-wise negation (`lit ^ 1`).
+    Repeated literals are merged and tautological clauses dropped before the
+    nae mirror is added; returns None when some clause is empty.
     """
     out = []
     for c in inst.codes:
@@ -124,18 +135,16 @@ def _encoded_clauses(inst: CnfInstance) -> list[list[int]] | None:
         if not lits:
             return None
         out.append(sorted(lits))
-    if inst.mode == NAE:
-        # the literals of a kept clause have distinct variables, so
-        # flipping their low bits keeps them sorted
-        out += [[lit ^ 1 for lit in lits] for lits in out]
-    return out
+    # the literals of a kept clause have distinct variables, so the mirror's
+    # flipped low bits keep them sorted
+    return sat_codes(out, inst.mode)
 
 
 def solve_dpll(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
     """Complete DPLL with unit propagation and pure-literal elimination.
 
-    nae mode is reduced to sat mode by adding, for each clause, its
-    literal-wise negation.  A timeout (seconds) yields "indeterminate".
+    nae mode is reduced to sat mode by `sat_codes`.  A timeout (seconds)
+    yields "indeterminate".
     """
     clauses = _encoded_clauses(inst)
     if clauses is None:
@@ -431,20 +440,28 @@ def check_extension_property(gadget) -> VerificationReport:
     variables: an extension over the auxiliary variables that satisfies (or
     nae-satisfies) all gadget clauses exists exactly when beta is accepted.
     """
-    cap = enum_cap()
-    boundary = list(dict.fromkeys(gadget.boundary))
-    aux = list(gadget.aux)
-    if tuple(boundary) != gadget.predicate.boundary:
+    boundary = tuple(dict.fromkeys(gadget.boundary))
+    if boundary != gadget.predicate.boundary:
         raise ValueError("gadget predicate boundary does not match the instance")
+    codes = sat_codes(encode(gadget.clauses), gadget.mode)
+    return report_mismatch(gadget, extending_patterns(boundary, gadget.aux, codes))
+
+
+def extending_patterns(
+    boundary: Sequence[int], aux: Sequence[int], codes: Iterable[Sequence[int]]
+) -> set[int]:
+    """The patterns of the boundary (bit j is boundary[j]) that some
+    assignment of aux extends to a model of the sat-mode codes; boundary and
+    aux hold every variable of codes, and their number is capped."""
+    cap = enum_cap()
     n = len(boundary) + len(aux)
     if n > cap:
         raise CapExceededError(n, cap)
     var_map = {v: i for i, v in enumerate(aux)}
     for j, v in enumerate(boundary):
         var_map[v] = len(aux) + j
-    masks = clause_masks(encode(gadget.clauses), var_map)
-    got = _bitkernel.accepted_patterns(len(aux), len(boundary), masks, gadget.mode == NAE)
-    return report_mismatch(gadget, got)
+    masks = clause_masks(codes, var_map)
+    return _bitkernel.accepted_patterns(len(aux), len(boundary), masks)
 
 
 def report_mismatch(gadget, feasible: set[int]) -> VerificationReport:

@@ -195,6 +195,19 @@ def _split(b: _Builder, plan, keep_negations: bool = False):
     return copies, decode([[next(queues[x]) for x in c] for c in b.input.codes])
 
 
+def _keep_input(b: _Builder, flipped: frozenset[int] = frozenset()) -> list[Clause]:
+    """Input variable v as output variable v, and the input clauses in set
+    flavor; the literals of the variables in flipped are negated and those
+    variables back-mapped as carrying the negated value."""
+    inst = b.input
+    b.alloc.fresh(inst.num_vars)
+    for v in range(inst.num_vars):
+        b.back_map[v] = (v, v in flipped)
+    if flipped:
+        inst = negate_rename(inst, flipped)
+    return [Clause(c.literals) for c in inst.clauses]
+
+
 def _ring_plan(u: int, q: int):
     """One copy per (unnegated) appearance, carrying the input value."""
     return range(u), (), (False,) * u
@@ -288,12 +301,7 @@ def _apply_r3(b: _Builder) -> None:
 
 
 def _apply_r4(b: _Builder) -> None:
-    inst = b.input
-    b.alloc.fresh(inst.num_vars)
-    for v in range(inst.num_vars):
-        b.back_map[v] = (v, False)
-    for c in inst.clauses:
-        c = Clause(c.literals)  # set flavor, whatever the input's flag
+    for c in _keep_input(b):
         b.clauses += (c, c.negated())
 
 
@@ -394,13 +402,11 @@ def _copies(b: _Builder, k: int) -> list[int]:
     n = inst.num_vars
     if n == 0:
         return []
-    b.alloc.fresh(n)
-    for j in range(n):
-        b.back_map[j] = (j, False)
-    bases = [0] + [_noted_block(b, f"COPY{i}", n) for i in range(1, k + 1)]
+    b.clauses.extend(_keep_input(b))
+    bases = [_noted_block(b, f"COPY{i}", n) for i in range(1, k + 1)]
     for base in bases:
         b.clauses.extend(_shifted(inst.clauses, base))
-    return bases
+    return [0] + bases
 
 
 def _noted_block(b: _Builder, label: str, n: int) -> int:
@@ -583,27 +589,17 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
 
 
 def _apply_r12(b: _Builder) -> None:
-    inst = b.input
-    n = inst.num_vars
+    n = b.input.num_vars
     _thirds(b, n, "2n negated appearances fill negative 3-clauses")
-    b.alloc.fresh(n)
-    for v in range(n):
-        b.back_map[v] = (v, False)
-    b.clauses.extend(Clause(c.literals) for c in inst.clauses)
+    b.clauses.extend(_keep_input(b))
     for t in range(0, n, 3):
         b.add_gadget("INC32", (t, t + 1, t + 2))
 
 
 def _apply_r14(b: _Builder) -> None:
-    inst = b.input
-    prof = appearance_profile(inst)
-    flipped = [v for v, (p, q) in enumerate(prof) if (p, q) == (1, 3)]
-    out = negate_rename(inst, flipped)
-    flipped_set = set(flipped)
-    b.alloc.fresh(inst.num_vars)
-    for v in range(inst.num_vars):
-        b.back_map[v] = (v, v in flipped_set)
-    b.clauses.extend(Clause(c.literals) for c in out.clauses)
+    prof = appearance_profile(b.input)
+    flipped = frozenset(v for v, (p, q) in enumerate(prof) if (p, q) == (1, 3))
+    b.clauses.extend(_keep_input(b, flipped))
 
 
 # ---------------------------------------------------------------------------

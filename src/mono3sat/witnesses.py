@@ -18,6 +18,7 @@ from .formulas import (
     Literal,
     VariantSpec,
     VerificationReport,
+    _repeating_clause,
     appearance_profile,
     clause,
     neg,
@@ -129,7 +130,7 @@ def canonical_shape(inst: CnfInstance):
     """Split into (negative triples, positive clauses); raises on mismatch."""
     if inst.mode != SAT:
         raise ValueError("canonical shape is defined for sat mode")
-    if inst.has_multiset_clauses():
+    if _repeating_clause(inst.codes) is not None:
         raise ValueError("canonical shape needs set-flavor clauses")
     triples = []
     positives = []

@@ -179,6 +179,55 @@ def test_exact_linear():
     assert not is_linear(CnfInstance(6, disjoint, SAT), exact=True).ok
 
 
+def _pairwise_linear(inst, exact):
+    """(ok, reason, witness) of the all-pairs definition of linearity."""
+    sets = [c.varset() for c in inst.clauses]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            k = len(sets[i] & sets[j])
+            if k > 1:
+                return False, f"clauses {i} and {j} share {k} variables", ("clause_pair", i, j)
+            if exact and k != 1:
+                return False, f"clauses {i} and {j} share no variable", ("clause_pair", i, j)
+    return True, "", None
+
+
+FANO_LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+
+
+def test_is_linear_matches_pairwise_reference():
+    rng = random.Random(71)
+    seen = set()
+    for t in range(600):
+        kind = t % 3
+        n = rng.randint(7, 12)
+        if kind == 0:  # random clauses, mostly not linear
+            vsets = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(rng.randint(0, 8))]
+        elif kind == 1:  # greedy linear, then perhaps one clause that breaks it
+            vsets = []
+            for _ in range(rng.randint(0, 20)):
+                vs = rng.sample(range(n), 3)
+                if all(len(set(vs) & set(o)) <= 1 for o in vsets):
+                    vsets.append(vs)
+            if vsets and rng.random() < 0.5:
+                vs = rng.choice(vsets)[:2] + [rng.choice(range(n))]
+                if len(set(vs)) == 3:
+                    vsets.insert(rng.randint(0, len(vsets)), vs)
+        else:  # exact linear: relabelled Fano lines, perhaps plus one clause
+            perm = rng.sample(range(n), n)
+            vsets = [[perm[v] for v in line] for line in rng.sample(FANO_LINES, rng.randint(0, 7))]
+            if rng.random() < 0.5:
+                vsets.insert(rng.randint(0, len(vsets)), rng.sample(range(n), 3))
+        inst = CnfInstance(n, tuple(
+            Clause(tuple(Literal(v, rng.random() < 0.3) for v in vs)) for vs in vsets
+        ), SAT)
+        for exact in (False, True):
+            rep = is_linear(inst, exact)
+            assert (rep.ok, rep.reason, rep.witness) == _pairwise_linear(inst, exact)
+            seen.add((kind, exact, rep.ok))
+    assert len(seen) == 12
+
+
 def test_negate_rename_profile_flip():
     # a variable appearing three times negated, once unnegated
     cls = (

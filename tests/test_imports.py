@@ -1,4 +1,5 @@
-"""Every top-level import in src/ and tests/ is used in its module."""
+"""Every top-level import in src/ and tests/ is used in its module, and in
+src/ only the oracle imports the enumeration kernel."""
 
 import ast
 import pathlib
@@ -57,3 +58,38 @@ def test_no_unused_top_level_imports():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def kernel_imports(source: str) -> list[int]:
+    """Line numbers of the module's imports of `_bitkernel`, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("_bitkernel" in name.split(".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_kernel_imports_are_detected():
+    source = (
+        "from . import _bitkernel\nfrom ._bitkernel import solve\n"
+        "import mono3sat._bitkernel as k\nfrom mono3sat import oracle, _bitkernel\n"
+        "from .oracle import solve_exhaustive\nimport bitkernel\n"
+        "def f():\n    from mono3sat._bitkernel import accepted_patterns\n"
+    )
+    assert kernel_imports(source) == [1, 2, 3, 4, 8]
+
+
+def test_only_the_oracle_imports_the_kernel():
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        lines = kernel_imports(path.read_text())
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
+    assert list(found) == ["src/mono3sat/oracle.py"]

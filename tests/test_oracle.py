@@ -2,15 +2,18 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from mono3sat import _bitkernel
 from mono3sat.formulas import (
     NAE,
     SAT,
     Clause,
     CnfInstance,
     Literal,
+    assignment_from_bits,
     evaluate,
     negate_rename,
     pos,
@@ -20,6 +23,9 @@ from mono3sat.oracle import (
     BoundaryPredicate,
     CapExceededError,
     check_extension_property,
+    clause_masks,
+    extending_patterns,
+    sat_codes,
     solve_dpll,
     solve_exhaustive,
     split_forced,
@@ -27,7 +33,7 @@ from mono3sat.oracle import (
 )
 from mono3sat.witnesses import known_unsat
 
-from reference import ref_solve
+from reference import clause_value, ref_accepted, ref_solve
 
 
 def random_3cnf(n, m, rng, mode=SAT):
@@ -346,17 +352,41 @@ def test_split_forced_rejects_satisfiable():
 
 
 def test_backends_agree():
-    from mono3sat import _bitkernel
-    from mono3sat.oracle import clause_masks
-
     rng = random.Random(31)
     for _ in range(200):
         n = rng.randint(1, 10)
         inst = random_3cnf(n, rng.randint(1, 15), rng, rng.choice([SAT, NAE]))
-        masks = clause_masks(inst.codes)
-        pure = _bitkernel.solve(n, masks, inst.mode == NAE)
-        status = solve_exhaustive(inst).status
-        assert (pure is not None) == (status == "sat")
+        bits = _bitkernel.solve(n, clause_masks(sat_codes(inst.codes, inst.mode)))
+        assert (bits is not None) == (ref_solve(inst) == "sat")
+        if bits is not None:
+            assert evaluate(inst, assignment_from_bits(bits, n))
+
+
+def _smallest_model(inst):
+    for bits in range(1 << inst.num_vars):
+        values = assignment_from_bits(bits, inst.num_vars)
+        if all(clause_value(c, values, inst.mode) for c in inst.clauses):
+            return bits
+    return None
+
+
+def test_kernel_across_chunks(monkeypatch):
+    # 4-assignment chunks, so that solving scans many chunks and every
+    # boundary pattern of accepted_patterns owns a range of several
+    monkeypatch.setattr(_bitkernel, "CHUNK_LOG", 2)
+    rng = random.Random(47)
+    for _ in range(120):
+        n = rng.randint(3, 8)
+        mode = rng.choice([SAT, NAE])
+        inst = random_3cnf(n, rng.randint(1, 2 * n), rng, mode)
+        codes = sat_codes(inst.codes, mode)
+        assert _bitkernel.solve(n, clause_masks(codes)) == _smallest_model(inst)
+        order = rng.sample(range(n), n)
+        k = rng.randint(0, n)
+        gadget = SimpleNamespace(
+            boundary=order[:k], aux=order[k:], clauses=inst.clauses, mode=mode
+        )
+        assert extending_patterns(order[:k], order[k:], codes) == ref_accepted(gadget)
 
 
 _OPTIMIZED_MODEL_CHECK = """
@@ -388,7 +418,7 @@ except AssertionError as exc:
     print("pad_to_four raised:", exc)
 
 inst = CnfInstance(1, (clause([0]),))
-_bitkernel.solve = lambda num_vars, clauses, nae: 0
+_bitkernel.solve = lambda *args: 0
 oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
 for solve in (oracle.solve_exhaustive, oracle.solve_dpll):
     try:

@@ -13,6 +13,7 @@ from mono3sat.formulas import (
     pos,
 )
 from mono3sat import witnesses as W
+from mono3sat.dimacs import emit_dimacs, parse_dimacs
 from mono3sat.gadgets import verify_composite
 from mono3sat.oracle import solve_dpll, solve_exhaustive
 from mono3sat.witnesses import (
@@ -191,6 +192,19 @@ def test_canonical_shape_rejects_mixed():
     inst = CnfInstance(3, (Clause((pos(0), neg(1), pos(2))),), SAT)
     with pytest.raises(ValueError):
         canonical_shape(inst)
+
+
+def test_canonical_shape_judges_repeats_not_the_flag():
+    text = emit_dimacs(known_unsat("hitting27"))
+    flagged = parse_dimacs(text.replace("c duplicates forbidden", "c duplicates allowed"))
+    assert flagged.has_multiset_clauses()
+    assert not check_sat_via_transversal(flagged).ok
+    assert bound_satisfiable(flagged) is None
+    repeating = CnfInstance(
+        3, (Clause((neg(0), neg(0), neg(1)), multiset=True), Clause((pos(0), pos(1), pos(2)))), SAT
+    )
+    with pytest.raises(ValueError, match="set-flavor"):
+        canonical_shape(repeating)
 
 
 def test_canonical_signature_dedup_properties():
