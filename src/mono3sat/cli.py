@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 pass / decided, 1 fail / violation / indeterminate / bad
-input, 2 usage error.  Bad input (malformed or undecodable DIMACS, a file
-that cannot be read or written, a bad MONO3SAT_ENUM_CAP) is reported as
-`error: ...` on stderr, never as a traceback.  A stdout pipe closed by its
-reader (`mono3sat gadgets list --json | head -1`) ends the command with exit
-1 and no traceback.  --json emits one machine-readable report object on
-stdout (schema "mono3sat-report/1").  The enumeration cap honors the
-MONO3SAT_ENUM_CAP environment variable.
+input, 2 usage error, which includes a NaN or negative --timeout and a
+negative --max-n or --max-candidates.  Bad input (malformed or undecodable
+DIMACS, a file that cannot be read or written, a bad MONO3SAT_ENUM_CAP) is
+reported as `error: ...` on stderr, never as a traceback.  A stdout pipe
+closed by its reader (`mono3sat gadgets list --json | head -1`) ends the
+command with exit 1 and no traceback.  --json emits one machine-readable
+report object on stdout (schema "mono3sat-report/1").  The enumeration cap
+honors the MONO3SAT_ENUM_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -87,6 +88,28 @@ def parse_variant(text: str) -> VariantSpec:
         else:
             raise VariantSyntaxError(f"unknown variant segment {tok!r}")
     return VariantSpec(3, duplicates, monotone, profile, linear)
+
+
+def _seconds(text: str) -> float:
+    """A --timeout value: a number of seconds, at least 0 (NaN is not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"want a number of seconds >= 0, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """A --max-n or --max-candidates value: an integer, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
+    return value
 
 
 def _load(path: str) -> CnfInstance:
@@ -297,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="decide satisfiability")
     s.add_argument("--engine", choices=("auto", "exhaustive", "dpll"), default="auto")
-    s.add_argument("--timeout", type=float, default=None, help="DPLL seconds budget")
+    s.add_argument("--timeout", type=_seconds, default=None, help="DPLL seconds budget")
     s.add_argument("--model", action="store_true", help="print a model when sat")
     s.add_argument("--json", action="store_true")
     s.add_argument("file")
@@ -330,10 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     u = sub.add_parser("search-unsat", help="search for an unsatisfiable instance")
     u.add_argument("--profile", required=True, help="P,Q e.g. 2,2")
-    u.add_argument("--max-n", type=int, default=9)
+    u.add_argument("--max-n", type=_count, default=9)
     u.add_argument("--seed", type=int, default=0)
-    u.add_argument("--timeout", type=float, default=None)
-    u.add_argument("--max-candidates", type=int, default=100_000)
+    u.add_argument("--timeout", type=_seconds, default=None)
+    u.add_argument("--max-candidates", type=_count, default=100_000)
     u.add_argument("--journal", help="JSONL progress file")
     u.add_argument("--json", action="store_true")
     u.set_defaults(fn=_cmd_search)

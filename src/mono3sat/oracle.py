@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _bitkernel
@@ -164,9 +164,11 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     picks the most frequent free literal among the shortest unsatisfied
     clauses, ties going to the smallest encoded literal.  The shortest
     clauses come from an index, by_free[k], of the unsatisfied clauses
-    (learned ones included) with exactly k non-false literals, which
-    assignments, backjumps and learning keep up to date, so a decision
-    looks only at those clauses.  Deterministic; no restarts.
+    (learned ones included) with exactly k non-false literals, and the free
+    literals of each bucket are counted, in lc[k], where assignments,
+    backjumps and learning move a clause into, out of or between buckets;
+    a decision reads its literal off those counts instead of recounting.
+    Deterministic; no restarts.
     """
     m = len(clauses)
     if m == 0:
@@ -180,10 +182,28 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     # drives pure-literal detection (learned clauses are consequences, so
     # they are deliberately excluded from purity counting)
     cnt = [0] * (2 * num_vars)
+    nfree = [len(c) for c in clauses]
+    ntrue = [0] * m
+    # by_free[k]: unsatisfied clauses with k non-false literals; grows when
+    # a learned clause is longer than every clause before it
+    longest = max(nfree)
+    by_free: list[set[int]] = [set() for _ in range(longest + 1)]
+    # lc[k][lit]: occurrences of the free literal lit in the clauses of
+    # by_free[k], deleted when it reaches 0.  Only what a decision reads is
+    # counted (see pick): not buckets 0 and 1, empty at every decision, and
+    # not the input clauses of by_free[longest], whose literals cnt counts
+    # already.  lc_in is lc as input clauses see it; None marks a bucket
+    # whose counts leave the clause out.
+    lc: list[dict[int, int] | None] = [{} if k > 1 else None for k in range(longest + 1)]
+    lc_in = lc[:-1] + [None]
     for ci, lits in enumerate(clauses):
+        by_free[len(lits)].add(ci)
+        counts = lc_in[len(lits)]
         for lit in lits:
             occ[lit].append(ci)
             cnt[lit] += 1
+            if counts is not None:
+                counts[lit] = counts.get(lit, 0) + 1
     n_input = m
     clauses = list(clauses)  # learned clauses are appended
 
@@ -191,13 +211,6 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     val = [-1] * num_vars  # -1 unassigned, else 0/1
     level = [0] * num_vars
     reason = [NO_REASON] * num_vars
-    nfree = [len(c) for c in clauses]
-    ntrue = [0] * m
-    # by_free[k]: unsatisfied clauses with k non-false literals; grows when
-    # a learned clause is longer than every clause before it
-    by_free: list[set[int]] = [set() for _ in range(max(nfree) + 1)]
-    for ci, k in enumerate(nfree):
-        by_free[k].add(ci)
     trail: list[int] = []
     units: list[tuple[int, int]] = [  # (implied lit, reason clause)
         (c[0], ci) for ci, c in enumerate(clauses) if len(c) == 1
@@ -206,55 +219,102 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     cur_level = 0
     ticks = 0
 
+    def shift(ci: int, src: dict | None, dst: dict | None) -> int:
+        """Moves the counts of clause ci's free literals from src to dst
+        (None: a bucket that leaves ci out); returns one of them."""
+        free = -1
+        for l in clauses[ci]:
+            if val[l >> 1] == -1:
+                free = l
+                if src is not None:
+                    c = src[l]
+                    if c == 1:
+                        del src[l]
+                    else:
+                        src[l] = c - 1
+                if dst is not None:
+                    dst[l] = dst.get(l, 0) + 1
+        return free
+
     def assign(lit: int, why: int) -> int:
         """Make lit true; returns a conflicting clause index or -1."""
         v = lit >> 1
-        b = 1 - (lit & 1)
-        val[v] = b
-        level[v] = cur_level
-        reason[v] = why
-        trail.append(v)
+        # clauses are satisfied while lit still reads as free, so that shift
+        # takes its count out with the others'
         for ci in occ[lit]:  # literal made true
             ntrue[ci] += 1
             if ntrue[ci] == 1:
-                by_free[nfree[ci]].remove(ci)
+                k = nfree[ci]
+                by_free[k].remove(ci)
                 if ci < n_input:
                     for l in clauses[ci]:
                         cnt[l] -= 1
                         if cnt[l] == 0:
                             pure_q.append(l >> 1)
+                    counts = lc_in[k]
+                else:
+                    counts = lc[k]
+                if counts is not None:
+                    shift(ci, counts, None)
+        val[v] = 1 - (lit & 1)
+        level[v] = cur_level
+        reason[v] = why
+        trail.append(v)
         conflict = -1
-        for ci in occ[lit ^ 1]:  # literal made false
+        f = lit ^ 1
+        for ci in occ[f]:  # literal made false
             k = nfree[ci] - 1
             nfree[ci] = k
             if ntrue[ci] == 0:
                 by_free[k + 1].remove(ci)
                 by_free[k].add(ci)
+                row = lc_in if ci < n_input else lc
+                src = row[k + 1]
+                if src is not None:
+                    c = src[f]
+                    if c == 1:
+                        del src[f]
+                    else:
+                        src[f] = c - 1
+                free = shift(ci, src, row[k])
                 if k == 0:
                     conflict = ci
                 elif k == 1:
-                    free = next(l for l in clauses[ci] if val[l >> 1] == -1)
                     units.append((free, ci))
         return conflict
 
     def unassign_top():
         v = trail.pop()
         b = val[v]
-        val[v] = -1
-        reason[v] = NO_REASON
-        for ci in occ[(v << 1) | (1 - b)]:
-            ntrue[ci] -= 1
-            if ntrue[ci] == 0:
-                by_free[nfree[ci]].add(ci)
-                if ci < n_input:
-                    for l in clauses[ci]:
-                        cnt[l] += 1
-        for ci in occ[(v << 1) | b]:
+        f = (v << 1) | b  # the literal that was false
+        # clauses regain f while it still reads as assigned, so that shift
+        # leaves its count to the line below
+        for ci in occ[f]:
             k = nfree[ci]
             nfree[ci] = k + 1
             if ntrue[ci] == 0:
                 by_free[k].remove(ci)
                 by_free[k + 1].add(ci)
+                row = lc_in if ci < n_input else lc
+                dst = row[k + 1]
+                shift(ci, row[k], dst)
+                if dst is not None:
+                    dst[f] = dst.get(f, 0) + 1
+        val[v] = -1
+        reason[v] = NO_REASON
+        for ci in occ[f ^ 1]:
+            ntrue[ci] -= 1
+            if ntrue[ci] == 0:
+                k = nfree[ci]
+                by_free[k].add(ci)
+                if ci < n_input:
+                    for l in clauses[ci]:
+                        cnt[l] += 1
+                    counts = lc_in[k]
+                else:
+                    counts = lc[k]
+                if counts is not None:
+                    shift(ci, None, counts)
 
     def backjump(target: int):
         nonlocal cur_level
@@ -318,7 +378,10 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         # backjumps can unassign every literal of the clause
         while len(by_free) <= len(lits):
             by_free.append(set())
+            lc.append({})
         if ntrue[ci] == 0:
+            # one free literal, the asserting one: lc counts no clause of
+            # by_free[1], and backjumps count it once it has more
             by_free[nfree[ci]].add(ci)
         for l in lits:
             occ[l].append(ci)
@@ -349,18 +412,29 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         return moved, -1
 
     def pick() -> int | None:
-        """Most frequent free literal among the shortest unsatisfied clauses.
+        """Most frequent free literal among the shortest unsatisfied clauses,
+        read off their bucket's counts; ties go to the smallest literal.
 
-        The result does not depend on the order the index's sets iterate in.
+        The shortest bucket is at least 2 here: a clause left with one free
+        literal is queued as a unit and propagated before any decision, and
+        one left with none is a conflict.  When it is by_free[longest], no
+        unsatisfied input clause is shorter or has a false literal, so cnt
+        counts exactly their literals and reads 0 on every assigned one.
         """
-        shortest = next((b for b in by_free if b), ())
-        counts = Counter([
-            lit for ci in shortest for lit in clauses[ci] if val[lit >> 1] == -1
-        ])
+        k = next(k for k, b in enumerate(by_free) if b)
+        counts = lc[k]
+        if counts is None:
+            return None
+        if k == longest:
+            total = cnt[:]
+            for lit, c in counts.items():
+                total[lit] += c
+            top = max(total)
+            return total.index(top) if top else None
         if not counts:
             return None
         top = max(counts.values())
-        return min(lit for lit, c in counts.items() if c == top)
+        return min(compress(counts, map(top.__eq__, counts.values())))
 
     def handle(conflict: int) -> bool:
         """Learn from the conflict; False when unsat at level 0."""

@@ -116,6 +116,28 @@ def test_search_unsat_cli(tmp_path, capsys):
     assert main(["search-unsat", "--profile", "x"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--timeout", "nan"],
+    ["solve", "--timeout", "-1"],
+    ["solve", "--timeout", "soon"],
+    ["search-unsat", "--profile", "2,2", "--timeout", "nan"],
+    ["search-unsat", "--profile", "2,2", "--timeout", "-1"],
+    ["search-unsat", "--profile", "2,2", "--max-n", "-3"],
+    ["search-unsat", "--profile", "2,2", "--max-candidates", "-5"],
+    ["search-unsat", "--profile", "2,2", "--max-n", "1.5"],
+])
+def test_bad_numeric_options_are_usage_errors(tmp_path, capsys, argv):
+    # rejected while parsing, before any solving or searching starts
+    path = _witness_file(tmp_path, "mon51")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([path] if argv[0] == "solve" else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: want" in captured.err
+
+
 def test_missing_file_is_error():
     assert main(["solve", "/nonexistent.cnf"]) == 1
 

@@ -1,7 +1,9 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
+import zlib
 from types import SimpleNamespace
 
 import pytest
@@ -31,6 +33,7 @@ from mono3sat.oracle import (
     split_forced,
     subsumes,
 )
+from mono3sat.reductions import REDUCTIONS, apply_reduction
 from mono3sat.witnesses import known_unsat
 
 from reference import clause_value, ref_accepted, ref_solve
@@ -155,25 +158,102 @@ def _solve_dpll_watched(inst):
     return res, seen
 
 
+def mixed_lengths_corpus():
+    """The mixed-lengths fuzz instances, sat and nae mode in turn."""
+    rng = random.Random(7)
+    for trial in range(160):
+        n = rng.randint(4, 14)
+        yield random_mixed_cnf(n, rng, SAT if trial % 2 == 0 else NAE)
+
+
 def test_dpll_mixed_lengths_fuzz():
     # learned clauses longer than every input clause must survive the
     # backjumps that unassign their literals again
-    rng = random.Random(7)
     longer = {SAT: 0, NAE: 0}
     backjumps = 0
-    for trial in range(160):
-        n = rng.randint(4, 14)
-        mode = SAT if trial % 2 == 0 else NAE
-        inst = random_mixed_cnf(n, rng, mode)
+    for trial, inst in enumerate(mixed_lengths_corpus()):
         res, seen = _solve_dpll_watched(inst)
         assert res.status == ref_solve(inst), f"disagreement on trial {trial}"
         if res.status == "sat":
             assert evaluate(inst, res.model)
         longest_input = max(len(c.litset()) for c in inst.clauses)
-        longer[mode] += seen["learned"] > longest_input
+        longer[inst.mode] += seen["learned"] > longest_input
         backjumps += seen["backjumps"]
     assert longer[SAT] > 0 and longer[NAE] > 0, longer
     assert backjumps > 0
+
+
+def _fresh_counts(clauses, val, cis):
+    counts = {}
+    for ci in cis:
+        for lit in clauses[ci]:
+            if val[lit >> 1] == -1:
+                counts[lit] = counts.get(lit, 0) + 1
+    return counts
+
+
+def test_dpll_kept_counts_match_a_recount():
+    # at every decision, each bucket's kept counts equal a fresh count of the
+    # free literals of the clauses they cover, and hold no zero entry
+    picks = {"longest": 0, "beyond": 0}
+
+    def check(frame, event, arg):
+        if event != "call" or frame.f_code.co_name != "pick":
+            return
+        loc = frame.f_back.f_locals
+        by_free, lc, clauses, val = loc["by_free"], loc["lc"], loc["clauses"], loc["val"]
+        longest, n_input = loc["longest"], loc["n_input"]
+        shortest = next(k for k, b in enumerate(by_free) if b)
+        assert shortest > 1, "a decision with a unit or a conflict pending"
+        for k in range(2, len(by_free)):
+            kept = [ci for ci in by_free[k] if k < longest or ci >= n_input]
+            assert lc[k] == _fresh_counts(clauses, val, kept), k
+            assert 0 not in lc[k].values()
+        if shortest == longest:
+            # the input clauses there are all the unsatisfied ones: cnt's
+            inputs = [ci for ci in by_free[longest] if ci < n_input]
+            cnt = {lit: c for lit, c in enumerate(loc["cnt"]) if c}
+            assert cnt == _fresh_counts(clauses, val, inputs)
+            picks["longest"] += 1
+        picks["beyond"] += any(lc[longest + 1:])
+
+    outer = sys.getprofile()
+    sys.setprofile(check)
+    try:
+        for inst in mixed_lengths_corpus():
+            solve_dpll(inst)
+        for name in ("nine_var", "ss_bar", "mon51", "hitting27"):
+            solve_dpll(known_unsat(name))
+    finally:
+        sys.setprofile(outer)
+    # decisions on the longest bucket, and learned clauses counted beyond it
+    assert picks["longest"] > 0 and picks["beyond"] > 0, picks
+
+
+# sha256 over repr((status, model)) of every solve_dpll call in
+# test_dpll_models_are_pinned, taken on the DPLL that recounted the shortest
+# clauses' literals at each decision
+PINNED_MODELS_SHA256 = "edd1a5f8edc36f29e70eaa799534c7c62dec6510a8b0eb28b511d7d4cfaf75f4"
+
+
+def test_dpll_models_are_pinned():
+    # the branching rule (most frequent free literal of the shortest clauses,
+    # ties to the smallest code) fixes every model; a faster way to find that
+    # literal must not move one
+    corpus = []
+    for rid, row in REDUCTIONS.items():
+        if row.needs_param:
+            continue
+        rng = random.Random(zlib.crc32(rid.encode()))
+        for _ in range(8):
+            inst, k = row.sample(rng)
+            corpus.append(apply_reduction(rid, inst, k=k).output)
+    corpus += mixed_lengths_corpus()
+    digest = hashlib.sha256()
+    for inst in corpus:
+        res = solve_dpll(inst)
+        digest.update(repr((res.status, res.model)).encode())
+    assert digest.hexdigest() == PINNED_MODELS_SHA256
 
 
 def test_nae_polarity_flip_invariance():
@@ -397,15 +477,23 @@ from mono3sat.formulas import CnfInstance, clause
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 
-# DPLL's own invariant: a decision is due but no free literal is found
+# DPLL's own invariant: a decision is due but no free literal is counted
 from mono3sat.formulas import neg
-real_counter = oracle.Counter
-oracle.Counter = lambda lits: {}
+
+def forget_counts(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "pick":
+        loc = frame.f_back.f_locals
+        for counts in loc["lc"]:
+            if counts is not None:
+                counts.clear()
+        loc["cnt"][:] = [0] * len(loc["cnt"])
+
+sys.setprofile(forget_counts)
 try:
     oracle.solve_dpll(CnfInstance(2, (clause([0, 1]), clause([neg(0), neg(1)]))))
 except AssertionError as exc:
     print("dpll invariant raised:", exc)
-oracle.Counter = real_counter
+sys.setprofile(None)
 
 # R1's padding, handed a variable that already appears five times
 from mono3sat import reductions
