@@ -1,5 +1,5 @@
 """Annotated DIMACS CNF: standard body plus comment headers carrying the
-satisfaction mode and the duplicate-literal policy.
+satisfaction mode and the repeated-variable policy.
 
     c mode sat|nae
     c duplicates allowed|forbidden
@@ -9,7 +9,9 @@ satisfaction mode and the duplicate-literal policy.
 
 Variables are 1-based on the wire and dense 0-based in memory.  Reading
 stops at a line that is exactly `%`, which SATLIB files end with.  A header
-may declare at most MAX_VARS variables.
+may declare at most MAX_VARS variables.  Each annotation holds for the whole
+file, wherever it stands: only under `c duplicates allowed` may a clause
+repeat a variable, and `emit_dimacs` writes that line exactly when one does.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     num_clauses = None
     clauses: list[Clause] = []
     pending: list[int] = []
+    first_repeat = None  # line of the first clause that repeats a variable
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line == "%":
@@ -85,14 +88,14 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise DimacsError("literal 0 inside a clause", lineno)
             if any(abs(x) > num_vars for x in lits):
                 raise DimacsError("literal out of declared range", lineno)
-            parsed = tuple(Literal(abs(x) - 1, x < 0) for x in lits)
-            try:
-                clauses.append(Clause(parsed, multiset=duplicates))
-            except ValueError:  # the set-flavor check
-                raise DimacsError(
-                    "repeated variable in clause (no 'c duplicates allowed')",
-                    lineno,
-                ) from None
+            c = Clause(tuple(Literal(abs(x) - 1, x < 0) for x in lits))
+            if first_repeat is None and c.multiset:
+                first_repeat = lineno
+            clauses.append(c)
+    if first_repeat is not None and not duplicates:
+        raise DimacsError(
+            "repeated variable in clause (no 'c duplicates allowed')", first_repeat
+        )
     if num_vars is None:
         raise DimacsError("missing 'p cnf' header")
     if pending:
@@ -105,12 +108,12 @@ def parse_dimacs(text: str) -> CnfInstance:
 
 
 def emit_dimacs(inst: CnfInstance, variant: str | None = None) -> str:
-    """Canonical text: sorted literals per clause (multiset flavor keeps
-    multiplicity), annotations first.  parse(emit(x)) == x structurally."""
-    duplicates = inst.has_multiset_clauses()
+    """Canonical text: sorted literals per clause (a repeated variable keeps
+    its multiplicity), annotations first, `c duplicates allowed` exactly when
+    some clause repeats a variable.  parse(emit(x)) == x structurally."""
     lines = [
         f"c mode {inst.mode}",
-        f"c duplicates {'allowed' if duplicates else 'forbidden'}",
+        f"c duplicates {'allowed' if inst.has_multiset_clauses() else 'forbidden'}",
     ]
     if variant:
         lines.append(f"c variant {variant}")

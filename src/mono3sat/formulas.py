@@ -42,25 +42,17 @@ def neg(var: int) -> Literal:
 
 @dataclass(frozen=True)
 class Clause:
-    """An ordered literal list.
-
-    Set flavor (the default) forbids repeated variables inside the clause,
-    including a variable occurring with both polarities.  Multiset flavor
-    permits duplicates and is used only by the *-variants.
-    """
+    """An ordered literal list.  A clause in which some variable repeats
+    (also with both polarities) is a multiset clause, which only the star
+    variants admit; that rule is checked where clauses come in (DIMACS
+    input, gadget substitution, the variant spec), not here."""
 
     literals: tuple[Literal, ...]
-    multiset: bool = False
 
-    def __post_init__(self):
-        for lit in self.literals:
-            if lit.var < 0:
-                raise ValueError(f"negative variable id {lit.var}")
-        if not self.multiset:
-            if len({lit.var for lit in self.literals}) != len(self.literals):
-                raise ValueError(
-                    f"set-flavor clause with repeated variable: {self}"
-                )
+    @property
+    def multiset(self) -> bool:
+        """Whether some variable repeats."""
+        return len({lit.var for lit in self.literals}) != len(self.literals)
 
     def variables(self) -> tuple[int, ...]:
         return tuple(lit.var for lit in self.literals)
@@ -78,7 +70,7 @@ class Clause:
         return not any(lit.neg for lit in self.literals)
 
     def negated(self) -> "Clause":
-        return Clause(tuple(l.negated() for l in self.literals), self.multiset)
+        return Clause(tuple(l.negated() for l in self.literals))
 
     def sorted_key(self) -> tuple:
         return tuple(sorted((l.var, l.neg) for l in self.literals))
@@ -87,12 +79,9 @@ class Clause:
         return "{" + ", ".join(str(l) for l in self.literals) + "}"
 
 
-def clause(lits: Iterable[Literal | int], multiset: bool = False) -> Clause:
+def clause(lits: Iterable[Literal | int]) -> Clause:
     """Build a clause; plain ints are taken as positive literals."""
-    out = []
-    for l in lits:
-        out.append(Literal(l, False) if isinstance(l, int) else l)
-    return Clause(tuple(out), multiset)
+    return Clause(tuple([Literal(l) if isinstance(l, int) else l for l in lits]))
 
 
 Codes = tuple[tuple[int, ...], ...]
@@ -105,7 +94,7 @@ def encode(clauses: Iterable[Clause]) -> Codes:
 
 
 def decode(codes: Iterable[Sequence[int]]) -> tuple[Clause, ...]:
-    """The set-flavor clauses of literal codes; the inverse of `encode`."""
+    """The clauses of literal codes; the inverse of `encode`."""
     return tuple(Clause(tuple(Literal(x >> 1, bool(x & 1)) for x in c)) for c in codes)
 
 
@@ -129,8 +118,14 @@ class CnfInstance:
             raise ValueError(f"negative num_vars {self.num_vars}")
         codes = encode(self.clauses)
         limit = 2 * self.num_vars
-        if max(chain.from_iterable(codes), default=-1) >= limit:
-            i, v = next((i, x >> 1) for i, c in enumerate(codes) for x in c if x >= limit)
+        # a negative variable id has a negative code, which would index a
+        # solver's per-literal arrays from the end
+        flat = chain.from_iterable
+        if min(flat(codes), default=0) < 0 or max(flat(codes), default=-1) >= limit:
+            i, v = next((i, x >> 1) for i, c in enumerate(codes) for x in c
+                        if not 0 <= x < limit)
+            if v < 0:
+                raise ValueError(f"clause {i} uses negative variable id {v}")
             raise ValueError(f"clause {i} uses variable {v} >= num_vars={self.num_vars}")
         object.__setattr__(self, "codes", codes)
 
@@ -139,7 +134,7 @@ class CnfInstance:
         return len(self.clauses)
 
     def has_multiset_clauses(self) -> bool:
-        return any(c.multiset for c in self.clauses)
+        return _repeating_clause(self.codes) is not None
 
 
 def assignment_from_bits(bits: int, num_vars: int) -> tuple[bool, ...]:
@@ -319,7 +314,7 @@ def is_linear(inst: CnfInstance, exact: bool = False) -> VerificationReport:
     violating pair in (i, j) order is reported; shared variables are counted
     from each variable's clause list, so outside exact mode only pairs that
     share one cost work.  A clause that repeats a variable is rejected:
-    linearity is defined over set-flavor formulas, whatever the flag says.
+    linearity is defined over set-flavor formulas.
     """
     i = _repeating_clause(inst.codes)
     if i is not None:
@@ -351,10 +346,6 @@ def negate_rename(inst: CnfInstance, variables: Iterable[int]) -> CnfInstance:
     for v in sel:
         if not (0 <= v < inst.num_vars):
             raise ValueError(f"variable {v} out of range")
-    out = []
-    for c in inst.clauses:
-        lits = tuple(
-            l.negated() if l.var in sel else l for l in c.literals
-        )
-        out.append(Clause(lits, c.multiset))
+    out = [Clause(tuple(l.negated() if l.var in sel else l for l in c.literals))
+           for c in inst.clauses]
     return CnfInstance(inst.num_vars, tuple(out), inst.mode)

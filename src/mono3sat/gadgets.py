@@ -115,7 +115,6 @@ class GadgetRow:
     slots: tuple[str, ...]
     aux_names: tuple[str, ...] = ()
     table: Table = ()
-    multiset: bool = False
     parts: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
@@ -380,7 +379,7 @@ CATALOGUE: dict[str, GadgetRow] = {row.name: row for row in (
     GadgetRow("CHAIN22_NEG", 0, 2, SAT, _chain22_neg, _X6, (), _CHAIN22_NEG),
     GadgetRow(
         "STAR22", 9, 18, SAT, _all_equal, _X6,
-        tuple(f"y{i}" for i in range(1, 10)), _STAR22, multiset=True,
+        tuple(f"y{i}" for i in range(1, 10)), _STAR22,
     ),
     GadgetRow("INC32", 6, 13, SAT, _always, _XYZ, _ABCDEF, _INC32),
 )}
@@ -389,9 +388,15 @@ GADGET_NAMES = tuple(CATALOGUE)
 
 
 def predicate_for(kind: str, boundary: Sequence[int]) -> BoundaryPredicate:
-    """Materialize the row's slot predicate over the distinct boundary variables."""
+    """Materialize the row's slot predicate over the distinct boundary
+    variables; ValueError if the boundary makes a table line gain a repeat."""
     idx: dict[int, int] = {}
     shape = tuple(idx.setdefault(v, len(idx)) for v in boundary)
+    line = _merged_line(kind, shape)
+    if line is not None:
+        raise ValueError(
+            f"{kind}{tuple(boundary)}: substitution makes clause '{line}' repeat a variable"
+        )
     return BoundaryPredicate(tuple(idx), _accepted(kind, shape))
 
 
@@ -407,22 +412,17 @@ def _accepted(kind: str, shape: tuple[int, ...]) -> frozenset[int]:
     )
 
 
-def _instantiate_table(
-    row: GadgetRow, var_of: dict[str, int], boundary: tuple[int, ...]
-) -> tuple[Clause, ...]:
-    clauses = []
+@cache
+def _merged_line(kind: str, shape: tuple[int, ...]) -> str | None:
+    """The first table line in which the shape puts one boundary variable in
+    two slots, as text, or None; auxiliaries are fresh, so only slots merge."""
+    row = CATALOGUE[kind]
+    var_of = dict(zip(row.slots, shape))
     for c in row.table:
-        try:
-            clauses.append(
-                Clause(tuple([Literal(var_of[name], neg) for name, neg in c]), row.multiset)
-            )
-        except ValueError:
-            line = " ".join(("~" if neg else "") + name for name, neg in c)
-            raise ValueError(
-                f"{row.name}{boundary}: substitution makes clause "
-                f"'{line}' repeat a variable"
-            ) from None
-    return tuple(clauses)
+        names = {name for name, _ in c}
+        if len({var_of.get(name, name) for name in names}) != len(names):
+            return " ".join(("~" if neg else "") + name for name, neg in c)
+    return None
 
 
 def build_gadget(
@@ -431,10 +431,11 @@ def build_gadget(
     """Instantiate a catalogue gadget on the given boundary variables.
 
     Boundary entries may repeat (e.g. D(y, u, u, u, u, u)) as long as no
-    set-flavor clause ends up with a duplicated variable.  The row's named
-    auxiliaries are drawn fresh from the allocator first, then its parts are
-    built in order, then its own table is instantiated; a composite's
-    clauses are its parts' clauses followed by its connectors.
+    table line gains a repeated variable (checked first, by `predicate_for`)
+    and the allocator's next id lies above every boundary variable.  The
+    row's named auxiliaries are drawn fresh from the allocator first, then
+    its parts are built in order, then its own table is instantiated; a
+    composite's clauses are its parts' clauses followed by its connectors.
     """
     row = CATALOGUE[kind]
     boundary = tuple(boundary)
@@ -442,6 +443,9 @@ def build_gadget(
         raise ValueError(
             f"{kind} takes {len(row.slots)} boundary variables, got {len(boundary)}"
         )
+    if max(boundary) >= alloc.next_id:
+        raise ValueError(f"{kind}{boundary}: fresh ids from {alloc.next_id} meet the boundary")
+    predicate = predicate_for(kind, boundary)
     aux = tuple(alloc.fresh(len(row.aux_names)))
     var_of = dict(zip(row.slots + row.aux_names, boundary + aux))
     parts: list[GadgetInstance] = []
@@ -453,10 +457,9 @@ def build_gadget(
         parts.append(part)
         aux += part.aux
         clauses += part.clauses
-    own = _instantiate_table(row, var_of, boundary)
+    own = tuple(Clause(tuple([Literal(var_of[n], neg) for n, neg in c])) for c in row.table)
     return GadgetInstance(
-        kind, boundary, aux, clauses + own,
-        predicate_for(kind, boundary), row.mode,
+        kind, boundary, aux, clauses + own, predicate, row.mode,
         parts=tuple(parts), connectors=own if parts else (),
     )
 

@@ -73,13 +73,11 @@ def random_nae_e4(n: int, rng: random.Random) -> CnfInstance:
 
 def random_nae_star(n: int, m: int, rng: random.Random) -> CnfInstance:
     """NAE-3-Sat*: clauses of three literals, duplicates permitted."""
-    clauses = []
-    for _ in range(m):
-        lits = tuple(
-            Literal(rng.randrange(n), rng.random() < 0.5) for _ in range(3)
-        )
-        clauses.append(Clause(lits, multiset=True))
-    return CnfInstance(n, tuple(clauses), NAE)
+    clauses = tuple(
+        Clause(tuple(Literal(rng.randrange(n), rng.random() < 0.5) for _ in range(3)))
+        for _ in range(m)
+    )
+    return CnfInstance(n, clauses, NAE)
 
 
 def _regular_monotone(n: int, p: int, q: int, rng: random.Random) -> CnfInstance:
@@ -113,10 +111,8 @@ def random_22(n: int, rng: random.Random) -> CnfInstance:
     if n % 3 != 0:
         raise GenerationError("n must be a multiple of 3 (4n = 3m)")
     # literal stubs as codes: +v twice, -v twice
-    (stubs,) = encode([Clause(
-        tuple(Literal(v, s) for v in range(n) for s in (False, False, True, True)),
-        multiset=True,
-    )])
+    lits = tuple(Literal(v, s) for v in range(n) for s in (False, False, True, True))
+    (stubs,) = encode([Clause(lits)])
     got = _config_model_clauses(list(stubs), rng, lambda x: x >> 1)
     if got is None:
         raise GenerationError(f"no (2,2) instance found at n={n}")

@@ -26,6 +26,7 @@ from .formulas import (
     Literal,
     VariantSpec,
     VerificationReport,
+    _repeating_clause,
     appearance_profile,
     clause,
     decode,
@@ -180,7 +181,7 @@ def _split(b: _Builder, plan, keep_negations: bool = False):
     numbered by scanning clauses in order and literals left to right.  A
     negated appearance stays a negative literal only with keep_negations.
     Returns the copies of each input variable and the rebuilt input clauses,
-    set flavor: no two appearances in a clause share a copy.
+    in which no two appearances in a clause may share a copy.
     """
     queues = []  # per input literal code, its appearances' output codes in order
     copies = []
@@ -192,20 +193,24 @@ def _split(b: _Builder, plan, keep_negations: bool = False):
             b.back_map[c] = (v, flip)
         queues.append(iter([vc[j] << 1 for j in unneg]))
         queues.append(iter([vc[j] << 1 | keep_negations for j in negd]))
-    return copies, decode([[next(queues[x]) for x in c] for c in b.input.codes])
+    rebuilt = [[next(queues[x]) for x in c] for c in b.input.codes]
+    i = _repeating_clause(rebuilt)
+    if i is not None:
+        raise AssertionError(f"{b.row.rid}: the split gives clause {i} one copy twice")
+    return copies, decode(rebuilt)
 
 
 def _keep_input(b: _Builder, flipped: frozenset[int] = frozenset()) -> list[Clause]:
-    """Input variable v as output variable v, and the input clauses in set
-    flavor; the literals of the variables in flipped are negated and those
-    variables back-mapped as carrying the negated value."""
+    """Input variable v as output variable v, and the input clauses; the
+    literals of the variables in flipped are negated and those variables
+    back-mapped as carrying the negated value."""
     inst = b.input
     b.alloc.fresh(inst.num_vars)
     for v in range(inst.num_vars):
         b.back_map[v] = (v, v in flipped)
     if flipped:
         inst = negate_rename(inst, flipped)
-    return [Clause(c.literals) for c in inst.clauses]
+    return list(inst.clauses)
 
 
 def _ring_plan(u: int, q: int):
@@ -443,7 +448,7 @@ def _apply_r8(b: _Builder) -> None:
 
 
 def _shifted(clauses, base: int) -> list[Clause]:
-    """Set-flavor copies of the clauses with every variable moved up by base."""
+    """Copies of the clauses with every variable moved up by base."""
     return [Clause(tuple(Literal(v + base, n) for v, n in c.literals)) for c in clauses]
 
 

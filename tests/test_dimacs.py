@@ -35,6 +35,23 @@ def test_parse_rejects_duplicates_without_annotation():
         parse_dimacs("p cnf 2 1\n1 1 2 0\n")
 
 
+def test_duplicates_policy_holds_for_the_whole_file():
+    # like `c mode`, the annotation counts wherever it stands
+    assert parse_dimacs("p cnf 2 1\n1 2 0\nc mode nae\n").mode == NAE
+    for text in (
+        "c duplicates allowed\np cnf 2 2\n1 2 0\n1 1 2 0\n",
+        "p cnf 2 2\n1 2 0\n1 1 2 0\nc duplicates allowed\n",
+    ):
+        assert parse_dimacs(text).clauses[1].multiset
+    # the first offending clause is reported, whatever follows it
+    for text in (
+        "c duplicates forbidden\np cnf 2 3\n1 2 0\n1 1 2 0\n-2 2 0\n",
+        "c duplicates allowed\np cnf 2 3\n1 2 0\n1 1 2 0\n-2 2 0\nc duplicates forbidden\n",
+    ):
+        with pytest.raises(DimacsError, match="line 4: repeated variable"):
+            parse_dimacs(text)
+
+
 def test_parse_errors():
     with pytest.raises(DimacsError, match="range"):
         parse_dimacs("p cnf 2 1\n1 5 0\n")
@@ -87,7 +104,7 @@ def test_emit_mon51_header():
 
 
 def test_emit_multiset_line():
-    c = Clause((pos(0), pos(0), pos(2)), multiset=True)
+    c = Clause((pos(0), pos(0), pos(2)))
     text = emit_dimacs(CnfInstance(3, (c,), SAT))
     assert "c duplicates allowed" in text
     assert "1 1 3 0" in text
@@ -110,13 +127,11 @@ def test_roundtrip_random_both_flavors():
                 lits = tuple(
                     Literal(rng.randrange(n), rng.random() < 0.5) for _ in range(3)
                 )
-                cls.append(Clause(lits, multiset=True))
+                cls.append(Clause(lits))
             else:
                 vs = rng.sample(range(n), min(3, n))
                 cls.append(Clause(tuple(Literal(v, rng.random() < 0.5) for v in vs)))
         mode = rng.choice([SAT, NAE])
-        if any(c.multiset for c in cls):
-            cls = [Clause(c.literals, True) for c in cls]
         inst = CnfInstance(n, tuple(cls), mode)
         text = emit_dimacs(inst)
         again = parse_dimacs(text)

@@ -28,17 +28,18 @@ from mono3sat.reductions import apply_reduction
 from mono3sat.witnesses import known_unsat
 
 
-def test_set_clause_rejects_repeated_variable():
-    with pytest.raises(ValueError):
-        Clause((pos(0), pos(0), pos(1)))
-    with pytest.raises(ValueError):
-        Clause((pos(0), neg(0), pos(1)))  # complementary pair
-    Clause((pos(0), pos(0), pos(1)), multiset=True)  # fine as multiset
+def test_clause_multiset_reads_its_literals():
+    assert Clause((pos(0), pos(0), pos(1))).multiset
+    assert Clause((pos(0), neg(0), pos(1))).multiset  # complementary pair
+    assert not Clause((pos(0), neg(1), pos(2))).multiset
+    assert not Clause(()).multiset
 
 
 def test_instance_checks_variable_range():
     with pytest.raises(ValueError):
         CnfInstance(1, (Clause((pos(1),)),), SAT)
+    with pytest.raises(ValueError, match="clause 1 uses negative variable id -3"):
+        CnfInstance(2, (Clause((pos(0),)), Clause((pos(1), neg(-3)))), SAT)
     with pytest.raises(ValueError):
         CnfInstance(1, (), "maybe")
     with pytest.raises(ValueError, match="negative"):
@@ -55,7 +56,7 @@ def test_appearance_profile_empty():
 
 
 def test_appearance_profile_multiset_duplicates_counted():
-    c = Clause((pos(0), pos(0), pos(2)), multiset=True)
+    c = Clause((pos(0), pos(0), pos(2)))
     prof = appearance_profile(CnfInstance(3, (c,), SAT))
     assert prof[0] == (2, 0)
     assert prof[2] == (1, 0)
@@ -72,7 +73,7 @@ def test_profile_totals_match_clause_lengths():
                 lits = tuple(
                     Literal(rng.randrange(n), rng.random() < 0.5) for _ in range(k)
                 )
-                cls.append(Clause(lits, multiset=True))
+                cls.append(Clause(lits))
             else:
                 vs = rng.sample(range(n), min(k, n))
                 cls.append(Clause(tuple(Literal(v, rng.random() < 0.5) for v in vs)))
@@ -150,16 +151,16 @@ def test_is_linear_nine_var_fails_on_clauses_1_and_7():
 
 
 def test_is_linear_rejects_multiset():
-    c = Clause((pos(0), pos(0), pos(1)), multiset=True)
+    c = Clause((pos(0), pos(0), pos(1)))
     with pytest.raises(ValueError):
         is_linear(CnfInstance(2, (c,), SAT))
 
 
 def test_linear_spec_judges_repeats_not_the_flag():
-    flagged = CnfInstance(3, (Clause((pos(0), pos(1), pos(2)), multiset=True),), SAT)
+    flagged = CnfInstance(3, (Clause((pos(0), pos(1), pos(2))),), SAT)
     assert is_linear(flagged).ok
     assert validate(flagged, VariantSpec(3, linear="linear")).ok
-    repeating = CnfInstance(2, (Clause((pos(0), pos(0), pos(1)), multiset=True),), SAT)
+    repeating = CnfInstance(2, (Clause((pos(0), pos(0), pos(1))),), SAT)
     rep = validate(repeating, VariantSpec(3, True, linear="linear"))
     assert not rep.ok and rep.witness == ("clause", 0)
 

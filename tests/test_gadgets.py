@@ -146,6 +146,22 @@ def test_duplicate_literal_rejection():
         build_gadget("EQ4L", (0, 1, 2, 2), FreshAllocator(3))
 
 
+def test_substitution_error_names_the_line():
+    # the second call takes the cached (kind, shape) verdict
+    for _ in range(2):
+        alloc = FreshAllocator(3)
+        with pytest.raises(ValueError, match=(
+            r"EQ4L\(0, 1, 2, 2\): substitution makes clause 'z u b' repeat a variable"
+        )):
+            build_gadget("EQ4L", (0, 1, 2, 2), alloc)
+        assert alloc.next_id == 3  # refused before any auxiliary is drawn
+    # auxiliaries drawn from below the boundary could merge with it too
+    with pytest.raises(ValueError, match=r"NE9\(0, 1\): fresh ids from 1 meet the boundary"):
+        build_gadget("NE9", (0, 1), FreshAllocator(1))
+    # STAR22 repeats its auxiliaries in the table; only a new repeat is refused
+    assert len(build_gadget("STAR22", (0,) * 6, FreshAllocator(1)).clauses) == 18
+
+
 def test_star22_appearance_pattern():
     g = fresh_instance("STAR22")
     inst = CnfInstance(15, g.clauses, g.mode)

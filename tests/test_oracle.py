@@ -389,7 +389,7 @@ def test_subsumption_preserves_satisfiability():
         target = []
         for c in base.clauses:
             extra = rng.choice([v for v in range(n) if v not in c.varset()])
-            target.append(Clause(c.literals + (Literal(extra),), multiset=False))
+            target.append(Clause(c.literals + (Literal(extra),)))
         assert subsumes(base.clauses, target).ok
         if ref_solve(base) == "sat":
             assert ref_solve(CnfInstance(n, tuple(target), SAT)) == "sat"
@@ -505,6 +505,15 @@ try:
 except AssertionError as exc:
     print("pad_to_four raised:", exc)
 
+# a split plan that gives two appearances in one clause the same copy
+from mono3sat.formulas import Clause, pos
+star = CnfInstance(2, (Clause((pos(0), pos(0), pos(1))),), "nae")
+b = reductions._Builder(reductions.REDUCTIONS["R2"], star)
+try:
+    reductions._split(b, lambda u, q: ((0,) * u, (0,) * q, (False,)))
+except AssertionError as exc:
+    print("split raised:", exc)
+
 inst = CnfInstance(1, (clause([0]),))
 _bitkernel.solve = lambda *args: 0
 oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
@@ -541,6 +550,7 @@ def test_model_checks_survive_optimize():
     assert "search cross-check raised" in out.stdout
     assert "dpll invariant raised" in out.stdout
     assert "pad_to_four raised" in out.stdout
+    assert "split raised" in out.stdout
 
 
 _HASH_SEED_MODEL = """

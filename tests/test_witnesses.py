@@ -197,11 +197,10 @@ def test_canonical_shape_rejects_mixed():
 def test_canonical_shape_judges_repeats_not_the_flag():
     text = emit_dimacs(known_unsat("hitting27"))
     flagged = parse_dimacs(text.replace("c duplicates forbidden", "c duplicates allowed"))
-    assert flagged.has_multiset_clauses()
     assert not check_sat_via_transversal(flagged).ok
     assert bound_satisfiable(flagged) is None
     repeating = CnfInstance(
-        3, (Clause((neg(0), neg(0), neg(1)), multiset=True), Clause((pos(0), pos(1), pos(2)))), SAT
+        3, (Clause((neg(0), neg(0), neg(1))), Clause((pos(0), pos(1), pos(2)))), SAT
     )
     with pytest.raises(ValueError, match="set-flavor"):
         canonical_shape(repeating)
