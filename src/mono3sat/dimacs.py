@@ -7,16 +7,18 @@ satisfaction mode and the repeated-variable policy.
     p cnf <num_vars> <num_clauses>
     <literals> 0
 
-Variables are 1-based on the wire and dense 0-based in memory.  Reading
-stops at a line that is exactly `%`, which SATLIB files end with.  A header
-may declare at most MAX_VARS variables.  Each annotation holds for the whole
-file, wherever it stands: only under `c duplicates allowed` may a clause
-repeat a variable, and `emit_dimacs` writes that line exactly when one does.
+Variables are 1-based on the wire and dense 0-based in memory.  Every 0
+ends a clause, so a clause may span lines and a line may hold several.
+Reading stops at a line that is exactly `%`, which SATLIB files end with.
+A header may declare at most MAX_VARS variables.  Each annotation holds for
+the whole file, wherever it stands: only under `c duplicates allowed` may a
+clause repeat a variable, and `emit_dimacs` writes that line exactly when
+one does.
 """
 
 from __future__ import annotations
 
-from .formulas import NAE, SAT, Clause, CnfInstance, Literal
+from .formulas import NAE, SAT, CnfInstance
 
 # far above the largest instance the library builds; a bigger header is
 # refused before a solver sizes anything by it
@@ -34,8 +36,8 @@ def parse_dimacs(text: str) -> CnfInstance:
     duplicates = False
     num_vars = None
     num_clauses = None
-    clauses: list[Clause] = []
-    pending: list[int] = []
+    clauses: list[tuple[int, ...]] = []  # literal codes
+    pending: list[int] = []  # the open clause's DIMACS literals
     first_repeat = None  # line of the first clause that repeats a variable
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -80,16 +82,15 @@ def parse_dimacs(text: str) -> CnfInstance:
             ints = [int(tok) for tok in line.split()]
         except ValueError:
             raise DimacsError(f"non-integer token in {line!r}", lineno) from None
-        pending.extend(ints)
-        if pending and pending[-1] == 0:
-            lits = pending[:-1]
-            pending = []
-            if any(x == 0 for x in lits):
-                raise DimacsError("literal 0 inside a clause", lineno)
-            if any(abs(x) > num_vars for x in lits):
+        for x in ints:
+            if x:
+                pending.append(x)
+                continue
+            if any(abs(y) > num_vars for y in pending):
                 raise DimacsError("literal out of declared range", lineno)
-            c = Clause(tuple(Literal(abs(x) - 1, x < 0) for x in lits))
-            if first_repeat is None and c.multiset:
+            c = tuple([(abs(y) - 1) << 1 | (y < 0) for y in pending])
+            pending = []
+            if first_repeat is None and len({y >> 1 for y in c}) != len(c):
                 first_repeat = lineno
             clauses.append(c)
     if first_repeat is not None and not duplicates:
@@ -104,7 +105,7 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise DimacsError(
             f"header declares {num_clauses} clauses, found {len(clauses)}"
         )
-    return CnfInstance(num_vars, tuple(clauses), mode)
+    return CnfInstance.from_codes(num_vars, clauses, mode)
 
 
 def emit_dimacs(inst: CnfInstance, variant: str | None = None) -> str:

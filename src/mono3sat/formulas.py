@@ -4,16 +4,19 @@ Variables are dense non-negative integers 0..num_vars-1; textual names only
 exist in the DIMACS layer.  All types are immutable after construction and
 every operation here is pure.
 
-`Literal` and `Clause` are the public view.  The machine form is one code
-per literal, 2·var | neg (MiniSat's encoding), made by `encode` alone;
-`CnfInstance.codes` holds it, built once, and every validator, evaluator,
-solver set-up and kernel mask reads it.
+Clauses are stored as literal codes, one per literal, 2·var | neg
+(MiniSat's encoding): `CnfInstance.codes` is the only clause field, every
+builder writes codes, and every validator, evaluator, solver set-up and
+kernel mask reads them.  `Literal` and `Clause` are the public view:
+`encode` turns views into codes, and `CnfInstance.clauses` decodes an
+instance's codes into views on first use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -93,31 +96,54 @@ def encode(clauses: Iterable[Clause]) -> Codes:
     return tuple([tuple([(v << 1) | n for v, n in c.literals]) for c in clauses])
 
 
-def decode(codes: Iterable[Sequence[int]]) -> tuple[Clause, ...]:
-    """The clauses of literal codes; the inverse of `encode`."""
-    return tuple(Clause(tuple(Literal(x >> 1, bool(x & 1)) for x in c)) for c in codes)
+def decode(codes: Sequence[Sequence[int]]) -> tuple[Clause, ...]:
+    """The clauses of literal codes; the inverse of `encode`.  Equal codes
+    share one `Literal`."""
+    lit = {x: Literal(x >> 1, bool(x & 1)) for x in set(chain.from_iterable(codes))}
+    return tuple([Clause(tuple([lit[x] for x in c])) for c in codes])
 
 
-@dataclass(frozen=True)
+def positive(variables: Iterable[int]) -> tuple[int, ...]:
+    """The all-positive clause over the variables, as codes."""
+    return tuple([v << 1 for v in variables])
+
+
+def negative(variables: Iterable[int]) -> tuple[int, ...]:
+    """The all-negative clause over the variables, as codes."""
+    return tuple([v << 1 | 1 for v in variables])
+
+
+@dataclass(frozen=True, init=False)
 class CnfInstance:
     """A CNF formula plus the mode selecting its satisfaction semantics.
 
     mode is metadata only: "sat" wants >= 1 true literal per clause, "nae"
     wants >= 1 true and >= 1 false.  The clause data never depends on it.
+    `codes` is the one stored clause form; `CnfInstance(num_vars, clauses,
+    mode)` takes `Clause` views and encodes them, `from_codes` takes codes,
+    and both pass through the same checks.
     """
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    codes: Codes
     mode: str = SAT
-    codes: Codes = field(init=False, compare=False, repr=False)  # encode(clauses)
 
-    def __post_init__(self):
-        if self.mode not in (SAT, NAE):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.num_vars < 0:
-            raise ValueError(f"negative num_vars {self.num_vars}")
-        codes = encode(self.clauses)
-        limit = 2 * self.num_vars
+    def __init__(self, num_vars: int, clauses: Iterable[Clause], mode: str = SAT):
+        self._fill(num_vars, encode(clauses), mode)
+
+    @classmethod
+    def from_codes(cls, num_vars: int, codes: Iterable[Sequence[int]], mode: str = SAT):
+        """The instance of clause codes, each clause stored as a tuple."""
+        inst = cls.__new__(cls)
+        inst._fill(num_vars, tuple(map(tuple, codes)), mode)
+        return inst
+
+    def _fill(self, num_vars: int, codes: Codes, mode: str) -> None:
+        if mode not in (SAT, NAE):
+            raise ValueError(f"unknown mode {mode!r}")
+        if num_vars < 0:
+            raise ValueError(f"negative num_vars {num_vars}")
+        limit = 2 * num_vars
         # a negative variable id has a negative code, which would index a
         # solver's per-literal arrays from the end
         flat = chain.from_iterable
@@ -126,12 +152,18 @@ class CnfInstance:
                         if not 0 <= x < limit)
             if v < 0:
                 raise ValueError(f"clause {i} uses negative variable id {v}")
-            raise ValueError(f"clause {i} uses variable {v} >= num_vars={self.num_vars}")
-        object.__setattr__(self, "codes", codes)
+            raise ValueError(f"clause {i} uses variable {v} >= num_vars={num_vars}")
+        # past the frozen __setattr__
+        self.__dict__.update(num_vars=num_vars, codes=codes, mode=mode)
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses as `Clause` views, decoded on first use."""
+        return decode(self.codes)
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.codes)
 
     def has_multiset_clauses(self) -> bool:
         return _repeating_clause(self.codes) is not None
@@ -172,8 +204,6 @@ class VerificationReport:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (Literal, Clause)):
-        return str(obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, frozenset):
@@ -346,6 +376,5 @@ def negate_rename(inst: CnfInstance, variables: Iterable[int]) -> CnfInstance:
     for v in sel:
         if not (0 <= v < inst.num_vars):
             raise ValueError(f"variable {v} out of range")
-    out = [Clause(tuple(l.negated() if l.var in sel else l for l in c.literals))
-           for c in inst.clauses]
-    return CnfInstance(inst.num_vars, tuple(out), inst.mode)
+    out = [tuple([x ^ 1 if x >> 1 in sel else x for x in c]) for c in inst.codes]
+    return CnfInstance.from_codes(inst.num_vars, out, inst.mode)

@@ -6,7 +6,10 @@ transcription can be reviewed line by line; every table is parsed once, at
 import.  A composite row (EQ_NE, F, B, BBAR) also lists its parts, the
 catalogue gadgets it is assembled from; its own table then holds only the
 connector clauses.  Every row is built by the one path in `build_gadget`,
-and every instantiation draws fresh, disjoint auxiliaries.
+and every instantiation draws fresh, disjoint auxiliaries.  A built gadget
+holds its clauses as literal codes (see `formulas`): each table is indexed
+once, each name by its position, and a build writes the codes from that
+index; `decode` gives them as `Clause` views.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
-from .formulas import NAE, SAT, Clause, Literal, VerificationReport, encode
+from .formulas import NAE, SAT, Codes, VerificationReport
 from .oracle import (
     BoundaryPredicate,
     check_extension_property,
@@ -58,11 +61,11 @@ class GadgetInstance:
     kind: str
     boundary: tuple[int, ...]  # slot values; repetitions permitted
     aux: tuple[int, ...]
-    clauses: tuple[Clause, ...]
+    clauses: Codes
     predicate: BoundaryPredicate  # over the distinct boundary variables
     mode: str
     parts: tuple = ()  # sub-gadgets of composite kinds
-    connectors: tuple[Clause, ...] = ()  # composite clauses outside any part
+    connectors: Codes = ()  # composite clauses outside any part
 
 
 def _any_true(s):
@@ -425,6 +428,15 @@ def _merged_line(kind: str, shape: tuple[int, ...]) -> str | None:
     return None
 
 
+@cache
+def _indexed_table(kind: str) -> Codes:
+    """The row's table with each literal as 2·position | negated, counting
+    the slots then the auxiliary names: indices into a build's literal codes."""
+    row = CATALOGUE[kind]
+    position = {name: i for i, name in enumerate(row.slots + row.aux_names)}
+    return tuple(tuple(position[name] << 1 | neg for name, neg in c) for c in row.table)
+
+
 def build_gadget(
     kind: str, boundary: Sequence[int], alloc: FreshAllocator
 ) -> GadgetInstance:
@@ -446,18 +458,21 @@ def build_gadget(
     if max(boundary) >= alloc.next_id:
         raise ValueError(f"{kind}{boundary}: fresh ids from {alloc.next_id} meet the boundary")
     predicate = predicate_for(kind, boundary)
-    aux = tuple(alloc.fresh(len(row.aux_names)))
-    var_of = dict(zip(row.slots + row.aux_names, boundary + aux))
+    values = boundary + tuple(alloc.fresh(len(row.aux_names)))
+    aux = values[len(boundary):]
     parts: list[GadgetInstance] = []
-    clauses: tuple[Clause, ...] = ()
-    for part_kind, slots in row.parts:
-        part = build_gadget(part_kind.lstrip("~"), [var_of[s] for s in slots], alloc)
-        if part_kind.startswith("~"):
-            part = _flip_instance(part)
-        parts.append(part)
-        aux += part.aux
-        clauses += part.clauses
-    own = tuple(Clause(tuple([Literal(var_of[n], neg) for n, neg in c])) for c in row.table)
+    clauses: Codes = ()
+    if row.parts:
+        var_of = dict(zip(row.slots + row.aux_names, values))
+        for part_kind, slots in row.parts:
+            part = build_gadget(part_kind.lstrip("~"), [var_of[s] for s in slots], alloc)
+            if part_kind.startswith("~"):
+                part = _flip_instance(part)
+            parts.append(part)
+            aux += part.aux
+            clauses += part.clauses
+    lits = [x for v in values for x in (v << 1, v << 1 | 1)]
+    own = tuple([tuple([lits[i] for i in c]) for c in _indexed_table(kind)])
     return GadgetInstance(
         kind, boundary, aux, clauses + own, predicate, row.mode,
         parts=tuple(parts), connectors=own if parts else (),
@@ -469,13 +484,13 @@ def _flip_instance(g: GadgetInstance) -> GadgetInstance:
     full = (1 << len(g.predicate.boundary)) - 1
     return GadgetInstance(
         g.kind + "~", g.boundary, g.aux,
-        tuple(c.negated() for c in g.clauses),
+        tuple([tuple([x ^ 1 for x in c]) for c in g.clauses]),
         BoundaryPredicate(
             g.predicate.boundary, frozenset(full ^ p for p in g.predicate.accepted)
         ),
         g.mode,
         parts=tuple(_flip_instance(p) for p in g.parts),
-        connectors=tuple(c.negated() for c in g.connectors),
+        connectors=tuple([tuple([x ^ 1 for x in c]) for c in g.connectors]),
     )
 
 
@@ -537,7 +552,7 @@ def verify_composite(g: GadgetInstance) -> VerificationReport:
         for p in range(1 << len(part.predicate.boundary))
         if p not in part.predicate.accepted
     ]
-    codes += sat_codes(encode(g.connectors), g.mode)
+    codes += sat_codes(g.connectors, g.mode)
     return report_mismatch(g, extending_patterns(boundary, aux, codes))
 
 
@@ -558,7 +573,7 @@ def _composite_premise(g: GadgetInstance) -> str | None:
             return f"part {part.kind} has a linking variable among its auxiliaries"
         seen.update(part.aux)
     for c in g.connectors:
-        for v in c.variables():
-            if v not in linking:
-                return f"connector uses a non-linking variable {v}"
+        for x in c:
+            if x >> 1 not in linking:
+                return f"connector uses a non-linking variable {x >> 1}"
     return None

@@ -11,7 +11,7 @@ import itertools
 import random
 from typing import Callable
 
-from .formulas import NAE, SAT, Clause, CnfInstance, Literal, clause, decode, encode, neg
+from .formulas import NAE, SAT, CnfInstance, negative, positive
 
 
 class GenerationError(RuntimeError):
@@ -51,11 +51,10 @@ def regular_hypergraph(n: int, degree: int, rng: random.Random) -> list[tuple[in
     raise GenerationError(f"no {degree}-regular hypergraph found at n={n}")
 
 
-def _monotone(n: int, positive, negative, mode: str) -> CnfInstance:
+def _monotone(n: int, pos_side, neg_side, mode: str) -> CnfInstance:
     """Positive clauses over the positive triples, then negative ones."""
-    clauses = [clause(tri) for tri in positive]
-    clauses += [clause(map(neg, tri)) for tri in negative]
-    return CnfInstance(n, tuple(clauses), mode)
+    codes = [positive(tri) for tri in pos_side] + [negative(tri) for tri in neg_side]
+    return CnfInstance.from_codes(n, codes, mode)
 
 
 def random_monotone_nae(n: int, m: int, rng: random.Random) -> CnfInstance:
@@ -73,17 +72,17 @@ def random_nae_e4(n: int, rng: random.Random) -> CnfInstance:
 
 def random_nae_star(n: int, m: int, rng: random.Random) -> CnfInstance:
     """NAE-3-Sat*: clauses of three literals, duplicates permitted."""
-    clauses = tuple(
-        Clause(tuple(Literal(rng.randrange(n), rng.random() < 0.5) for _ in range(3)))
+    codes = [
+        tuple([rng.randrange(n) << 1 | (rng.random() < 0.5) for _ in range(3)])
         for _ in range(m)
-    )
-    return CnfInstance(n, clauses, NAE)
+    ]
+    return CnfInstance.from_codes(n, codes, NAE)
 
 
 def _regular_monotone(n: int, p: int, q: int, rng: random.Random) -> CnfInstance:
     """Monotone 3-Sat with a p-regular positive and a q-regular negative side."""
-    positive = regular_hypergraph(n, p, rng)
-    return _monotone(n, positive, regular_hypergraph(n, q, rng), SAT)
+    pos_side = regular_hypergraph(n, p, rng)
+    return _monotone(n, pos_side, regular_hypergraph(n, q, rng), SAT)
 
 
 def random_kk(n: int, k: int, rng: random.Random) -> CnfInstance:
@@ -100,10 +99,10 @@ def random_k1(n: int, k: int, rng: random.Random) -> CnfInstance:
     """Monotone 3-Sat-(k,1): disjoint negative triples plus k-regular positives."""
     if n % 3 != 0:
         raise GenerationError("n must be a multiple of 3")
-    positive = regular_hypergraph(n, k, rng)
+    pos_side = regular_hypergraph(n, k, rng)
     perm = list(range(n))
     rng.shuffle(perm)
-    return _monotone(n, positive, [sorted(perm[t : t + 3]) for t in range(0, n, 3)], SAT)
+    return _monotone(n, pos_side, [sorted(perm[t : t + 3]) for t in range(0, n, 3)], SAT)
 
 
 def random_22(n: int, rng: random.Random) -> CnfInstance:
@@ -111,9 +110,8 @@ def random_22(n: int, rng: random.Random) -> CnfInstance:
     if n % 3 != 0:
         raise GenerationError("n must be a multiple of 3 (4n = 3m)")
     # literal stubs as codes: +v twice, -v twice
-    lits = tuple(Literal(v, s) for v in range(n) for s in (False, False, True, True))
-    (stubs,) = encode([Clause(lits)])
-    got = _config_model_clauses(list(stubs), rng, lambda x: x >> 1)
+    stubs = [v << 1 | s for v in range(n) for s in (0, 0, 1, 1)]
+    got = _config_model_clauses(stubs, rng, lambda x: x >> 1)
     if got is None:
         raise GenerationError(f"no (2,2) instance found at n={n}")
-    return CnfInstance(n, decode(got), SAT)
+    return CnfInstance.from_codes(n, got, SAT)

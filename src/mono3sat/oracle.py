@@ -27,7 +27,6 @@ from .formulas import (
     Literal,
     VerificationReport,
     assignment_from_bits,
-    encode,
     evaluate,
 )
 
@@ -517,7 +516,7 @@ def check_extension_property(gadget) -> VerificationReport:
     boundary = tuple(dict.fromkeys(gadget.boundary))
     if boundary != gadget.predicate.boundary:
         raise ValueError("gadget predicate boundary does not match the instance")
-    codes = sat_codes(encode(gadget.clauses), gadget.mode)
+    codes = sat_codes(gadget.clauses, gadget.mode)
     return report_mismatch(gadget, extending_patterns(boundary, gadget.aux, codes))
 
 

@@ -21,18 +21,16 @@ from .formulas import (
     CHOICE,
     MONOTONE_NAE,
     MONOTONE_SAT,
-    Clause,
     CnfInstance,
-    Literal,
+    Codes,
     VariantSpec,
     VerificationReport,
     _repeating_clause,
     appearance_profile,
-    clause,
-    decode,
     evaluate,
-    neg,
     negate_rename,
+    negative,
+    positive,
     validate,
 )
 from .gadgets import FreshAllocator, GadgetInstance, build_gadget
@@ -129,7 +127,8 @@ _CHOICE_31 = VariantSpec(3, False, MONOTONE_SAT, (CHOICE, ((3, 1), (1, 3))))
 
 
 class _Builder:
-    """Accumulates the output instance, back-map and trace log of one row."""
+    """Accumulates the output clauses (as literal codes), back-map and trace
+    log of one row."""
 
     def __init__(
         self,
@@ -143,7 +142,7 @@ class _Builder:
         self.k = k
         self.param = param
         self.alloc = FreshAllocator(0)
-        self.clauses: list[Clause] = []
+        self.clauses: list[tuple[int, ...]] = []
         self.back_map: dict[int, tuple[int, bool]] = {}
         self.log: list[LogEntry] = []
 
@@ -158,7 +157,7 @@ class _Builder:
 
     def finish(self) -> ReductionCertificate:
         rid = self.row.rid
-        out = CnfInstance(self.alloc.next_id, tuple(self.clauses), self.row.output_mode)
+        out = CnfInstance.from_codes(self.alloc.next_id, self.clauses, self.row.output_mode)
         _, spec = self.row.specs(self.k)
         rep = validate(out, spec)
         if not rep.ok:
@@ -180,8 +179,8 @@ def _split(b: _Builder, plan, keep_negations: bool = False):
     negated appearance, and per copy its back-map negation.  Appearances are
     numbered by scanning clauses in order and literals left to right.  A
     negated appearance stays a negative literal only with keep_negations.
-    Returns the copies of each input variable and the rebuilt input clauses,
-    in which no two appearances in a clause may share a copy.
+    Returns the copies of each input variable and the rebuilt input clauses
+    as codes, in which no two appearances in a clause may share a copy.
     """
     queues = []  # per input literal code, its appearances' output codes in order
     copies = []
@@ -193,14 +192,14 @@ def _split(b: _Builder, plan, keep_negations: bool = False):
             b.back_map[c] = (v, flip)
         queues.append(iter([vc[j] << 1 for j in unneg]))
         queues.append(iter([vc[j] << 1 | keep_negations for j in negd]))
-    rebuilt = [[next(queues[x]) for x in c] for c in b.input.codes]
+    rebuilt = [tuple([next(queues[x]) for x in c]) for c in b.input.codes]
     i = _repeating_clause(rebuilt)
     if i is not None:
         raise AssertionError(f"{b.row.rid}: the split gives clause {i} one copy twice")
-    return copies, decode(rebuilt)
+    return copies, rebuilt
 
 
-def _keep_input(b: _Builder, flipped: frozenset[int] = frozenset()) -> list[Clause]:
+def _keep_input(b: _Builder, flipped: frozenset[int] = frozenset()) -> list[tuple[int, ...]]:
     """Input variable v as output variable v, and the input clauses; the
     literals of the variables in flipped are negated and those variables
     back-mapped as carrying the negated value."""
@@ -210,7 +209,7 @@ def _keep_input(b: _Builder, flipped: frozenset[int] = frozenset()) -> list[Clau
         b.back_map[v] = (v, v in flipped)
     if flipped:
         inst = negate_rename(inst, flipped)
-    return list(inst.clauses)
+    return list(inst.codes)
 
 
 def _ring_plan(u: int, q: int):
@@ -223,10 +222,14 @@ def _check_input(
 ):
     if row.needs_k and k is None:
         raise ReductionInputError(f"{row.rid} needs the appearance parameter k")
+    if not row.needs_k and k is not None:
+        raise ReductionInputError(f"{row.rid} takes no appearance parameter k")
     if row.needs_param and param is None:
         raise ReductionInputError(
             f"{row.rid} needs an unsatisfiable Monotone 3-Sat-(2,2) parameter instance"
         )
+    if not row.needs_param and param is not None:
+        raise ReductionInputError(f"{row.rid} takes no parameter instance")
     if inst.mode != row.input_mode:
         raise ReductionInputError(
             f"{row.rid} expects a {row.input_mode}-mode instance, got {inst.mode}"
@@ -253,7 +256,7 @@ def _apply_r1(b: _Builder) -> None:
             # the degenerate ring EQ(c, c) repeats its closing clause; keep one
             seen = set()
             for c in g.clauses:
-                key = c.sorted_key()
+                key = tuple(sorted(c))
                 if key not in seen:
                     seen.add(key)
                     b.clauses.append(c)
@@ -268,8 +271,8 @@ def _apply_r1(b: _Builder) -> None:
 def _pad_to_four(b: _Builder):
     counts = [0] * b.alloc.next_id
     for c in b.clauses:
-        for lit in c.literals:
-            counts[lit.var] += 1
+        for x in c:
+            counts[x >> 1] += 1
     for v in range(len(counts)):
         if counts[v] > 4:
             raise AssertionError(f"variable {v} already appears {counts[v]} times")
@@ -307,7 +310,7 @@ def _apply_r3(b: _Builder) -> None:
 
 def _apply_r4(b: _Builder) -> None:
     for c in _keep_input(b):
-        b.clauses += (c, c.negated())
+        b.clauses += (c, tuple([x ^ 1 for x in c]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,7 @@ def _apply_r5(b: _Builder) -> None:
         b.note("PAD_FALSE_Y", (y,))
         for i in range(3 * g, 3 * g + 3):
             x1, x2 = pairs[i]
-            b.clauses.append(clause((x1, x2, y)))
+            b.clauses.append(positive((x1, x2, y)))
             b.add_gadget("A", (x1, x2))
         b.add_gadget("SBAR", (y, y, y))
 
@@ -343,7 +346,7 @@ def _apply_r7(b: _Builder) -> None:
         ys.append(y)
         b.note("Y_RING", (y,))
         b.add_gadget("D", (x1, x1, x1, x2, x2, x2))
-        b.clauses.append(clause(map(neg, (x1, x2, y))))
+        b.clauses.append(negative((x1, x2, y)))
         b.add_gadget("F", (y,))
     if q > 1:
         pad = []
@@ -354,7 +357,7 @@ def _apply_r7(b: _Builder) -> None:
         pad.append((ys[n - 2], ys[n - 1], ys[0]))
         if len(set(map(tuple, map(sorted, pad)))) != len(pad):
             raise AssertionError("y-padding clauses must be pairwise distinct")
-        b.clauses.extend(map(clause, pad))
+        b.clauses.extend(map(positive, pad))
     else:
         b.add_gadget("D", (ys[0], ys[0], ys[1], ys[1], ys[2], ys[2]))
 
@@ -369,8 +372,8 @@ def _apply_r11(b: _Builder) -> None:
         u = blocks[i // 3][0]
         y = b.alloc.fresh1()
         b.note("FORCED_TRUE_Y", (y,))
-        b.clauses.append(clause((x1, x2, u)))
-        b.clauses.append(clause(map(neg, (x1, x2, y))))
+        b.clauses.append(positive((x1, x2, u)))
+        b.clauses.append(negative((x1, x2, y)))
         b.add_gadget("G", (y, y, y))
         b.add_gadget("H", (y, x1, x2))
     for u, v, w in blocks:
@@ -387,8 +390,8 @@ def _apply_r13(b: _Builder) -> None:
         z = b.alloc.fresh1()
         b.note("FORCED_FALSE_Y", (y,))
         b.note("FORCED_TRUE_Z", (z,))
-        b.clauses.append(clause((x1, x2, y)))
-        b.clauses.append(clause(map(neg, (x1, x2, z))))
+        b.clauses.append(positive((x1, x2, y)))
+        b.clauses.append(negative((x1, x2, z)))
         b.add_gadget("BBAR", (y, y, y))
         b.add_gadget("B", (z, z, z))
 
@@ -410,7 +413,7 @@ def _copies(b: _Builder, k: int) -> list[int]:
     b.clauses.extend(_keep_input(b))
     bases = [_noted_block(b, f"COPY{i}", n) for i in range(1, k + 1)]
     for base in bases:
-        b.clauses.extend(_shifted(inst.clauses, base))
+        b.clauses.extend(_shifted(inst.codes, base))
     return [0] + bases
 
 
@@ -428,8 +431,8 @@ def _apply_r6(b: _Builder) -> None:
     for base in bases:
         for j in range(n):
             link = (base + j, y_base + j, z_base + j)
-            b.clauses.append(clause(link))
-            b.clauses.append(clause(map(neg, link)))
+            b.clauses.append(positive(link))
+            b.clauses.append(negative(link))
     _check_size(b, (k + 1) * (b.input.num_clauses + 2 * n), (k + 3) * n)
 
 
@@ -440,16 +443,17 @@ def _apply_r8(b: _Builder) -> None:
     y_base, z_base = _noted_block(b, "LINK_Y", n), _noted_block(b, "LINK_Z", n)
     for base in bases:
         for j in range(n):
-            b.clauses.append(clause((base + j, y_base + j, z_base + j)))
+            b.clauses.append(positive((base + j, y_base + j, z_base + j)))
     for t in range(q):
         for base in (y_base, z_base):
-            b.clauses.append(clause(map(neg, range(base + 3 * t, base + 3 * t + 3))))
+            b.clauses.append(negative(range(base + 3 * t, base + 3 * t + 3)))
     _check_size(b, (k + 1) * (b.input.num_clauses + n) + 2 * q, (k + 3) * n)
 
 
-def _shifted(clauses, base: int) -> list[Clause]:
-    """Copies of the clauses with every variable moved up by base."""
-    return [Clause(tuple(Literal(v + base, n) for v, n in c.literals)) for c in clauses]
+def _shifted(codes, base: int) -> list[tuple[int, ...]]:
+    """Copies of the clause codes with every variable moved up by base."""
+    shift = 2 * base
+    return [tuple([x + shift for x in c]) for c in codes]
 
 
 def _thirds(b: _Builder, n: int, why: str) -> int:
@@ -499,11 +503,11 @@ def _apply_r9(b: _Builder) -> None:
 
 @dataclass(frozen=True)
 class MGadget:
-    """Clause set over local variables 0..num_vars-1, plus the forced-false
+    """Clause codes over local variables 0..num_vars-1, plus the forced-false
     literal pools (3q positive and 3q negative literals, as multisets)."""
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: Codes
     pos_pool: tuple[int, ...]  # variables whose positive literal is forced false
     neg_pool: tuple[int, ...]
     q: int
@@ -519,9 +523,9 @@ def build_m_gadget(param: CnfInstance) -> MGadget:
     if q == 0:
         raise ReductionInputError("parameter instance has no excluded clauses")
     nv = param.num_vars
-    kept = [param.clauses[i] for i in core]
+    kept = [param.codes[i] for i in core]
     # then the flipped copy over shifted variables
-    clauses = kept + [c.negated() for c in _shifted(kept, nv)]
+    clauses = kept + [tuple([x ^ 1 for x in c]) for c in _shifted(kept, nv)]
     pos_pool: list[int] = []
     neg_pool: list[int] = []
     for lit in forced:
@@ -553,7 +557,7 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
     n = b.input.num_vars
     pos2: list[tuple[int, int]] = []
     neg2: list[tuple[int, int]] = []
-    full3: list[Clause] = []
+    full3: list[tuple[int, ...]] = []
     for copy in range(q):
         sixes, clauses = _split_six(b, keep_negations=False)
         if copy > 0:
@@ -567,8 +571,8 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
             x1, x2, x3, x4, x5, x6 = six
             pos2 += [(x1, x2), (x3, x4), (x5, x6)]
             neg2 += [(x2, x3), (x4, x5), (x6, x1)]
-            full3.append(clause(map(neg, (x1, x2, x6))))
-            full3.append(clause(map(neg, (x3, x4, x5))))
+            full3.append(negative((x1, x2, x6)))
+            full3.append(negative((x3, x4, x5)))
     pos_pool: list[int] = []
     neg_pool: list[int] = []
     for _ in range(n):
@@ -583,9 +587,9 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
                 f"3nq = {3 * n * q}"
             )
     for (a, c), pad in zip(pos2, pos_pool):
-        full3.append(clause((a, c, pad)))
+        full3.append(positive((a, c, pad)))
     for (a, c), pad in zip(neg2, neg_pool):
-        full3.append(clause(map(neg, (a, c, pad))))
+        full3.append(negative((a, c, pad)))
     b.clauses = full3
 
 

@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 from .formulas import (
     EXACT,
     SAT,
-    Clause,
     CnfInstance,
-    Literal,
     VariantSpec,
     VerificationReport,
     _repeating_clause,
     appearance_profile,
-    clause,
-    neg,
+    negative,
+    positive,
     validate,
 )
 from .gadgets import FreshAllocator, GadgetInstance, build_gadget, parse_table
@@ -61,18 +59,18 @@ WITNESS_NAMES = ("ss_bar", "nine_var", "mon51", "hitting27")
 
 
 def _nine_var() -> CnfInstance:
-    clauses = tuple(
-        Clause(tuple(Literal(ord(name) - ord("a"), negated) for name, negated in c))
+    codes = [
+        tuple([(ord(name) - ord("a")) << 1 | negated for name, negated in c])
         for c in parse_table(NINE_VAR_TABLE)
-    )
-    return CnfInstance(9, clauses, SAT)
+    ]
+    return CnfInstance.from_codes(9, codes, SAT)
 
 
 def _ss_bar() -> CnfInstance:
     alloc = FreshAllocator(1)
     s = build_gadget("S", (0, 0, 0), alloc)
     sbar = build_gadget("SBAR", (0, 0, 0), alloc)
-    return CnfInstance(alloc.next_id, s.clauses + sbar.clauses, SAT)
+    return CnfInstance.from_codes(alloc.next_id, s.clauses + sbar.clauses, SAT)
 
 
 def mon51_structure() -> GadgetInstance:
@@ -84,7 +82,7 @@ def mon51_structure() -> GadgetInstance:
     alloc = FreshAllocator(3)
     ys = (0, 1, 2)
     fs = tuple(build_gadget("F", (y,), alloc) for y in ys)
-    connector = clause(map(neg, ys))
+    connector = negative(ys)
     pad = build_gadget("D", (0, 0, 1, 1, 2, 2), alloc)
     parts = fs + (pad,)
     return GadgetInstance(
@@ -97,14 +95,14 @@ def mon51_structure() -> GadgetInstance:
 
 def _mon51() -> CnfInstance:
     g = mon51_structure()
-    return CnfInstance(len(g.aux), g.clauses, SAT)
+    return CnfInstance.from_codes(len(g.aux), g.clauses, SAT)
 
 
 def _hitting27() -> CnfInstance:
     triples = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-    clauses = [clause(map(neg, tri)) for tri in triples]
-    clauses += map(clause, itertools.product(*triples))
-    return CnfInstance(9, tuple(clauses), SAT)
+    codes = [negative(tri) for tri in triples]
+    codes += map(positive, itertools.product(*triples))
+    return CnfInstance.from_codes(9, codes, SAT)
 
 
 def known_unsat(name: str) -> CnfInstance:
@@ -127,20 +125,21 @@ DEFAULT_TRANSVERSAL_CAP = 15  # at most 3^15 transversals
 
 
 def canonical_shape(inst: CnfInstance):
-    """Split into (negative triples, positive clauses); raises on mismatch."""
+    """Split into (negative triples, positive clauses as codes); raises on
+    mismatch."""
     if inst.mode != SAT:
         raise ValueError("canonical shape is defined for sat mode")
     if _repeating_clause(inst.codes) is not None:
         raise ValueError("canonical shape needs set-flavor clauses")
     triples = []
     positives = []
-    for code, c in zip(inst.codes, inst.clauses):
-        if all(x & 1 for x in code):
-            if len(code) != 3:
+    for c in inst.codes:
+        if all(x & 1 for x in c):
+            if len(c) != 3:
                 raise ValueError("negative clause is not a triple")
-            triples.append(tuple(x >> 1 for x in code))
-        elif not any(x & 1 for x in code):
-            if len(code) != 3:
+            triples.append(tuple(x >> 1 for x in c))
+        elif not any(x & 1 for x in c):
+            if len(c) != 3:
                 raise ValueError("positive clause is not a triple")
             positives.append(c)
         else:
@@ -174,7 +173,7 @@ def check_sat_via_transversal(
     k = len(triples)
     if k > cap:
         raise CapExceededError(k, cap)
-    clause_vars = [c.variables() for c in positives]
+    clause_vars = [[x >> 1 for x in c] for c in positives]
     by_var: dict[int, list[int]] = {}
     for idx, vs in enumerate(clause_vars):
         for v in vs:
@@ -414,14 +413,13 @@ def _canonical_pairs(n: int):
     seen: set[tuple] = set()
     for p_edges in each_side():
         p_sig = [(t, False) for t in p_edges]
-        p_clauses = tuple(map(clause, p_edges))
+        p_codes = tuple(map(positive, p_edges))
         for n_edges in each_side():
             sig = canonical_signature(p_sig + [(t, True) for t in n_edges])
             if sig in seen:
                 continue
             seen.add(sig)
-            n_clauses = tuple(clause(map(neg, t)) for t in n_edges)
-            yield CnfInstance(n, p_clauses + n_clauses, SAT)
+            yield CnfInstance.from_codes(n, p_codes + tuple(map(negative, n_edges)), SAT)
 
 
 def _samples(n: int, k: int, quota: int, rng: random.Random):

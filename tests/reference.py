@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from mono3sat.formulas import NAE, CnfInstance
+from mono3sat.formulas import NAE, CnfInstance, decode
 
 
 def clause_value(clause, assignment, mode):
@@ -33,7 +33,7 @@ def ref_accepted(gadget) -> set[int]:
         for ext in itertools.product([False, True], repeat=len(aux)):
             assignment.update(zip(aux, ext))
             if all(
-                clause_value(c, assignment, gadget.mode) for c in gadget.clauses
+                clause_value(c, assignment, gadget.mode) for c in decode(gadget.clauses)
             ):
                 accepted.add(pattern)
                 break

@@ -96,9 +96,14 @@ def test_reduce_unknown_id(tmp_path):
     assert main(["reduce", "--id", "R99", "--in", src, "--out", "/dev/null"]) == 2
 
 
-def test_reduce_invalid_input(tmp_path):
+def test_reduce_invalid_input(tmp_path, capsys):
     src = _witness_file(tmp_path, "nine_var")  # (3,3), not valid for R5
     assert main(["reduce", "--id", "R5", "--in", src, "--out", "/dev/null"]) == 1
+    # valid for R9, which takes no k
+    out = str(tmp_path / "out.cnf")
+    assert main(["reduce", "--id", "R9", "--k", "7", "--in", src, "--out", out]) == 1
+    assert "error: R9 takes no appearance parameter k" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_search_unsat_cli(tmp_path, capsys):

@@ -90,6 +90,12 @@ def test_satlib_trailer():
 def test_multiline_clause():
     inst = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
     assert inst.num_clauses == 1
+    # a 0 ends a clause, not a line end: one line may hold several clauses
+    inst = parse_dimacs("p cnf 3 2\n1 2 0 -3 1 0\n")
+    assert inst.codes == ((0, 2), (5, 0))
+    # a repeat is reported on the line of the clause's closing 0
+    with pytest.raises(DimacsError, match="line 3: repeated variable"):
+        parse_dimacs("p cnf 3 2\n1 2 0 3\n-3 0\n")
 
 
 def test_emit_empty():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from mono3sat.formulas import (
     Literal,
     VariantSpec,
     appearance_profile,
+    encode,
     evaluate,
     is_linear,
     neg,
@@ -35,15 +37,30 @@ def test_clause_multiset_reads_its_literals():
     assert not Clause(()).multiset
 
 
+def _from_views_through_codes(num_vars, clauses, mode):
+    return CnfInstance.from_codes(num_vars, encode(clauses), mode)
+
+
 def test_instance_checks_variable_range():
-    with pytest.raises(ValueError):
-        CnfInstance(1, (Clause((pos(1),)),), SAT)
-    with pytest.raises(ValueError, match="clause 1 uses negative variable id -3"):
-        CnfInstance(2, (Clause((pos(0),)), Clause((pos(1), neg(-3)))), SAT)
-    with pytest.raises(ValueError):
-        CnfInstance(1, (), "maybe")
-    with pytest.raises(ValueError, match="negative"):
-        CnfInstance(-3, (), SAT)
+    # both doors, views and codes, run the same checks with the same messages
+    cases = [
+        ((1, (Clause((pos(1),)),), SAT), "clause 0 uses variable 1 >= num_vars=1"),
+        ((2, (Clause((pos(0),)), Clause((pos(1), neg(-3)))), SAT),
+         "clause 1 uses negative variable id -3"),
+        ((1, (), "maybe"), "unknown mode 'maybe'"),
+        ((-3, (), SAT), "negative num_vars -3"),
+    ]
+    for args, message in cases:
+        for door in (CnfInstance, _from_views_through_codes):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                door(*args)
+    cls = (Clause((pos(0), neg(2))), Clause((neg(1),)))
+    views, codes = CnfInstance(3, cls, NAE), _from_views_through_codes(3, cls, NAE)
+    assert views == codes and hash(views) == hash(codes)
+    assert repr(views) == "CnfInstance(num_vars=3, codes=((0, 5), (3,)), mode='nae')"
+    lists = CnfInstance.from_codes(3, [[0, 5], [3]], NAE)
+    assert lists.codes == ((0, 5), (3,)) and all(type(c) is tuple for c in lists.codes)
+    assert lists == views and lists.clauses == cls
 
 
 def test_appearance_profile_nine_var():
@@ -130,7 +147,7 @@ def test_validate_distinct_clauses():
 
 def test_is_linear_eq4l_gadget():
     g = build_gadget("EQ4L", (0, 1, 2, 3), FreshAllocator(4))
-    inst = CnfInstance(10, g.clauses, NAE)
+    inst = CnfInstance.from_codes(10, g.clauses, NAE)
     assert is_linear(inst).ok
 
 

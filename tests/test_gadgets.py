@@ -11,6 +11,8 @@ from mono3sat.formulas import (
     CnfInstance,
     Literal,
     appearance_profile,
+    decode,
+    encode,
     is_linear,
 )
 from mono3sat.gadgets import (
@@ -104,7 +106,7 @@ def test_s_on_identical_boundary():
     alloc = FreshAllocator(1)
     g = build_gadget("S", (0, 0, 0), alloc)
     assert len(g.clauses) == 13
-    first_three = [c.litset() for c in g.clauses[:3]]
+    first_three = [c.litset() for c in decode(g.clauses[:3])]
     a, b, c_, d, e, f = g.aux
     assert first_three == [
         frozenset({Literal(0), Literal(a), Literal(b)}),
@@ -123,15 +125,15 @@ def test_eq4l_repeated_args_stay_buildable_but_not_linear():
     alloc = FreshAllocator(3)
     g = build_gadget("EQ4L", (0, 0, 1, 2), alloc)
     # clause 9 of the table is {z, u, b}: slots map to (1, 2)
-    nine = g.clauses[8]
+    nine = decode(g.clauses)[8]
     assert {l.var for l in nine.literals} == {1, 2, g.aux[1]}
-    inst = CnfInstance(9, g.clauses, NAE)
+    inst = CnfInstance.from_codes(9, g.clauses, NAE)
     assert not is_linear(inst).ok
 
 
 def test_linearity_of_eq4l_on_distinct_args():
     g = fresh_instance("EQ4L")
-    assert is_linear(CnfInstance(10, g.clauses, NAE)).ok
+    assert is_linear(CnfInstance.from_codes(10, g.clauses, NAE)).ok
 
 
 def test_arity_mismatch():
@@ -164,7 +166,7 @@ def test_substitution_error_names_the_line():
 
 def test_star22_appearance_pattern():
     g = fresh_instance("STAR22")
-    inst = CnfInstance(15, g.clauses, g.mode)
+    inst = CnfInstance.from_codes(15, g.clauses, g.mode)
     prof = appearance_profile(inst)
     # each boundary copy lacks exactly one appearance: (1,2) or (2,1);
     # together with its single appearance in the replaced clause set the
@@ -178,8 +180,8 @@ def test_star22_appearance_pattern():
 def test_aux_appearance_counts_inside_nae_gadgets():
     for kind in ("NE9", "EQ13", "EQ4L", "P1"):
         g = fresh_instance(kind)
-        n = max(v for c in g.clauses for v in c.varset()) + 1
-        prof = appearance_profile(CnfInstance(n, g.clauses, NAE))
+        n = max(v for c in decode(g.clauses) for v in c.varset()) + 1
+        prof = appearance_profile(CnfInstance.from_codes(n, g.clauses, NAE))
         for v in g.aux:
             assert sum(prof[v]) == 4, f"{kind} aux {v}"
 
@@ -190,7 +192,7 @@ def test_f_composition_shape():
     assert all(p.kind == "D" for p in g.parts)
     assert len(g.connectors) == 1
     u1, u2, u3 = g.aux[:3]
-    assert g.connectors[0].litset() == frozenset(
+    assert decode(g.connectors)[0].litset() == frozenset(
         {Literal(u1, True), Literal(u2, True), Literal(u3, True)}
     )
 
@@ -222,8 +224,8 @@ def test_verify_composite_checks_its_premise():
     # an extra clause (~x) leaves x = 1 without an extension, although the
     # parts and the connector alone still give the declared predicate
     g = fresh_instance("B")
-    extra = Clause((Literal(g.boundary[0], True),))
-    rep = verify_composite(dataclasses.replace(g, clauses=g.clauses + (extra,)))
+    extra = encode([Clause((Literal(g.boundary[0], True),))])
+    rep = verify_composite(dataclasses.replace(g, clauses=g.clauses + extra))
     assert not rep.ok and "connectors" in rep.reason
     # two parts on the same auxiliaries
     f = fresh_instance("F")

@@ -16,6 +16,7 @@ from mono3sat.formulas import (
     CnfInstance,
     Literal,
     assignment_from_bits,
+    decode,
     evaluate,
     negate_rename,
     pos,
@@ -320,8 +321,8 @@ def test_extension_nae_flip_symmetry():
         acc = set(g.predicate.accepted)
         assert {full ^ p for p in acc} == acc
         flipped = CnfInstance(
-            max(v for c in g.clauses for v in c.varset()) + 1,
-            tuple(c.negated() for c in g.clauses),
+            max(v for c in decode(g.clauses) for v in c.varset()) + 1,
+            tuple(c.negated() for c in decode(g.clauses)),
             NAE,
         )
         # re-derive the accepted set of the flipped gadget by enumeration
@@ -330,7 +331,7 @@ def test_extension_nae_flip_symmetry():
         class _G:
             boundary = g.boundary
             aux = g.aux
-            clauses = flipped.clauses
+            clauses = flipped.codes
             mode = NAE
 
         assert ref_accepted(_G) == acc
@@ -341,7 +342,7 @@ def _d_positive_2clauses_and_u():
     g = fresh_instance("D")
     boundary = set(g.boundary)
     dpos = []
-    for c in g.clauses:
+    for c in decode(g.clauses):
         if c.all_positive():
             lits = tuple(l for l in c.literals if l.var not in boundary)
             dpos.append(Clause(lits))
@@ -464,7 +465,7 @@ def test_kernel_across_chunks(monkeypatch):
         order = rng.sample(range(n), n)
         k = rng.randint(0, n)
         gadget = SimpleNamespace(
-            boundary=order[:k], aux=order[k:], clauses=inst.clauses, mode=mode
+            boundary=order[:k], aux=order[k:], clauses=inst.codes, mode=mode
         )
         assert extending_patterns(order[:k], order[k:], codes) == ref_accepted(gadget)
 
@@ -472,7 +473,7 @@ def test_kernel_across_chunks(monkeypatch):
 _OPTIMIZED_MODEL_CHECK = """
 import sys
 from mono3sat import _bitkernel, oracle
-from mono3sat.formulas import CnfInstance, clause
+from mono3sat.formulas import CnfInstance, clause, encode
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -499,7 +500,7 @@ sys.setprofile(None)
 from mono3sat import reductions
 b = reductions._Builder(reductions.REDUCTIONS["R1"], CnfInstance(3, ()))
 b.alloc.fresh(3)
-b.clauses = [clause([0, 1, 2])] * 5
+b.clauses = list(encode([clause([0, 1, 2])])) * 5
 try:
     reductions._pad_to_four(b)
 except AssertionError as exc:

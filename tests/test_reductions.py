@@ -1,6 +1,7 @@
 import hashlib
 import random
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -10,15 +11,16 @@ from mono3sat.formulas import (
     Clause,
     CnfInstance,
     Literal,
+    encode,
     neg,
     pos,
     validate,
 )
 from mono3sat import generate as G
-from mono3sat.dimacs import emit_dimacs
+from mono3sat.dimacs import emit_dimacs, parse_dimacs
 from mono3sat import reductions as R
 from mono3sat.oracle import solve_dpll, solve_exhaustive
-from mono3sat.witnesses import WITNESS_NAMES, known_unsat
+from mono3sat.witnesses import WITNESS_NAMES, _canonical_pairs, known_unsat
 
 # a frozen 9-variable unsatisfiable Monotone NAE-3-Sat-E4 instance: a
 # 4-regular 3-uniform hypergraph with no proper 2-coloring, found by random
@@ -76,6 +78,47 @@ def test_reduction_outputs_are_pinned():
     for name in WITNESS_NAMES:
         digest.update(emit_dimacs(known_unsat(name)).encode())
     assert digest.hexdigest() == PINNED_OUTPUTS_SHA256
+
+
+def test_build_path_makes_no_views(monkeypatch):
+    # codes are the one stored clause form: the reductions, generators,
+    # witnesses, DIMACS input and the (2,2) candidate stream write them
+    # without a Literal or a Clause in between
+    inputs = []
+    for rid in UNCONDITIONAL:
+        row = R.REDUCTIONS[rid]
+        rng = random.Random(zlib.crc32(rid.encode()))
+        inputs += [(rid, *row.sample(rng)) for _ in range(8)]
+    made = Counter()
+    literal_new, clause_init = Literal.__new__, Clause.__init__
+
+    def counting_new(cls, *args):
+        made["Literal"] += 1
+        return literal_new(cls, *args)
+
+    def counting_init(self, *args):
+        made["Clause"] += 1
+        clause_init(self, *args)
+
+    monkeypatch.setattr(Literal, "__new__", counting_new)
+    monkeypatch.setattr(Clause, "__init__", counting_init)
+    Clause((Literal(0),))
+    assert made == {"Literal": 1, "Clause": 1}  # the counters count
+    made.clear()
+    for rid, inst, k in inputs:
+        R.apply_reduction(rid, inst, k=k)
+    rng = random.Random(1)
+    G.random_monotone_nae(6, 4, rng)
+    G.random_nae_e4(6, rng)
+    G.random_nae_star(4, 5, rng)
+    G.random_kk(6, 2, rng)
+    G.random_32(6, rng)
+    G.random_k1(6, 2, rng)
+    G.random_22(6, rng)
+    for name in WITNESS_NAMES:
+        parse_dimacs(emit_dimacs(known_unsat(name)))
+    assert len(list(_canonical_pairs(6))) == 819
+    assert made == {}
 
 
 @pytest.mark.parametrize("rid", UNCONDITIONAL)
@@ -247,6 +290,16 @@ def test_input_validation():
         R.apply_reduction("R1", G.random_22(3, rng))  # sat mode into a nae row
     with pytest.raises(R.ReductionInputError):
         R.apply_reduction("R6", G.random_kk(6, 2, rng), k=3)  # wrong k
+    # a k or a parameter instance that the row does not take
+    nae, nine = G.random_monotone_nae(6, 4, rng), known_unsat("nine_var")
+    with pytest.raises(R.ReductionInputError, match="R1 takes no appearance parameter k"):
+        R.apply_reduction("R1", nae, k=7)
+    with pytest.raises(R.ReductionInputError, match="R1 takes no parameter instance"):
+        R.apply_reduction("R1", nae, param=nine)
+    with pytest.raises(R.ReductionInputError, match="R6 takes no parameter instance"):
+        R.apply_reduction("R6", nine, k=3, param=nine)
+    with pytest.raises(R.ReductionInputError, match="R10 takes no appearance parameter k"):
+        R.apply_reduction("R10", nine, k=3, param=nine)
     with pytest.raises(KeyError):
         R.apply_reduction("R99", seed_22())
 
@@ -282,10 +335,10 @@ def test_r10_assembly_structure():
     # forcing property is fictional, so the check here is structural.
     mg = R.MGadget(
         num_vars=3,
-        clauses=(
+        clauses=encode((
             Clause((pos(0), pos(1), pos(2))),
             Clause((neg(0), neg(1), neg(2))),
-        ),
+        )),
         pos_pool=(0, 1, 2),
         neg_pool=(0, 1, 2),
         q=1,
@@ -311,15 +364,15 @@ def test_m_gadget_on_nine_var():
     mg = R.build_m_gadget(known_unsat("nine_var"))
     assert mg.q >= 1
     assert len(mg.pos_pool) == len(mg.neg_pool) == 3 * mg.q
-    inst = CnfInstance(mg.num_vars, mg.clauses, SAT)
+    inst = CnfInstance.from_codes(mg.num_vars, mg.clauses, SAT)
     res = solve_dpll(inst)
     assert res.status == "sat"
     # forced-false pools: conjoin each literal and refute
     for v in set(mg.pos_pool):
-        probe = CnfInstance(mg.num_vars, mg.clauses + (Clause((pos(v),)),), SAT)
+        probe = CnfInstance(mg.num_vars, inst.clauses + (Clause((pos(v),)),), SAT)
         assert solve_dpll(probe).status == "unsat"
     for v in set(mg.neg_pool):
-        probe = CnfInstance(mg.num_vars, mg.clauses + (Clause((neg(v),)),), SAT)
+        probe = CnfInstance(mg.num_vars, inst.clauses + (Clause((neg(v),)),), SAT)
         assert solve_dpll(probe).status == "unsat"
 
 
