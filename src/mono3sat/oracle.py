@@ -6,8 +6,13 @@ checking for gadget boundary predicates, subsumption, and the forced-literal
 split used by the conditional (2,2) machinery.
 
 Enumeration runs on the pure-Python big-integer kernel in _bitkernel, which
-this module alone calls.  Both solvers decide sat-mode clauses only: nae
-clauses are mirrored once, by `sat_codes`.
+this module alone calls.  Each kernel call splits every clause once, into a
+truth table over the variables that vary inside a chunk of the assignment
+space and a condition on the others, then walks the chunks as a tree over
+those other variables and skips every subtree that no assignment satisfies.
+It gives the smallest model, or, for extension checking, every boundary
+pattern that extends, in one walk.  Both solvers decide sat-mode clauses
+only: nae clauses are mirrored once, by `sat_codes`.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ DEFAULT_ENUM_CAP = 26
 
 
 class EnumCapError(ValueError):
-    """MONO3SAT_ENUM_CAP is set to something other than an integer."""
+    """MONO3SAT_ENUM_CAP is set to something other than a non-negative
+    integer."""
 
 
 def enum_cap() -> int:
@@ -48,11 +54,14 @@ def enum_cap() -> int:
     if not env:
         return DEFAULT_ENUM_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
+        cap = -1  # refused below, with the negative values
+    if cap < 0:
         raise EnumCapError(
-            f"MONO3SAT_ENUM_CAP must be an integer, got {env!r}"
-        ) from None
+            f"MONO3SAT_ENUM_CAP must be a non-negative integer, got {env!r}"
+        )
+    return cap
 
 
 class CapExceededError(RuntimeError):

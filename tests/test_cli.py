@@ -163,9 +163,14 @@ def test_solve_satlib_file(tmp_path, capsys):
 
 def test_bad_enum_cap_is_error(tmp_path, capsys, monkeypatch):
     path = _witness_file(tmp_path, "nine_var")
-    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "abc")
-    assert main(["solve", path]) == 1
-    assert "MONO3SAT_ENUM_CAP" in capsys.readouterr().err
+    for cap in ("abc", "-3"):
+        monkeypatch.setenv("MONO3SAT_ENUM_CAP", cap)
+        for engine in ("auto", "exhaustive"):
+            assert main(["solve", "--engine", engine, path]) == 1
+            err = capsys.readouterr().err
+            assert "error: MONO3SAT_ENUM_CAP must be a non-negative integer" in err
+    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "0")  # every instance goes to DPLL
+    assert main(["solve", path]) == 0
 
 
 def test_unknown_witness():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import random
@@ -22,6 +23,7 @@ from mono3sat.formulas import (
     pos,
 )
 from mono3sat.gadgets import fresh_instance
+from mono3sat.generate import random_kk
 from mono3sat.oracle import (
     BoundaryPredicate,
     CapExceededError,
@@ -443,31 +445,130 @@ def test_backends_agree():
             assert evaluate(inst, assignment_from_bits(bits, n))
 
 
-def _smallest_model(inst):
+def _models(inst):
+    """The model indices, in increasing order."""
     for bits in range(1 << inst.num_vars):
         values = assignment_from_bits(bits, inst.num_vars)
         if all(clause_value(c, values, inst.mode) for c in inst.clauses):
-            return bits
-    return None
+            yield bits
+
+
+def _smallest_model(inst):
+    return next(_models(inst), None)
+
+
+def _chunk_clauses(rng, n, low, high):
+    """Random clauses over n variables, each drawn from the low variables
+    (range(low)), from the high ones (range(high, n)) or from all n; one in
+    ten also holds the negation of its first literal."""
+    pools = [p for p in (range(low), range(high, n), range(n)) if p]
+    cls = []
+    for _ in range(rng.randint(0, 2 * n)):
+        pool = rng.choice(pools)
+        vs = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        lits = [Literal(v, rng.random() < 0.5) for v in vs]
+        if rng.random() < 0.1:
+            lits.append(Literal(lits[0].var, not lits[0].neg))
+        cls.append(Clause(tuple(lits)))
+    return cls
 
 
 def test_kernel_across_chunks(monkeypatch):
-    # 4-assignment chunks, so that solving scans many chunks and every
-    # boundary pattern of accepted_patterns owns a range of several
-    monkeypatch.setattr(_bitkernel, "CHUNK_LOG", 2)
+    # chunks of 1 to 8 assignments, so that solving walks many chunk bits and
+    # every boundary pattern of accepted_patterns owns a subtree of several
     rng = random.Random(47)
-    for _ in range(120):
-        n = rng.randint(3, 8)
-        mode = rng.choice([SAT, NAE])
-        inst = random_3cnf(n, rng.randint(1, 2 * n), rng, mode)
-        codes = sat_codes(inst.codes, mode)
-        assert _bitkernel.solve(n, clause_masks(codes)) == _smallest_model(inst)
-        order = rng.sample(range(n), n)
-        k = rng.randint(0, n)
-        gadget = SimpleNamespace(
-            boundary=order[:k], aux=order[k:], clauses=inst.codes, mode=mode
-        )
-        assert extending_patterns(order[:k], order[k:], codes) == ref_accepted(gadget)
+    seen = set()
+    for chunk_log in range(4):
+        monkeypatch.setattr(_bitkernel, "CHUNK_LOG", chunk_log)
+        for _ in range(100):
+            n = rng.randint(0, 8)
+            num_aux = rng.choice([0, rng.randint(0, n)])
+            # variables below min(num_aux, chunk_log) are low in both calls
+            # below, those at or above chunk_log high in both
+            low = min(num_aux, chunk_log)
+            cls = _chunk_clauses(rng, n, low, chunk_log)
+            mode = rng.choice([SAT, NAE])
+            inst = CnfInstance(n, tuple(cls), mode)
+            codes = sat_codes(inst.codes, mode)
+            masks = clause_masks(codes)
+            assert _bitkernel.solve(n, masks) == _smallest_model(inst)
+            # the gadget names kernel id i perm[i], so that its auxiliary
+            # and boundary ids interleave, and its boundary lists the
+            # kernel's boundary ids in random order; extending_patterns
+            # maps them back, and the kernel sees masks over the same
+            # low/high split as above
+            perm = rng.sample(range(n), n)
+            aux = [perm[i] for i in range(num_aux)]
+            boundary = [perm[i] for i in rng.sample(range(num_aux, n), n - num_aux)]
+            renamed = [[(perm[x >> 1] << 1) | (x & 1) for x in c] for c in inst.codes]
+            gadget = SimpleNamespace(
+                boundary=boundary, aux=aux, clauses=renamed, mode=mode
+            )
+            assert extending_patterns(
+                boundary, aux, sat_codes(renamed, mode)
+            ) == ref_accepted(gadget)
+            # the first model of each group of 2^group_log chunks
+            width_log = min(n, chunk_log)
+            group_log = rng.randint(0, n - width_log)
+            firsts = {}
+            for m in _models(inst):
+                firsts.setdefault(m >> (width_log + group_log), m)
+            found = _bitkernel._first_models(masks, n, width_log, group_log)
+            assert found == list(firsts.values())
+            vs = [{l.var for l in c.literals} for c in cls]
+            if any(len(v) < len(c.literals) for v, c in zip(vs, cls)):
+                seen.add("both polarities")
+            seen |= {
+                "no clauses" if not cls else "clauses",
+                "no variables" if not n else "variables",
+                "no auxiliaries" if not num_aux else "auxiliaries",
+            }
+            if chunk_log and any(min(v) >= chunk_log for v in vs):
+                seen.add("all high")
+            if any(max(v) < low for v in vs):
+                seen.add("all low")
+    assert len(seen) == 9, seen
+
+
+def _refute_input(base, n, rng):
+    """base plus a random Monotone 3-Sat-(3,3) part up to n variables, every
+    variable relabelled and the clauses shuffled: unsatisfiable as base is."""
+    extra = random_kk(n - base.num_vars, 3, rng)
+    shift = 2 * base.num_vars  # variable + base.num_vars, in codes
+    perm = rng.sample(range(n), n)
+    codes = [*base.codes, *([x + shift for x in c] for c in extra.codes)]
+    codes = [[(perm[x >> 1] << 1) | (x & 1) for x in c] for c in codes]
+    rng.shuffle(codes)
+    return CnfInstance.from_codes(n, codes, SAT)
+
+
+def test_kernel_call_leaves_no_cycle(monkeypatch):
+    # the walk's tables must be freed when the call returns, not wait for the
+    # cyclic collector (as they would if a closure referred to itself)
+    monkeypatch.setattr(_bitkernel, "CHUNK_LOG", 4)
+    inst = _refute_input(known_unsat("nine_var"), 18, random.Random(3))
+    masks = clause_masks(inst.codes)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert _bitkernel.solve(18, masks) is None
+        assert _bitkernel.accepted_patterns(12, 6, masks) == set()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_refute_inputs_unsat_on_both_paths():
+    # the refutation benchmark's kind of input, up to the enumeration cap:
+    # the full 2^n sweep and DPLL must agree that it is unsatisfiable
+    for name in ("nine_var", "ss_bar"):
+        base = known_unsat(name)
+        for n in range(21, 27):
+            inst = _refute_input(base, n, random.Random(n))
+            assert solve_exhaustive(inst).status == "unsat", (name, n)
+            assert solve_dpll(inst, timeout=60).status == "unsat", (name, n)
 
 
 _OPTIMIZED_MODEL_CHECK = """
