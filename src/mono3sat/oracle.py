@@ -29,7 +29,6 @@ from .formulas import (
     SAT,
     Clause,
     CnfInstance,
-    Literal,
     VerificationReport,
     assignment_from_bits,
     evaluate,
@@ -587,9 +586,9 @@ def subsumes(cover: Sequence[Clause], target: Sequence[Clause]) -> VerificationR
 # Forced-literal split (maximal satisfiable subset, greedy in input order)
 
 
-def split_forced(inst: CnfInstance) -> tuple[list[int], list[Literal]]:
+def split_forced(inst: CnfInstance) -> tuple[list[int], list[int]]:
     """Split an unsatisfiable sat-mode instance into a maximal satisfiable
-    clause subset plus the multiset of literals of the excluded clauses.
+    clause subset plus the multiset of literal codes of the excluded clauses.
 
     Clauses are considered in input order, so the result is deterministic.
     Every returned literal is false under every model of the kept subset;
@@ -600,23 +599,18 @@ def split_forced(inst: CnfInstance) -> tuple[list[int], list[Literal]]:
     if solve_auto(inst).status != "unsat":
         raise ValueError("split_forced requires an unsatisfiable instance")
 
-    kept: list[Clause] = []
+    kept: list[tuple[int, ...]] = []
     core: list[int] = []
-    for i, c in enumerate(inst.clauses):
-        trial = CnfInstance(inst.num_vars, tuple(kept) + (c,), SAT)
-        if solve_auto(trial).status == "sat":
+    for i, c in enumerate(inst.codes):
+        if solve_auto(CnfInstance.from_codes(inst.num_vars, kept + [c])).status == "sat":
             kept.append(c)
             core.append(i)
     core_set = set(core)
-    forced: list[Literal] = []
-    for i, c in enumerate(inst.clauses):
-        if i not in core_set:
-            forced.extend(c.literals)
-    base = tuple(kept)
-    for lit in set(forced):
-        probe = CnfInstance(inst.num_vars, base + (Clause((lit,)),), SAT)
+    forced = [x for i, c in enumerate(inst.codes) if i not in core_set for x in c]
+    for x in set(forced):
+        probe = CnfInstance.from_codes(inst.num_vars, kept + [(x,)])
         if solve_auto(probe).status != "unsat":
             raise AssertionError(
-                f"literal {lit} from an excluded clause is not forced false"
+                f"literal code {x} from an excluded clause is not forced false"
             )
     return core, forced

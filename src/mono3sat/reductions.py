@@ -230,6 +230,10 @@ def _check_input(
         )
     if not row.needs_param and param is not None:
         raise ReductionInputError(f"{row.rid} takes no parameter instance")
+    if param is not None and param.mode != SAT:
+        raise ReductionInputError(
+            f"{row.rid} expects a sat-mode parameter instance, got {param.mode}"
+        )
     if inst.mode != row.input_mode:
         raise ReductionInputError(
             f"{row.rid} expects a {row.input_mode}-mode instance, got {inst.mode}"
@@ -528,13 +532,13 @@ def build_m_gadget(param: CnfInstance) -> MGadget:
     clauses = kept + [tuple([x ^ 1 for x in c]) for c in _shifted(kept, nv)]
     pos_pool: list[int] = []
     neg_pool: list[int] = []
-    for lit in forced:
-        if lit.neg:
-            neg_pool.append(lit.var)
-            pos_pool.append(lit.var + nv)  # flipped copy
+    for x in forced:
+        if x & 1:
+            neg_pool.append(x >> 1)
+            pos_pool.append((x >> 1) + nv)  # flipped copy
         else:
-            pos_pool.append(lit.var)
-            neg_pool.append(lit.var + nv)
+            pos_pool.append(x >> 1)
+            neg_pool.append((x >> 1) + nv)
     if not len(pos_pool) == len(neg_pool) == 3 * q:
         raise AssertionError(
             f"M-gadget pools have {len(pos_pool)} and {len(neg_pool)} entries, "
@@ -755,25 +759,28 @@ def apply_reduction(
 
 
 def check_equisat(
-    rid: str,
-    inst: CnfInstance,
-    k: int | None = None,
-    param: CnfInstance | None = None,
-    timeout: float | None = None,
+    cert: ReductionCertificate, timeout: float | None = None
 ) -> VerificationReport:
-    """Oracle both sides: exhaustive on the input, DPLL on the output."""
-    cert = apply_reduction(rid, inst, k=k, param=param)
-    left = solve_auto(inst, timeout=timeout)
+    """Decide both sides of a certificate, the input by `solve_auto` and the
+    output by DPLL, and pull a sat output's model back to the input."""
+    left = solve_auto(cert.input, timeout=timeout)
     right = solve_dpll(cert.output, timeout=timeout)
     if "indeterminate" in (left.status, right.status):
         return VerificationReport(False, "indeterminate: oracle timeout", None)
-    if left.status == right.status:
-        return VerificationReport(True, f"both {left.status}")
-    return VerificationReport(
-        False,
-        f"{rid}: input is {left.status} but output is {right.status}",
-        {"input_status": left.status, "output_status": right.status},
-    )
+    if left.status != right.status:
+        return VerificationReport(
+            False,
+            f"{cert.rid}: input is {left.status} but output is {right.status}",
+            {"input_status": left.status, "output_status": right.status},
+        )
+    if right.status == "sat":
+        try:
+            pull_back(cert, right.model)
+        except BackMapViolation as exc:
+            return VerificationReport(
+                False, f"{cert.rid}: pull-back failed: {exc}", {"model": right.model}
+            )
+    return VerificationReport(True, f"both {left.status}")
 
 
 def pull_back(cert: ReductionCertificate, model) -> tuple:

@@ -160,9 +160,7 @@ def transversal_count(n: int) -> int:
     return 3 ** (n // 3)
 
 
-def check_sat_via_transversal(
-    inst: CnfInstance, cap: int = DEFAULT_TRANSVERSAL_CAP
-) -> VerificationReport:
+def check_sat_via_transversal(inst: CnfInstance) -> VerificationReport:
     """Decide a canonical-shape instance by searching for a transversal that
     contains no positive clause.
 
@@ -171,8 +169,8 @@ def check_sat_via_transversal(
     """
     triples, positives = canonical_shape(inst)
     k = len(triples)
-    if k > cap:
-        raise CapExceededError(k, cap)
+    if k > DEFAULT_TRANSVERSAL_CAP:
+        raise CapExceededError(k, DEFAULT_TRANSVERSAL_CAP)
     clause_vars = [[x >> 1 for x in c] for c in positives]
     by_var: dict[int, list[int]] = {}
     for idx, vs in enumerate(clause_vars):
@@ -224,15 +222,16 @@ def bound_satisfiable(inst: CnfInstance) -> str | None:
     return None
 
 
-def min_transversal_hitting_set(n: int, node_budget: int = 2_000_000) -> int:
+def min_transversal_hitting_set(n: int) -> int:
     """Size of the smallest positive-3-clause set blocking every transversal.
 
     Defined for n >= 9 (for n in {3, 6} a transversal has fewer than three
     variables, so no 3-clause fits inside one and no blocking set exists).
-    Exact branch and bound over the 27 * C(n/3, 3) candidate clauses (three
-    of the n/3 triples, one variable from each).  Each candidate blocks
-    3^(n/3 - 3) transversals, every transversal contains exactly C(n/3, 3)
-    candidates, and each uncovered transversal branches over those.
+    Only a blocking triple (one variable from each of three of the n/3
+    negative triples) lies in a transversal.  It lies in 3^(n/3 - 3) of the
+    3^(n/3) transversals, so at least 27 are needed, and the 27 triples
+    across the first three negative triples block them all.  Both bounds
+    are counted here over the transversals, not assumed.
     """
     if n % 3 != 0:
         raise ValueError("n must be a multiple of 3")
@@ -241,55 +240,24 @@ def min_transversal_hitting_set(n: int, node_budget: int = 2_000_000) -> int:
         raise ValueError(
             "no hitting set exists for n < 9: transversals contain no 3-subset"
         )
-    transversal_list = list(itertools.product(range(3), repeat=k))
-    # candidate clause: (three triple indices, choice per index)
-    candidates = []
-    for combo in itertools.combinations(range(k), 3):
-        for choice in itertools.product(range(3), repeat=3):
-            candidates.append((combo, choice))
+    transversals = list(itertools.product(range(3), repeat=k))
+    choices = list(itertools.product(range(3), repeat=3))
 
-    def covers(cand, tv) -> bool:
-        combo, choice = cand
-        return all(tv[t] == c for t, c in zip(combo, choice))
+    def blocked(groups, choice) -> set[int]:
+        return {i for i, tv in enumerate(transversals)
+                if all(tv[g] == c for g, c in zip(groups, choice))}
 
-    cover_sets = []
-    for cand in candidates:
-        cover_sets.append(
-            frozenset(i for i, tv in enumerate(transversal_list) if covers(cand, tv))
+    every = set(range(len(transversals)))
+    if set().union(*(blocked((0, 1, 2), c) for c in choices)) != every:
+        raise AssertionError("the 27 first-group triples miss a transversal")
+    most = max(len(blocked(groups, c))
+               for groups in itertools.combinations(range(k), 3) for c in choices)
+    lower = -(-len(transversals) // most)
+    if lower != len(choices):
+        raise AssertionError(
+            f"bounds differ at n={n}: at least {lower}, at most {len(choices)}"
         )
-    per_cover = 3 ** (k - 3)
-    uncovered0 = frozenset(range(len(transversal_list)))
-    nodes = 0
-
-    by_transversal: dict[int, list[int]] = {i: [] for i in range(len(transversal_list))}
-    for ci, cs in enumerate(cover_sets):
-        for i in cs:
-            by_transversal[i].append(ci)
-
-    # greedy warm start: an achieved upper bound for the branch and bound
-    best = 0
-    greedy_left = set(uncovered0)
-    while greedy_left:
-        ci = max(range(len(cover_sets)), key=lambda c: len(cover_sets[c] & greedy_left))
-        greedy_left -= cover_sets[ci]
-        best += 1
-
-    def bnb(uncovered: frozenset, used: int):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise RuntimeError(f"node budget {node_budget} exceeded")
-        if not uncovered:
-            best = min(best, used)
-            return
-        if used + -(-len(uncovered) // per_cover) >= best:
-            return
-        pivot = min(uncovered)
-        for ci in by_transversal[pivot]:
-            bnb(uncovered - cover_sets[ci], used + 1)
-
-    bnb(uncovered0, 0)
-    return best
+    return lower
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,19 @@ def test_reduce_invalid_input(tmp_path, capsys):
     assert main(["reduce", "--id", "R9", "--k", "7", "--in", src, "--out", out]) == 1
     assert "error: R9 takes no appearance parameter k" in capsys.readouterr().err
     assert not os.path.exists(out)
+    # a nae-mode R10 parameter (sat in sat mode, unsat in nae mode) is
+    # rejected for its mode, before the forced-literal split could raise
+    param = tmp_path / "p.cnf"
+    param.write_text(
+        "c mode nae\np cnf 9 12\n"
+        "3 8 9 0\n3 7 9 0\n4 5 8 0\n1 2 7 0\n1 5 6 0\n2 4 6 0\n"
+        "-1 -5 -6 0\n-1 -3 -4 0\n-2 -8 -9 0\n-4 -7 -9 0\n-2 -3 -5 0\n"
+        "-6 -7 -8 0\n"
+    )
+    argv = ["reduce", "--id", "R10", "--in", src, "--out", out, "--param", str(param)]
+    assert main(argv) == 1
+    assert "error: R10 expects a sat-mode parameter" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_search_unsat_cli(tmp_path, capsys):

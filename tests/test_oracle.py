@@ -404,27 +404,27 @@ def test_split_forced_nine_var():
     # deterministic greedy in input order: the first 17 clauses are
     # satisfiable, leaving the final negative triple's 3 literals forced
     assert core == list(range(17))
-    assert sorted(forced) == [Literal(2, True), Literal(3, True), Literal(5, True)]
-    kept = tuple(nine.clauses[i] for i in core)
-    base = CnfInstance(9, kept, SAT)
+    assert sorted(forced) == [5, 7, 11]  # ~x2 ~x3 ~x5
+    kept = [nine.codes[i] for i in core]
+    base = CnfInstance.from_codes(9, kept, SAT)
     assert solve_exhaustive(base).status == "sat"
     # maximality: adding any excluded clause makes it unsatisfiable
     for i in range(18):
         if i not in core:
-            ext = CnfInstance(9, kept + (nine.clauses[i],), SAT)
+            ext = CnfInstance.from_codes(9, kept + [nine.codes[i]], SAT)
             assert solve_exhaustive(ext).status == "unsat"
     # every forced literal is false in all models of the kept subset
-    for lit in set(forced):
-        probe = CnfInstance(9, kept + (Clause((lit,)),), SAT)
+    for x in set(forced):
+        probe = CnfInstance.from_codes(9, kept + [(x,)], SAT)
         assert solve_exhaustive(probe).status == "unsat"
 
 
 def test_split_forced_ss_bar():
     inst = known_unsat("ss_bar")
     core, forced = split_forced(inst)
-    kept = tuple(inst.clauses[i] for i in core)
-    for lit in set(forced):
-        probe = CnfInstance(inst.num_vars, kept + (Clause((lit,)),), SAT)
+    kept = [inst.codes[i] for i in core]
+    for x in set(forced):
+        probe = CnfInstance.from_codes(inst.num_vars, kept + [(x,)], SAT)
         assert solve_exhaustive(probe).status == "unsat"
 
 
@@ -616,6 +616,19 @@ try:
 except AssertionError as exc:
     print("split raised:", exc)
 
+# a certificate whose back-map flips one copy: the pull-back must fail the
+# equisat check
+import dataclasses
+cert = reductions.apply_reduction("R5", CnfInstance(3, (
+    clause([0, 1, 2]), clause([neg(0), neg(1), neg(2)]),
+    clause([0, neg(1), neg(2)]), clause([neg(0), 1, 2]),
+)))
+out_v, (in_v, negated) = next(iter(cert.back_map.items()))
+bad = dataclasses.replace(cert, back_map={**cert.back_map, out_v: (in_v, not negated)})
+rep = reductions.check_equisat(bad)
+if not rep.ok:
+    print("pull-back check failed:", rep.reason)
+
 inst = CnfInstance(1, (clause([0]),))
 _bitkernel.solve = lambda *args: 0
 oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
@@ -653,6 +666,7 @@ def test_model_checks_survive_optimize():
     assert "dpll invariant raised" in out.stdout
     assert "pad_to_four raised" in out.stdout
     assert "split raised" in out.stdout
+    assert "pull-back check failed: R5" in out.stdout
 
 
 _HASH_SEED_MODEL = """

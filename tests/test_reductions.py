@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import zlib
@@ -29,6 +30,23 @@ UNSAT_NAE_E4_TRIPLES = (
     (0, 3, 7), (0, 3, 5), (1, 2, 6), (4, 6, 7), (2, 5, 6), (2, 7, 8),
     (0, 1, 8), (2, 4, 8), (1, 5, 7), (3, 6, 8), (0, 4, 5), (1, 3, 4),
 )
+
+# a monotone (2,2) instance that is satisfiable in sat mode and not in nae mode
+NAE_UNSAT_PARAM = """c mode nae
+p cnf 9 12
+3 8 9 0
+3 7 9 0
+4 5 8 0
+1 2 7 0
+1 5 6 0
+2 4 6 0
+-1 -5 -6 0
+-1 -3 -4 0
+-2 -8 -9 0
+-4 -7 -9 0
+-2 -3 -5 0
+-6 -7 -8 0
+"""
 
 
 def unsat_nae_e4() -> CnfInstance:
@@ -132,12 +150,8 @@ def test_structural_and_equisat(rid):
         assert validate(cert.output, spec).ok
         assert cert.untraced_variables() == []
         assert cert.output.mode == row.output_mode
-        rep = R.check_equisat(rid, inst, k=k, timeout=60)
+        rep = R.check_equisat(cert, timeout=60)
         assert rep.ok, f"{rid}: {rep.reason}"
-        res = solve_dpll(cert.output, timeout=60)
-        if res.status == "sat":
-            back = R.pull_back(cert, res.model)
-            assert len(back) == inst.num_vars
 
 
 def test_split_refuses_one_copy_twice_in_a_clause():
@@ -197,8 +211,22 @@ def test_r7_q1_and_q2_branches():
 
 
 def test_r13_on_seed_both_sat():
-    rep = R.check_equisat("R13", seed_22(), timeout=60)
+    rep = R.check_equisat(R.apply_reduction("R13", seed_22()), timeout=60)
     assert rep.ok and "sat" in rep.reason
+
+
+def test_check_equisat_reports_a_bad_back_map():
+    # one copy's negation flipped: the output model no longer pulls back, and
+    # the check says so for the row instead of raising
+    cert = R.apply_reduction("R5", seed_22())
+    assert R.check_equisat(cert, timeout=60).ok
+    out_v, (in_v, negated) = next(iter(cert.back_map.items()))
+    bad = dataclasses.replace(
+        cert, back_map={**cert.back_map, out_v: (in_v, not negated)}
+    )
+    rep = R.check_equisat(bad, timeout=60)
+    assert rep.ok is False
+    assert rep.reason.startswith("R5: pull-back failed"), rep.reason
 
 
 def test_r4_clause_pair_property():
@@ -218,7 +246,7 @@ def test_r4_clause_pair_property():
 def test_r2_on_duplicated_literal_instance():
     inst = tiny_unsat_nae_star()
     assert solve_exhaustive(inst).status == "unsat"
-    rep = R.check_equisat("R2", inst, timeout=60)
+    rep = R.check_equisat(R.apply_reduction("R2", inst), timeout=60)
     assert rep.ok and "unsat" in rep.reason
 
 
@@ -253,15 +281,15 @@ def test_r3_copies_agree_in_model():
 
 def test_unsat_flows():
     nine = known_unsat("nine_var")
-    assert R.check_equisat("R6", nine, k=3, timeout=60).ok
-    assert R.check_equisat("R9", nine, timeout=60).ok
-    assert R.check_equisat("R12", R.apply_reduction("R11", seed_22()).output,
-                           timeout=60).ok
+    assert R.check_equisat(R.apply_reduction("R6", nine, k=3), timeout=60).ok
+    assert R.check_equisat(R.apply_reduction("R9", nine), timeout=60).ok
+    r11 = R.apply_reduction("R11", seed_22()).output
+    assert R.check_equisat(R.apply_reduction("R12", r11), timeout=60).ok
     seed = unsat_nae_e4()
     assert solve_exhaustive(seed).status == "unsat"
-    assert R.check_equisat("R3", seed, timeout=90).ok
-    linear = R.apply_reduction("R3", seed).output
-    assert R.check_equisat("R4", linear, timeout=90).ok
+    r3 = R.apply_reduction("R3", seed)
+    assert R.check_equisat(r3, timeout=90).ok
+    assert R.check_equisat(R.apply_reduction("R4", r3.output), timeout=90).ok
 
 
 def test_pull_back_rejects_non_model():
@@ -326,6 +354,10 @@ def test_r10_error_paths():
     ), SAT)
     with pytest.raises(R.ReductionInputError, match="unsatisfiable"):
         R.apply_reduction("R10", inst33, param=mono)
+    # a nae-mode parameter is rejected for its mode before anything is
+    # solved: this one is sat in sat mode and unsat in nae mode
+    with pytest.raises(R.ReductionInputError, match="sat-mode parameter.*got nae"):
+        R.apply_reduction("R10", inst33, param=parse_dimacs(NAE_UNSAT_PARAM))
 
 
 def test_r10_assembly_structure():
@@ -409,9 +441,10 @@ def test_r2_r3_r4_chain():
     for inst in inputs + [tiny_unsat_nae_star()]:
         expected = solve_exhaustive(inst).status
         for rid in ("R2", "R3", "R4"):
-            rep = R.check_equisat(rid, inst, timeout=60)
+            cert = R.apply_reduction(rid, inst)
+            rep = R.check_equisat(cert, timeout=60)
             assert rep.ok and expected in rep.reason, f"{rid}: {rep.reason}"
-            inst = R.apply_reduction(rid, inst).output
+            inst = cert.output
 
 
 @pytest.mark.parametrize("rid", ["R6", "R8"])
