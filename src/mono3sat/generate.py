@@ -1,8 +1,11 @@
 """Random generators for the restricted variants used as reduction inputs.
 
-All generators are deterministic given the Random instance and use
-rejection sampling; the profiles here are sparse enough that retries are
-cheap at oracle scale.
+All generators are deterministic given the Random instance.  Regular
+hypergraphs and (2,2) instances come from one configuration-model sampler
+(Bollobás, Eur. J. Combin. 1980), uniform over simple configurations: each
+attempt builds the partition one anchored triple at a time and is rejected
+at its first bad draw, within a budget of 400 attempts per call and 60 calls
+per hypergraph.
 """
 
 from __future__ import annotations
@@ -22,19 +25,50 @@ def _config_model_clauses(
     stubs: list[int], rng: random.Random, var: Callable[[int], int]
 ) -> list[tuple[int, ...]] | None:
     """Partition a stub pool into distinct sorted triples whose stubs have
-    distinct var(stub); None after 400 rejected shuffles."""
+    distinct var(stub), in random order; None after 400 rejected attempts.
+
+    An attempt builds the partition one triple at a time: the last stub left
+    in the pool anchors the next triple, and two stubs drawn uniformly from
+    the rest join it.  The pool shrinks the same way in every attempt, so
+    all draw sequences are equally likely, and each partition of the
+    labelled stubs into m triples comes out of exactly 2^m of them (the two
+    joiners in either order): a finished attempt is a uniform partition.
+    An attempt ends at the first draw that repeats a var inside its triple
+    or completes an earlier triple again.  That draw already makes the whole
+    partition invalid, so stopping there decides the same event as finishing
+    it and rejecting.  Accepted partitions are therefore uniform over the
+    valid ones, the law of shuffling the whole pool and checking every
+    triple; the accepted triples are shuffled once, so their order is
+    random too.
+    """
     for _ in range(400):
         pool = stubs[:]
-        rng.shuffle(pool)
         clauses = []
         seen = set()
-        for t in range(0, len(pool), 3):
-            tri = tuple(sorted(pool[t : t + 3]))
-            if len({var(x) for x in tri}) != 3 or tri in seen:
+        while pool:
+            a = pool.pop()
+            va = var(a)
+            i = rng.randrange(len(pool))
+            b = pool[i]
+            vb = var(b)
+            if vb == va:
+                break
+            pool[i] = pool[-1]
+            pool.pop()
+            i = rng.randrange(len(pool))
+            c = pool[i]
+            vc = var(c)
+            if vc == va or vc == vb:
+                break
+            pool[i] = pool[-1]
+            pool.pop()
+            tri = tuple(sorted((a, b, c)))
+            if tri in seen:
                 break
             seen.add(tri)
             clauses.append(tri)
         else:
+            rng.shuffle(clauses)
             return clauses
     return None
 

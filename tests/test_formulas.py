@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -27,7 +28,7 @@ from mono3sat import generate as G
 from mono3sat.gadgets import FreshAllocator, build_gadget
 from mono3sat.oracle import solve_exhaustive
 from mono3sat.reductions import apply_reduction
-from mono3sat.witnesses import known_unsat
+from mono3sat.witnesses import known_unsat, regular_hypergraphs_exhaustive
 
 
 def test_clause_multiset_reads_its_literals():
@@ -135,6 +136,29 @@ def test_monotone_counting_identity():
         nneg = sum(1 for c in inst.clauses if c.all_negative())
         assert npos * 3 == n * k
         assert nneg * 3 == n * k
+
+
+def test_regular_hypergraph_law_is_uniform():
+    # the configuration model is uniform over simple configurations, and each
+    # labelled 2-regular hypergraph on 6 vertices has the same number of them
+    # (2! per vertex), so the 75 hypergraphs come out equally often.  The
+    # test reads the law, not the stream: any sampler with that law passes.
+    graphs = list(regular_hypergraphs_exhaustive(6, 2))
+    assert len(graphs) == len(set(graphs)) == 75
+    rng = random.Random(0)
+    draws = 15000
+    counts = Counter(tuple(sorted(G.regular_hypergraph(6, 2, rng))) for _ in range(draws))
+    assert set(counts) == set(graphs)
+    expected = draws / len(graphs)
+    chi2 = sum((counts[g] - expected) ** 2 / expected for g in graphs)
+    # about the 0.999 quantile of chi-square on 74 degrees of freedom
+    assert chi2 < 117, chi2
+
+
+def test_regular_hypergraph_without_one_raises():
+    # at n=3 a 2-regular hypergraph needs the one triple twice
+    with pytest.raises(G.GenerationError, match="n=3"):
+        G.regular_hypergraph(3, 2, random.Random(0))
 
 
 def test_validate_distinct_clauses():

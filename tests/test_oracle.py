@@ -235,8 +235,10 @@ def test_dpll_kept_counts_match_a_recount():
 
 # sha256 over repr((status, model)) of every solve_dpll call in
 # test_dpll_models_are_pinned, taken on the DPLL that recounted the shortest
-# clauses' literals at each decision
-PINNED_MODELS_SHA256 = "edd1a5f8edc36f29e70eaa799534c7c62dec6510a8b0eb28b511d7d4cfaf75f4"
+# clauses' literals at each decision.  The inputs are those of the
+# anchored-triple configuration-model sampler; the previous reductions and
+# DPLL, run on them read back from DIMACS, gave the same digest
+PINNED_MODELS_SHA256 = "3818778d69de675d02d73e6902098a76dcbdcfaa7ee0cf4266637403fbed6b6f"
 
 
 def test_dpll_models_are_pinned():
@@ -629,6 +631,34 @@ rep = reductions.check_equisat(bad)
 if not rep.ok:
     print("pull-back check failed:", rep.reason)
 
+# every copy of input variable 1 flipped: consistent, but the pulled-back
+# assignment does not satisfy the input
+flipped = {o: (i, negated ^ (i == 1)) for o, (i, negated) in cert.back_map.items()}
+rep = reductions.check_equisat(dataclasses.replace(cert, back_map=flipped))
+if not rep.ok:
+    print("consistent flip failed:", rep.reason)
+
+# a row that emits a clause outside its output spec, and one that drops the
+# log entry of a gadget's auxiliaries
+from mono3sat.formulas import positive
+r5 = reductions.REDUCTIONS["R5"]
+
+def stray_clause(b):
+    reductions._apply_r5(b)
+    b.clauses.append(positive((0, 1, 2)))
+
+def unlogged_aux(b):
+    reductions._apply_r5(b)
+    b.log = [e for e in b.log if e.label != "SBAR"]
+
+for name, apply in (("spec", stray_clause), ("untraced", unlogged_aux)):
+    reductions.REDUCTIONS["R5"] = dataclasses.replace(r5, apply=apply)
+    try:
+        reductions.apply_reduction("R5", cert.input)
+    except AssertionError as exc:
+        print(f"finish {name} raised:", exc)
+reductions.REDUCTIONS["R5"] = r5
+
 inst = CnfInstance(1, (clause([0]),))
 _bitkernel.solve = lambda *args: 0
 oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
@@ -667,6 +697,9 @@ def test_model_checks_survive_optimize():
     assert "pad_to_four raised" in out.stdout
     assert "split raised" in out.stdout
     assert "pull-back check failed: R5" in out.stdout
+    assert "consistent flip failed: R5: pull-back failed: pulled-back assignment" in out.stdout
+    assert "finish spec raised: R5: output violates its variant spec" in out.stdout
+    assert "finish untraced raised: R5: untraced output variables" in out.stdout
 
 
 _HASH_SEED_MODEL = """

@@ -15,6 +15,7 @@ from mono3sat.formulas import (
     encode,
     neg,
     pos,
+    positive,
     validate,
 )
 from mono3sat import generate as G
@@ -78,8 +79,11 @@ UNCONDITIONAL = [r for r in R.REDUCTIONS if r != "R10"]
 
 # SHA-256 over the DIMACS text, back-map and gadget log of the first 8
 # sampled outputs of every unconditional row, then the four witnesses'
-# DIMACS text; a change that only simplifies the code must leave it as is
-PINNED_OUTPUTS_SHA256 = "69abba8ed76e9b479a322605067e68aca166adcc0eee093399fd94406a74dc51"
+# DIMACS text; a change that only simplifies the code must leave it as is.
+# The inputs are those of the anchored-triple configuration-model sampler;
+# the previous reductions, run on them read back from DIMACS, gave the same
+# digest
+PINNED_OUTPUTS_SHA256 = "212e014b0b9d023113d7a45eb9596cc48cdb236aa6318dddd82d2b4d361b453b"
 
 
 def test_reduction_outputs_are_pinned():
@@ -227,6 +231,45 @@ def test_check_equisat_reports_a_bad_back_map():
     rep = R.check_equisat(bad, timeout=60)
     assert rep.ok is False
     assert rep.reason.startswith("R5: pull-back failed"), rep.reason
+
+
+def test_check_equisat_reports_a_consistent_but_wrong_back_map():
+    # every copy of input variable 1 negation-flipped: the copies still agree,
+    # so only the check that the pulled-back assignment satisfies the input
+    # can reject the map
+    cert = R.apply_reduction("R5", seed_22())
+    flipped = {o: (i, negated ^ (i == 1)) for o, (i, negated) in cert.back_map.items()}
+    rep = R.check_equisat(dataclasses.replace(cert, back_map=flipped), timeout=60)
+    assert rep.ok is False
+    assert rep.reason == (
+        "R5: pull-back failed: pulled-back assignment does not satisfy the input instance"
+    ), rep.reason
+
+
+def _patch_r5(monkeypatch, apply):
+    monkeypatch.setitem(
+        R.REDUCTIONS, "R5", dataclasses.replace(R.REDUCTIONS["R5"], apply=apply)
+    )
+
+
+def test_finish_rejects_an_output_outside_its_spec(monkeypatch):
+    def with_a_stray_clause(b):
+        R._apply_r5(b)
+        b.clauses.append(positive((0, 1, 2)))  # a fourth positive x0
+
+    _patch_r5(monkeypatch, with_a_stray_clause)
+    with pytest.raises(AssertionError, match="^R5: output violates its variant spec"):
+        R.apply_reduction("R5", seed_22())
+
+
+def test_finish_rejects_an_unlogged_auxiliary(monkeypatch):
+    def without_the_sbar_entry(b):
+        R._apply_r5(b)
+        b.log = [e for e in b.log if e.label != "SBAR"]
+
+    _patch_r5(monkeypatch, without_the_sbar_entry)
+    with pytest.raises(AssertionError, match=r"^R5: untraced output variables \[19, "):
+        R.apply_reduction("R5", seed_22())
 
 
 def test_r4_clause_pair_property():
