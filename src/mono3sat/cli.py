@@ -22,13 +22,11 @@ import time
 
 from . import __version__, dimacs, gadgets, oracle, reductions, witnesses
 from .formulas import (
-    CHOICE,
-    EXACT,
-    TOTAL,
     MONOTONE_NAE,
     MONOTONE_SAT,
     CnfInstance,
     VariantSpec,
+    total,
     validate,
 )
 
@@ -41,7 +39,11 @@ class VariantSyntaxError(ValueError):
 
 def parse_variant(text: str) -> VariantSpec:
     """Grammar: dash-separated segments, e.g. mono-sat-p3q3, mono-nae-e4,
-    mono-nae-e4-linear, e4-choice-31-13, mono-sat-p2q2-star."""
+    mono-nae-e4-linear, e4-choice-31-13, mono-sat-p2q2-star.
+
+    Each profile segment (pPqQ, eK, choice-PQ-...) is a set of allowed
+    (p, q) pairs, and the spec allows their intersection; an empty one is
+    a syntax error.  P, Q and K have at most three digits."""
     tokens = text.strip().lower().split("-")
     monotone = None
     profile = None
@@ -50,6 +52,7 @@ def parse_variant(text: str) -> VariantSpec:
     i = 0
     while i < len(tokens):
         tok = tokens[i]
+        allowed = None
         if tok == "any":
             i += 1
         elif tok == "mono":
@@ -57,13 +60,11 @@ def parse_variant(text: str) -> VariantSpec:
                 raise VariantSyntaxError("'mono' must be followed by 'sat' or 'nae'")
             monotone = MONOTONE_SAT if tokens[i + 1] == "sat" else MONOTONE_NAE
             i += 2
-        elif re.fullmatch(r"p\d+q\d+", tok):
-            p, q = re.fullmatch(r"p(\d+)q(\d+)", tok).groups()
-            profile = (EXACT, int(p), int(q))
+        elif m := re.fullmatch(r"p(\d{1,3})q(\d{1,3})", tok):
+            allowed = frozenset({(int(m[1]), int(m[2]))})
             i += 1
-        elif re.fullmatch(r"e\d+", tok):
-            if profile is None:
-                profile = (TOTAL, int(tok[1:]))
+        elif re.fullmatch(r"e\d{1,3}", tok):  # total(k) holds k + 1 pairs
+            allowed = total(int(tok[1:]))
             i += 1
         elif tok == "choice":
             pairs = []
@@ -73,7 +74,7 @@ def parse_variant(text: str) -> VariantSpec:
                 i += 1
             if not pairs:
                 raise VariantSyntaxError("'choice' needs at least one PQ pair")
-            profile = (CHOICE, tuple(pairs))
+            allowed = frozenset(pairs)
         elif tok == "exact":
             if i + 1 >= len(tokens) or tokens[i + 1] != "linear":
                 raise VariantSyntaxError("'exact' must be followed by 'linear'")
@@ -87,7 +88,11 @@ def parse_variant(text: str) -> VariantSpec:
             i += 1
         else:
             raise VariantSyntaxError(f"unknown variant segment {tok!r}")
-    return VariantSpec(3, duplicates, monotone, profile, linear)
+        if allowed is not None:
+            profile = allowed if profile is None else profile & allowed
+            if not profile:
+                raise VariantSyntaxError(f"the profile segments of {text!r} allow no (p, q)")
+    return VariantSpec(duplicates=duplicates, monotone=monotone, profile=profile, linear=linear)
 
 
 def _seconds(text: str) -> float:

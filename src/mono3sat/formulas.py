@@ -235,26 +235,38 @@ def appearance_profile(inst: CnfInstance) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Variant specifications
 
-EXACT = "exact"  # profile ("exact", p, q)
-TOTAL = "total"  # profile ("total", k)
-CHOICE = "choice"  # profile ("choice", ((p, q), ...))
-
 MONOTONE_SAT = "sat"  # every clause all-positive or all-negative
 MONOTONE_NAE = "nae"  # no negative literal anywhere
 
 EXACT_LINEAR = "exact"
 
+Profile = frozenset[tuple[int, int]]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class VariantSpec:
-    """Declarative description of a restricted variant."""
+    """Declarative description of a restricted variant of 3-literal clauses.
 
-    arity: int | None = 3
+    profile is the set of (unnegated, negated) appearance counts a variable
+    may take, None for any: Monotone 3-Sat-(p, q) allows {(p, q)}, E4 allows
+    `total(4)`, and the (3,1)-or-(1,3) variant allows {(3, 1), (1, 3)}.
+    """
+
     duplicates: bool = False
     monotone: str | None = None  # None | "sat" | "nae"
-    profile: tuple | None = None  # ("exact",p,q) | ("total",k) | ("choice",pairs)
+    profile: Profile | None = None
     linear: str | None = None  # None | "linear" | "exact"
     distinct_clauses: bool = True
+
+
+def total(k: int) -> Profile:
+    """Every (p, q) with p + q = k: each variable appears exactly k times."""
+    return frozenset((p, k - p) for p in range(k + 1))
+
+
+def monotone_sat(p: int, q: int) -> VariantSpec:
+    """Monotone 3-Sat-(p, q)."""
+    return VariantSpec(monotone=MONOTONE_SAT, profile=frozenset({(p, q)}))
 
 
 def validate(inst: CnfInstance, spec: VariantSpec) -> VerificationReport:
@@ -264,13 +276,11 @@ def validate(inst: CnfInstance, spec: VariantSpec) -> VerificationReport:
     concrete witness (clause index, variable id, or clause pair).
     """
     codes = inst.codes
-    if spec.arity is not None:
-        for i, c in enumerate(codes):
-            if len(c) != spec.arity:
-                return VerificationReport(
-                    False, f"clause {i} has arity {len(c)} != {spec.arity}",
-                    ("clause", i),
-                )
+    for i, c in enumerate(codes):
+        if len(c) != 3:
+            return VerificationReport(
+                False, f"clause {i} has arity {len(c)} != 3", ("clause", i)
+            )
     if not spec.duplicates or spec.linear is not None:
         # linearity is defined over set-flavor clauses only
         i = _repeating_clause(codes)
@@ -291,27 +301,12 @@ def validate(inst: CnfInstance, spec: VariantSpec) -> VerificationReport:
                     False, f"clause {i} contains a negated literal", ("clause", i)
                 )
     if spec.profile is not None:
-        prof = appearance_profile(inst)
-        kind = spec.profile[0]
-        for v, (p, q) in enumerate(prof):
-            if kind == EXACT and (p, q) != (spec.profile[1], spec.profile[2]):
+        for v, pq in enumerate(appearance_profile(inst)):
+            if pq not in spec.profile:
+                allowed = ", ".join(f"({p},{q})" for p, q in sorted(spec.profile))
                 return VerificationReport(
                     False,
-                    f"variable {v} has profile ({p},{q}), "
-                    f"expected ({spec.profile[1]},{spec.profile[2]})",
-                    ("variable", v),
-                )
-            if kind == TOTAL and p + q != spec.profile[1]:
-                return VerificationReport(
-                    False,
-                    f"variable {v} appears {p + q} times, expected {spec.profile[1]}",
-                    ("variable", v),
-                )
-            if kind == CHOICE and (p, q) not in spec.profile[1]:
-                return VerificationReport(
-                    False,
-                    f"variable {v} has profile ({p},{q}), "
-                    f"expected one of {spec.profile[1]}",
+                    f"variable {v} has profile ({pq[0]},{pq[1]}), allowed: {allowed}",
                     ("variable", v),
                 )
     if spec.linear is not None:

@@ -175,13 +175,12 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     literals of each bucket are counted, in lc[k], where assignments,
     backjumps and learning move a clause into, out of or between buckets;
     a decision reads its literal off those counts instead of recounting.
-    Deterministic; no restarts.
+    Deterministic; no restarts.  The clauses are non-empty: `solve_dpll`
+    answers an empty one before calling.
     """
     m = len(clauses)
     if m == 0:
         return "sat", 0
-    if any(not c for c in clauses):
-        return "unsat", None
     deadline = None if timeout is None else time.monotonic() + timeout
 
     occ: list[list[int]] = [[] for _ in range(2 * num_vars)]

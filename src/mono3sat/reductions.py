@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formulas import (
-    EXACT,
     NAE,
     SAT,
-    TOTAL,
-    CHOICE,
     MONOTONE_NAE,
     MONOTONE_SAT,
     CnfInstance,
@@ -28,9 +25,11 @@ from .formulas import (
     _repeating_clause,
     appearance_profile,
     evaluate,
+    monotone_sat,
     negate_rename,
     negative,
     positive,
+    total,
     validate,
 )
 from .gadgets import FreshAllocator, GadgetInstance, build_gadget
@@ -108,18 +107,14 @@ class ReductionRow:
 
 
 def _spec_22() -> VariantSpec:
-    return VariantSpec(3, False, None, (EXACT, 2, 2))
+    return VariantSpec(profile=frozenset({(2, 2)}))
 
 
-def _spec_mono(p: int, q: int) -> VariantSpec:
-    return VariantSpec(3, False, MONOTONE_SAT, (EXACT, p, q))
-
-
-_NAE_MONO = VariantSpec(3, False, MONOTONE_NAE, None)
-_NAE_E4 = VariantSpec(3, False, MONOTONE_NAE, (TOTAL, 4))
-_NAE_E4_LINEAR = VariantSpec(3, False, MONOTONE_NAE, (TOTAL, 4), "linear")
-_NAE_STAR = VariantSpec(3, True, None, None, None, False)
-_CHOICE_31 = VariantSpec(3, False, MONOTONE_SAT, (CHOICE, ((3, 1), (1, 3))))
+_NAE_MONO = VariantSpec(monotone=MONOTONE_NAE)
+_NAE_E4 = VariantSpec(monotone=MONOTONE_NAE, profile=total(4))
+_NAE_E4_LINEAR = VariantSpec(monotone=MONOTONE_NAE, profile=total(4), linear="linear")
+_NAE_STAR = VariantSpec(duplicates=True, distinct_clauses=False)
+_CHOICE_31 = VariantSpec(monotone=MONOTONE_SAT, profile=frozenset({(3, 1), (1, 3)}))
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +515,11 @@ class MGadget:
 def build_m_gadget(param: CnfInstance) -> MGadget:
     """The satisfiable core plus forced literals, doubled with its polarity
     flip so the positive and negative pools balance."""
-    if solve_auto(param).status != "unsat":
-        raise ReductionInputError("R10 parameter instance must be unsatisfiable")
-    core, forced = split_forced(param)
+    try:
+        core, forced = split_forced(param)
+    except ValueError as exc:
+        # apply_reduction has already rejected a parameter not in sat mode
+        raise ReductionInputError("R10 parameter instance must be unsatisfiable") from exc
     q = param.num_clauses - len(core)
     if q == 0:
         raise ReductionInputError("parameter instance has no excluded clauses")
@@ -548,7 +545,7 @@ def build_m_gadget(param: CnfInstance) -> MGadget:
 
 
 def _apply_r10(b: _Builder) -> None:
-    rep = validate(b.param, _spec_mono(2, 2))
+    rep = validate(b.param, monotone_sat(2, 2))
     if not rep.ok:
         raise ReductionInputError(
             f"R10 parameter is not a Monotone 3-Sat-(2,2) instance: {rep.reason}"
@@ -685,48 +682,49 @@ REDUCTIONS: dict[str, ReductionRow] = {row.rid: row for row in (
     ReductionRow(
         "R4", NAE, SAT,
         "linear Monotone NAE-3-Sat-E4 -> Monotone 3-Sat-(4,4) (clause doubling)",
-        lambda: _NAE_E4_LINEAR, lambda: _spec_mono(4, 4),
+        lambda: _NAE_E4_LINEAR, lambda: monotone_sat(4, 4),
         _apply_r4, _sample_nae_e4_linear),
     ReductionRow(
         "R5", SAT, SAT,
         "3-Sat-(2,2) -> Monotone 3-Sat-(3,3) (variable splitting + A + SBAR)",
-        _spec_22, lambda: _spec_mono(3, 3),
+        _spec_22, lambda: monotone_sat(3, 3),
         _apply_r5, _sample_22),
     ReductionRow(
         "R6", SAT, SAT,
         "Monotone 3-Sat-(k,k) -> (k+1,k+1) (k+1 disjoint copies + C_inc pairs)",
-        lambda k: _spec_mono(k, k), lambda k: _spec_mono(k + 1, k + 1),
+        lambda k: monotone_sat(k, k), lambda k: monotone_sat(k + 1, k + 1),
         _apply_r6, _sample_kk, needs_k=True),
     ReductionRow(
         "R7", SAT, SAT,
         "3-Sat-(2,2) -> Monotone 3-Sat-(5,1) (D + F + y-padding rings)",
-        _spec_22, lambda: _spec_mono(5, 1),
+        _spec_22, lambda: monotone_sat(5, 1),
         _apply_r7, _sample_22),
     ReductionRow(
         "R8", SAT, SAT,
         "Monotone 3-Sat-(k,1) -> (k+1,1) (copies + positive links + negative triples)",
-        lambda k: _spec_mono(k, 1), lambda k: _spec_mono(k + 1, 1),
+        lambda k: monotone_sat(k, 1), lambda k: monotone_sat(k + 1, 1),
         _apply_r8, _sample_k1, needs_k=True),
     ReductionRow(
         "R9", SAT, SAT,
         "Monotone 3-Sat-(3,3) -> Monotone 3-Sat*-(2,2) (6-way splitting + STAR22)",
-        lambda: _spec_mono(3, 3),
-        lambda: VariantSpec(3, True, MONOTONE_SAT, (EXACT, 2, 2)),
+        lambda: monotone_sat(3, 3),
+        lambda: VariantSpec(
+            duplicates=True, monotone=MONOTONE_SAT, profile=frozenset({(2, 2)})),
         _apply_r9, _sample_33),
     ReductionRow(
         "R10", SAT, SAT,
         "Monotone 3-Sat-(3,3) -> Monotone 3-Sat-(2,2), given an unsat (2,2) instance",
-        lambda: _spec_mono(3, 3), lambda: _spec_mono(2, 2),
+        lambda: monotone_sat(3, 3), lambda: monotone_sat(2, 2),
         _apply_r10, _sample_33, needs_param=True),
     ReductionRow(
         "R11", SAT, SAT,
         "3-Sat-(2,2) -> Monotone 3-Sat-(3,2) (G + H + padding blocks)",
-        _spec_22, lambda: _spec_mono(3, 2),
+        _spec_22, lambda: monotone_sat(3, 2),
         _apply_r11, _sample_22),
     ReductionRow(
         "R12", SAT, SAT,
         "Monotone 3-Sat-(3,2) -> (4,2) (appearance increase per variable triple)",
-        lambda: _spec_mono(3, 2), lambda: _spec_mono(4, 2),
+        lambda: monotone_sat(3, 2), lambda: monotone_sat(4, 2),
         _apply_r12, _sample_32),
     ReductionRow(
         "R13", SAT, SAT,
@@ -737,7 +735,7 @@ REDUCTIONS: dict[str, ReductionRow] = {row.rid: row for row in (
         "R14", SAT, SAT,
         "Monotone E4 {(3,1),(1,3)} -> 3-Sat-E4 uniform (3,1) (negation renaming)",
         lambda: _CHOICE_31,
-        lambda: VariantSpec(3, False, None, (EXACT, 3, 1)),
+        lambda: VariantSpec(profile=frozenset({(3, 1)})),
         _apply_r14, _sample_choice_31),
 )}
 

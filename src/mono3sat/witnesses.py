@@ -11,13 +11,13 @@ import time
 from dataclasses import dataclass, field
 
 from .formulas import (
-    EXACT,
+    MONOTONE_SAT,
     SAT,
     CnfInstance,
     VariantSpec,
     VerificationReport,
-    _repeating_clause,
     appearance_profile,
+    monotone_sat,
     negative,
     positive,
     validate,
@@ -126,31 +126,22 @@ DEFAULT_TRANSVERSAL_CAP = 15  # at most 3^15 transversals
 
 def canonical_shape(inst: CnfInstance):
     """Split into (negative triples, positive clauses as codes); raises on
-    mismatch."""
+    mismatch.
+
+    The shape is a set-flavor monotone 3-Sat instance in which every
+    variable is negated exactly once, so its negative clauses are disjoint
+    triples covering all variables.
+    """
     if inst.mode != SAT:
         raise ValueError("canonical shape is defined for sat mode")
-    if _repeating_clause(inst.codes) is not None:
-        raise ValueError("canonical shape needs set-flavor clauses")
-    triples = []
-    positives = []
-    for c in inst.codes:
-        if all(x & 1 for x in c):
-            if len(c) != 3:
-                raise ValueError("negative clause is not a triple")
-            triples.append(tuple(x >> 1 for x in c))
-        elif not any(x & 1 for x in c):
-            if len(c) != 3:
-                raise ValueError("positive clause is not a triple")
-            positives.append(c)
-        else:
-            raise ValueError("mixed-polarity clause")
-    covered: set[int] = set()
-    for tri in triples:
-        if covered & set(tri):
-            raise ValueError("negative triples are not disjoint")
-        covered.update(tri)
-    if covered != set(range(inst.num_vars)):
-        raise ValueError("negative triples do not cover every variable")
+    once_negated = frozenset((p, 1) for p in range(inst.num_clauses + 1))
+    spec = VariantSpec(monotone=MONOTONE_SAT, profile=once_negated, distinct_clauses=False)
+    rep = validate(inst, spec)
+    if not rep.ok:
+        raise ValueError(f"canonical shape needs set-flavor monotone triples, "
+                         f"each variable negated once: {rep.reason}")
+    triples = [tuple(x >> 1 for x in c) for c in inst.codes if c[0] & 1]
+    positives = [c for c in inst.codes if not c[0] & 1]
     return triples, positives
 
 
@@ -287,13 +278,8 @@ class SearchOutcome:
         }
 
 
-# profile -> (VariantSpec, smallest n worth searching per the counting bounds)
-SEARCH_PROFILES: dict[tuple[int, int], tuple[VariantSpec, int]] = {
-    (2, 2): (VariantSpec(3, False, "sat", (EXACT, 2, 2)), 3),
-    (3, 1): (VariantSpec(3, False, "sat", (EXACT, 3, 1)), 27),
-    (4, 1): (VariantSpec(3, False, "sat", (EXACT, 4, 1)), 21),
-    (5, 1): (VariantSpec(3, False, "sat", (EXACT, 5, 1)), 3),
-}
+# profile -> smallest n worth searching per the counting bounds
+SEARCH_PROFILES: dict[tuple[int, int], int] = {(2, 2): 3, (3, 1): 27, (4, 1): 21, (5, 1): 3}
 
 
 def _round_up_mult3(n: int) -> int:
@@ -416,7 +402,7 @@ def search_unsat(
     """
     if profile not in SEARCH_PROFILES:
         raise KeyError(f"unsupported profile {profile}")
-    spec, min_n = SEARCH_PROFILES[profile]
+    spec, min_n = monotone_sat(*profile), SEARCH_PROFILES[profile]
     outcome = SearchOutcome(profile)
     rng = random.Random(budget.seed)
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit

@@ -8,26 +8,20 @@ import pytest
 
 from mono3sat.cli import main, parse_variant, VariantSyntaxError
 from mono3sat.dimacs import emit_dimacs
-from mono3sat.formulas import (
-    CHOICE,
-    EXACT,
-    TOTAL,
-    MONOTONE_NAE,
-    MONOTONE_SAT,
-)
+from mono3sat.formulas import MONOTONE_NAE, MONOTONE_SAT, total
 from mono3sat.generate import random_monotone_nae, random_nae_star
 from mono3sat.witnesses import known_unsat
 
 
 def test_parse_variant_grammar():
     spec = parse_variant("mono-sat-p3q3")
-    assert spec.monotone == MONOTONE_SAT and spec.profile == (EXACT, 3, 3)
+    assert spec.monotone == MONOTONE_SAT and spec.profile == {(3, 3)}
     spec = parse_variant("mono-nae-e4")
-    assert spec.monotone == MONOTONE_NAE and spec.profile == (TOTAL, 4)
+    assert spec.monotone == MONOTONE_NAE and spec.profile == total(4)
     spec = parse_variant("mono-nae-e4-linear")
     assert spec.linear == "linear"
     spec = parse_variant("e4-choice-31-13")
-    assert spec.profile == (CHOICE, ((3, 1), (1, 3)))
+    assert spec.profile == {(3, 1), (1, 3)}
     spec = parse_variant("mono-sat-p2q2-star")
     assert spec.duplicates
     spec = parse_variant("exact-linear")
@@ -36,9 +30,31 @@ def test_parse_variant_grammar():
 
 
 def test_parse_variant_errors():
-    for bad in ("mono", "mono-foo", "choice", "exact", "wat"):
+    for bad in ("mono", "mono-foo", "choice", "exact", "wat", "e1000", "p1q" + "9" * 5000):
         with pytest.raises(VariantSyntaxError):
             parse_variant(bad)
+
+
+def test_parse_variant_profile_segments_intersect():
+    # an eK after a pPqQ or a choice narrows it instead of being dropped
+    assert parse_variant("choice-31-22-e4-p3q1").profile == {(3, 1)}
+    assert parse_variant("p3q1-e4").profile == {(3, 1)}
+    # the order of the segments does not matter
+    assert parse_variant("choice-31-13-e4").profile == {(3, 1), (1, 3)}
+    # a later pPqQ or choice does not overwrite an earlier one
+    for bad in ("p3q1-e5", "p2q2-p3q3", "choice-31-13-p2q2", "p3q3-choice-31-13"):
+        with pytest.raises(VariantSyntaxError):
+            parse_variant(bad)
+
+
+def test_check_rejects_conflicting_profile_segments(tmp_path, capsys):
+    # every variable of nine_var appears 6 times, (3,3): p3q3 and e4 together
+    # allow no pair, so the spec string is a usage error, not a PASS
+    path = _witness_file(tmp_path, "nine_var")
+    assert main(["check", "--variant", "mono-sat-p3q3", path]) == 0
+    assert main(["check", "--variant", "mono-sat-p3q3-e4", path]) == 2
+    assert main(["check", "--variant", "e4-choice-31-13", path]) == 1
+    assert "variable 0" in capsys.readouterr().out
 
 
 def _witness_file(tmp_path, name):

@@ -5,12 +5,9 @@ from collections import Counter
 import pytest
 
 from mono3sat.formulas import (
-    EXACT,
     NAE,
     SAT,
-    TOTAL,
     MONOTONE_NAE,
-    MONOTONE_SAT,
     Clause,
     CnfInstance,
     Literal,
@@ -19,15 +16,18 @@ from mono3sat.formulas import (
     encode,
     evaluate,
     is_linear,
+    monotone_sat,
     neg,
     negate_rename,
     pos,
+    total,
     validate,
 )
 from mono3sat import generate as G
 from mono3sat.gadgets import FreshAllocator, build_gadget
 from mono3sat.oracle import solve_exhaustive
-from mono3sat.reductions import apply_reduction
+from mono3sat.cli import parse_variant
+from mono3sat.reductions import ReductionInputError, apply_reduction
 from mono3sat.witnesses import known_unsat, regular_hypergraphs_exhaustive
 
 
@@ -102,8 +102,8 @@ def test_profile_totals_match_clause_lengths():
 
 def test_validate_nine_var_profiles():
     nine = known_unsat("nine_var")
-    assert validate(nine, VariantSpec(3, False, MONOTONE_SAT, (EXACT, 3, 3))).ok
-    rep = validate(nine, VariantSpec(3, False, MONOTONE_NAE, None))
+    assert validate(nine, monotone_sat(3, 3)).ok
+    rep = validate(nine, VariantSpec(monotone=MONOTONE_NAE))
     assert not rep.ok
     assert rep.witness == ("clause", 0)  # the first negative clause
 
@@ -111,14 +111,14 @@ def test_validate_nine_var_profiles():
 def test_validate_r3_output_is_linear_nae_e4():
     rng = random.Random(7)
     out = apply_reduction("R3", G.random_nae_e4(6, rng)).output
-    spec = VariantSpec(3, False, MONOTONE_NAE, (TOTAL, 4), "linear")
+    spec = VariantSpec(monotone=MONOTONE_NAE, profile=total(4), linear="linear")
     assert validate(out, spec).ok
 
 
 def test_validate_individual_predicates_recheck():
     rng = random.Random(3)
     inst = G.random_kk(6, 3, rng)
-    spec = VariantSpec(3, False, MONOTONE_SAT, (EXACT, 3, 3))
+    spec = monotone_sat(3, 3)
     assert validate(inst, spec).ok
     # re-check each predicate independently
     assert all(len(c.literals) == 3 for c in inst.clauses)
@@ -161,12 +161,37 @@ def test_regular_hypergraph_without_one_raises():
         G.regular_hypergraph(3, 2, random.Random(0))
 
 
+def test_validate_names_the_first_variable_out_of_profile():
+    # an exact (p1q1), a total (e4) and a choice spec, each failed by one
+    # variable; the witness names it, whatever the reason says
+    exact = CnfInstance(6, (
+        Clause((pos(0), pos(1), pos(2))), Clause((neg(0), neg(1), neg(2))),
+        Clause((pos(3), pos(4), pos(5))), Clause((neg(3), neg(2), neg(5))),
+    ), SAT)  # x2 is (1,2), x4 is (1,0)
+    e4 = CnfInstance(4, (
+        Clause((pos(0), pos(1), pos(2))), Clause((neg(0), neg(1), neg(2))),
+        Clause((pos(0), neg(1), pos(2))), Clause((neg(0), pos(1), neg(2))),
+    ), SAT)  # x0..x2 are (2,2), x3 never appears
+    choice = CnfInstance(3, (
+        Clause((pos(0), pos(1), pos(2))), Clause((pos(0), neg(1), neg(2))),
+        Clause((pos(0), neg(1), pos(2))), Clause((neg(0), neg(1), neg(2))),
+    ), SAT)  # x0 is (3,1), x1 is (1,3), x2 is (2,2)
+    for inst, text, v in ((exact, "mono-sat-p1q1", 2), (e4, "e4", 3),
+                          (choice, "choice-31-13", 2)):
+        rep = validate(inst, parse_variant(text))
+        assert not rep.ok and rep.witness == ("variable", v), text
+    assert validate(e4, parse_variant("p2q2-e4")).witness == ("variable", 3)
+    # a reduction refuses an input outside its input profile: R5 wants (2,2)
+    with pytest.raises(ReductionInputError):
+        apply_reduction("R5", e4)
+
+
 def test_validate_distinct_clauses():
     c = Clause((pos(0), pos(1), pos(2)))
     inst = CnfInstance(3, (c, c), SAT)
-    rep = validate(inst, VariantSpec(3))
+    rep = validate(inst, VariantSpec())
     assert not rep.ok and rep.witness == ("clause_pair", 0, 1)
-    assert validate(inst, VariantSpec(3, distinct_clauses=False)).ok
+    assert validate(inst, VariantSpec(distinct_clauses=False)).ok
 
 
 def test_is_linear_eq4l_gadget():
@@ -200,9 +225,9 @@ def test_is_linear_rejects_multiset():
 def test_linear_spec_judges_repeats_not_the_flag():
     flagged = CnfInstance(3, (Clause((pos(0), pos(1), pos(2))),), SAT)
     assert is_linear(flagged).ok
-    assert validate(flagged, VariantSpec(3, linear="linear")).ok
+    assert validate(flagged, VariantSpec(linear="linear")).ok
     repeating = CnfInstance(2, (Clause((pos(0), pos(0), pos(1))),), SAT)
-    rep = validate(repeating, VariantSpec(3, True, linear="linear"))
+    rep = validate(repeating, VariantSpec(duplicates=True, linear="linear"))
     assert not rep.ok and rep.witness == ("clause", 0)
 
 
