@@ -3,7 +3,6 @@ satisfaction mode and the repeated-variable policy.
 
     c mode sat|nae
     c duplicates allowed|forbidden
-    c variant <spec-string>        (optional, informational)
     p cnf <num_vars> <num_clauses>
     <literals> 0
 
@@ -13,7 +12,7 @@ Reading stops at a line that is exactly `%`, which SATLIB files end with.
 A header may declare at most MAX_VARS variables.  Each annotation holds for
 the whole file, wherever it stands: only under `c duplicates allowed` may a
 clause repeat a variable, and `emit_dimacs` writes that line exactly when
-one does.
+one does.  Any other `c` line is a comment and is ignored.
 """
 
 from __future__ import annotations
@@ -108,17 +107,15 @@ def parse_dimacs(text: str) -> CnfInstance:
     return CnfInstance.from_codes(num_vars, clauses, mode)
 
 
-def emit_dimacs(inst: CnfInstance, variant: str | None = None) -> str:
+def emit_dimacs(inst: CnfInstance) -> str:
     """Canonical text: sorted literals per clause (a repeated variable keeps
     its multiplicity), annotations first, `c duplicates allowed` exactly when
     some clause repeats a variable.  parse(emit(x)) == x structurally."""
     lines = [
         f"c mode {inst.mode}",
         f"c duplicates {'allowed' if inst.has_multiset_clauses() else 'forbidden'}",
+        f"p cnf {inst.num_vars} {inst.num_clauses}",
     ]
-    if variant:
-        lines.append(f"c variant {variant}")
-    lines.append(f"p cnf {inst.num_vars} {inst.num_clauses}")
     for c in inst.codes:
         # by variable, negative literal first: the codes sorted with the sign bit flipped
         nums = [

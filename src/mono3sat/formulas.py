@@ -4,12 +4,14 @@ Variables are dense non-negative integers 0..num_vars-1; textual names only
 exist in the DIMACS layer.  All types are immutable after construction and
 every operation here is pure.
 
-Clauses are stored as literal codes, one per literal, 2·var | neg
+A clause is a tuple of literal codes, one per literal, 2·var | neg
 (MiniSat's encoding): `CnfInstance.codes` is the only clause field, every
 builder writes codes, and every validator, evaluator, solver set-up and
-kernel mask reads them.  `Literal` and `Clause` are the public view:
-`encode` turns views into codes, and `CnfInstance.clauses` decodes an
-instance's codes into views on first use.
+kernel mask reads them.  `pos` and `neg` give one literal's code,
+`positive` and `negative` a monotone clause's.  A clause in which some
+variable repeats (also with both polarities) is a multiset clause, which
+only the star variants admit; that rule is checked where clauses come in
+(DIMACS input, gadget substitution, the variant spec).
 """
 
 from __future__ import annotations
@@ -24,83 +26,14 @@ SAT = "sat"
 NAE = "nae"
 
 
-class Literal(NamedTuple):
-    var: int
-    neg: bool = False
-
-    def negated(self) -> "Literal":
-        return Literal(self.var, not self.neg)
-
-    def __str__(self) -> str:
-        return ("~" if self.neg else "") + f"x{self.var}"
+def pos(var: int) -> int:
+    """The literal code of x_var."""
+    return var << 1
 
 
-def pos(var: int) -> Literal:
-    return Literal(var, False)
-
-
-def neg(var: int) -> Literal:
-    return Literal(var, True)
-
-
-@dataclass(frozen=True)
-class Clause:
-    """An ordered literal list.  A clause in which some variable repeats
-    (also with both polarities) is a multiset clause, which only the star
-    variants admit; that rule is checked where clauses come in (DIMACS
-    input, gadget substitution, the variant spec), not here."""
-
-    literals: tuple[Literal, ...]
-
-    @property
-    def multiset(self) -> bool:
-        """Whether some variable repeats."""
-        return len({lit.var for lit in self.literals}) != len(self.literals)
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(lit.var for lit in self.literals)
-
-    def varset(self) -> frozenset[int]:
-        return frozenset(lit.var for lit in self.literals)
-
-    def litset(self) -> frozenset[Literal]:
-        return frozenset(self.literals)
-
-    def all_negative(self) -> bool:
-        return all(lit.neg for lit in self.literals)
-
-    def all_positive(self) -> bool:
-        return not any(lit.neg for lit in self.literals)
-
-    def negated(self) -> "Clause":
-        return Clause(tuple(l.negated() for l in self.literals))
-
-    def sorted_key(self) -> tuple:
-        return tuple(sorted((l.var, l.neg) for l in self.literals))
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(l) for l in self.literals) + "}"
-
-
-def clause(lits: Iterable[Literal | int]) -> Clause:
-    """Build a clause; plain ints are taken as positive literals."""
-    return Clause(tuple([Literal(l) if isinstance(l, int) else l for l in lits]))
-
-
-Codes = tuple[tuple[int, ...], ...]
-
-
-def encode(clauses: Iterable[Clause]) -> Codes:
-    """Each clause as a tuple of literal codes 2·var | neg, clause order and
-    literal order kept."""
-    return tuple([tuple([(v << 1) | n for v, n in c.literals]) for c in clauses])
-
-
-def decode(codes: Sequence[Sequence[int]]) -> tuple[Clause, ...]:
-    """The clauses of literal codes; the inverse of `encode`.  Equal codes
-    share one `Literal`."""
-    lit = {x: Literal(x >> 1, bool(x & 1)) for x in set(chain.from_iterable(codes))}
-    return tuple([Clause(tuple([lit[x] for x in c])) for c in codes])
+def neg(var: int) -> int:
+    """The literal code of ~x_var."""
+    return var << 1 | 1
 
 
 def positive(variables: Iterable[int]) -> tuple[int, ...]:
@@ -113,15 +46,45 @@ def negative(variables: Iterable[int]) -> tuple[int, ...]:
     return tuple([v << 1 | 1 for v in variables])
 
 
+Codes = tuple[tuple[int, ...], ...]
+
+
+# ---------------------------------------------------------------------------
+# The decoded clause view: `Literal`, `Clause`, `clause`, the view
+# constructor `CnfInstance(num_vars, clauses, mode)` and the cached
+# `CnfInstance.clauses`.  Only the benchmark (certbench/) reads it; it goes
+# once the benchmark reads codes (ROADMAP item 5).
+
+
+class Literal(NamedTuple):
+    var: int
+    neg: bool
+
+
+@dataclass(frozen=True)
+class Clause:
+    literals: tuple[Literal, ...]
+
+    @property
+    def multiset(self) -> bool:
+        """Whether some variable repeats."""
+        return len({lit.var for lit in self.literals}) != len(self.literals)
+
+
+def clause(variables: Iterable[int]) -> Clause:
+    """The clause of the positive literals of the variables."""
+    return Clause(tuple([Literal(v, False) for v in variables]))
+
+
 @dataclass(frozen=True, init=False)
 class CnfInstance:
     """A CNF formula plus the mode selecting its satisfaction semantics.
 
     mode is metadata only: "sat" wants >= 1 true literal per clause, "nae"
     wants >= 1 true and >= 1 false.  The clause data never depends on it.
-    `codes` is the one stored clause form; `CnfInstance(num_vars, clauses,
-    mode)` takes `Clause` views and encodes them, `from_codes` takes codes,
-    and both pass through the same checks.
+    `codes` is the one stored clause form.  `from_codes` takes codes; the
+    view constructor takes `Clause` views and encodes them, and both pass
+    through the same checks.
     """
 
     num_vars: int
@@ -129,7 +92,8 @@ class CnfInstance:
     mode: str = SAT
 
     def __init__(self, num_vars: int, clauses: Iterable[Clause], mode: str = SAT):
-        self._fill(num_vars, encode(clauses), mode)
+        codes = tuple([tuple([(v << 1) | n for v, n in c.literals]) for c in clauses])
+        self._fill(num_vars, codes, mode)
 
     @classmethod
     def from_codes(cls, num_vars: int, codes: Iterable[Sequence[int]], mode: str = SAT):
@@ -158,8 +122,11 @@ class CnfInstance:
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
-        """The clauses as `Clause` views, decoded on first use."""
-        return decode(self.codes)
+        """The clauses as `Clause` views, decoded on first use; equal codes
+        share one `Literal`."""
+        codes = self.codes
+        lit = {x: Literal(x >> 1, bool(x & 1)) for x in set(chain.from_iterable(codes))}
+        return tuple([Clause(tuple([lit[x] for x in c])) for c in codes])
 
     @property
     def num_clauses(self) -> int:

@@ -9,7 +9,7 @@ connector clauses.  Every row is built by the one path in `build_gadget`,
 and every instantiation draws fresh, disjoint auxiliaries.  A built gadget
 holds its clauses as literal codes (see `formulas`): each table is indexed
 once, each name by its position, and a build writes the codes from that
-index; `decode` gives them as `Clause` views.
+index.
 """
 
 from __future__ import annotations

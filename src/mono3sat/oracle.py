@@ -27,7 +27,6 @@ from . import _bitkernel
 from .formulas import (
     NAE,
     SAT,
-    Clause,
     CnfInstance,
     VerificationReport,
     assignment_from_bits,
@@ -569,14 +568,17 @@ def report_mismatch(gadget, feasible: set[int]) -> VerificationReport:
 # Subsumption
 
 
-def subsumes(cover: Sequence[Clause], target: Sequence[Clause]) -> VerificationReport:
-    """Pass iff every target clause contains some cover clause as a subset."""
-    cover_sets = [c.litset() for c in cover]
+def subsumes(
+    cover: Iterable[Sequence[int]], target: Iterable[Sequence[int]]
+) -> VerificationReport:
+    """Pass iff every target clause contains some cover clause as a subset;
+    clauses are literal codes."""
+    cover_sets = [frozenset(c) for c in cover]
     for i, t in enumerate(target):
-        tset = t.litset()
+        tset = frozenset(t)
         if not any(cs <= tset for cs in cover_sets):
             return VerificationReport(
-                False, f"target clause {i} is not subsumed", ("clause", i, str(t))
+                False, f"target clause {i} is not subsumed", ("clause", i, tuple(t))
             )
     return VerificationReport(True)
 

@@ -357,7 +357,7 @@ def _apply_r7(b: _Builder) -> None:
         if len(set(map(tuple, map(sorted, pad)))) != len(pad):
             raise AssertionError("y-padding clauses must be pairwise distinct")
         b.clauses.extend(map(positive, pad))
-    else:
+    elif q == 1:
         b.add_gadget("D", (ys[0], ys[0], ys[1], ys[1], ys[2], ys[2]))
 
 
@@ -502,7 +502,7 @@ def _apply_r9(b: _Builder) -> None:
 
 @dataclass(frozen=True)
 class MGadget:
-    """Clause codes over local variables 0..num_vars-1, plus the forced-false
+    """Clauses as codes over local variables 0..num_vars-1, plus the forced-false
     literal pools (3q positive and 3q negative literals, as multisets)."""
 
     num_vars: int

@@ -123,7 +123,7 @@ def test_criterion_5_transversal_combinatorics():
         assert cnt == 3 ** (4 - 3)
     # transversal decision agrees with the oracle on 200 random canonical
     # instances, and the bounds never bless an unsatisfiable instance
-    from mono3sat.formulas import SAT, Clause, CnfInstance, Literal
+    from mono3sat.formulas import SAT, CnfInstance, negative, positive
 
     rng = random.Random(0xACCE)
     for _ in range(200):
@@ -132,12 +132,9 @@ def test_criterion_5_transversal_combinatorics():
         tris = set()
         for _ in range(rng.randint(0, 4 * k)):
             tris.add(tuple(sorted(rng.sample(range(n), 3))))
-        cls = [
-            Clause(tuple(Literal(3 * i + s, True) for s in range(3)))
-            for i in range(k)
-        ]
-        cls += [Clause(tuple(Literal(v) for v in tri)) for tri in sorted(tris)]
-        inst = CnfInstance(n, tuple(cls), SAT)
+        cls = [negative(range(3 * i, 3 * i + 3)) for i in range(k)]
+        cls += map(positive, sorted(tris))
+        inst = CnfInstance.from_codes(n, cls, SAT)
         oracle_sat = solve_exhaustive(inst).status == "sat"
         assert W.check_sat_via_transversal(inst).ok == oracle_sat
         if W.bound_satisfiable(inst) is not None:

@@ -3,31 +3,29 @@ import random
 import pytest
 
 from mono3sat.dimacs import MAX_VARS, DimacsError, emit_dimacs, parse_dimacs
-from mono3sat.formulas import NAE, SAT, Clause, CnfInstance, Literal, pos
+from mono3sat.formulas import NAE, SAT, CnfInstance, neg, pos
 from mono3sat.witnesses import known_unsat
 
 
 def structurally_equal(a: CnfInstance, b: CnfInstance) -> bool:
     if (a.num_vars, a.mode) != (b.num_vars, b.mode):
         return False
-    return sorted(c.sorted_key() for c in a.clauses) == sorted(
-        c.sorted_key() for c in b.clauses
-    )
+    return sorted(map(sorted, a.codes)) == sorted(map(sorted, b.codes))
 
 
 def test_parse_minimal():
     inst = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
     assert inst.num_vars == 3 and inst.num_clauses == 1
     assert inst.mode == SAT
-    assert inst.clauses[0].litset() == frozenset({pos(0), pos(1), pos(2)})
+    assert inst.codes == ((pos(0), pos(1), pos(2)),)
 
 
 def test_parse_annotations():
     text = "c mode nae\nc duplicates allowed\np cnf 2 1\n1 1 -2 0\n"
     inst = parse_dimacs(text)
     assert inst.mode == NAE
-    assert inst.clauses[0].multiset
-    assert len(inst.clauses[0].literals) == 3
+    assert inst.codes == ((pos(0), pos(0), neg(1)),)
+    assert inst.has_multiset_clauses()
 
 
 def test_parse_rejects_duplicates_without_annotation():
@@ -42,7 +40,7 @@ def test_duplicates_policy_holds_for_the_whole_file():
         "c duplicates allowed\np cnf 2 2\n1 2 0\n1 1 2 0\n",
         "p cnf 2 2\n1 2 0\n1 1 2 0\nc duplicates allowed\n",
     ):
-        assert parse_dimacs(text).clauses[1].multiset
+        assert parse_dimacs(text).codes[1] == (pos(0), pos(0), pos(1))
     # the first offending clause is reported, whatever follows it
     for text in (
         "c duplicates forbidden\np cnf 2 3\n1 2 0\n1 1 2 0\n-2 2 0\n",
@@ -99,7 +97,7 @@ def test_multiline_clause():
 
 
 def test_emit_empty():
-    text = emit_dimacs(CnfInstance(0, (), SAT))
+    text = emit_dimacs(CnfInstance.from_codes(0, (), SAT))
     assert "p cnf 0 0" in text
 
 
@@ -110,8 +108,7 @@ def test_emit_mon51_header():
 
 
 def test_emit_multiset_line():
-    c = Clause((pos(0), pos(0), pos(2)))
-    text = emit_dimacs(CnfInstance(3, (c,), SAT))
+    text = emit_dimacs(CnfInstance.from_codes(3, [(pos(0), pos(0), pos(2))], SAT))
     assert "c duplicates allowed" in text
     assert "1 1 3 0" in text
 
@@ -130,15 +127,12 @@ def test_roundtrip_random_both_flavors():
         cls = []
         for _ in range(rng.randint(0, 10)):
             if rng.random() < 0.4:
-                lits = tuple(
-                    Literal(rng.randrange(n), rng.random() < 0.5) for _ in range(3)
-                )
-                cls.append(Clause(lits))
+                cls.append([rng.randrange(n) << 1 | (rng.random() < 0.5) for _ in range(3)])
             else:
                 vs = rng.sample(range(n), min(3, n))
-                cls.append(Clause(tuple(Literal(v, rng.random() < 0.5) for v in vs)))
+                cls.append([v << 1 | (rng.random() < 0.5) for v in vs])
         mode = rng.choice([SAT, NAE])
-        inst = CnfInstance(n, tuple(cls), mode)
+        inst = CnfInstance.from_codes(n, cls, mode)
         text = emit_dimacs(inst)
         again = parse_dimacs(text)
         assert structurally_equal(inst, again)
@@ -146,6 +140,7 @@ def test_roundtrip_random_both_flavors():
 
 
 def test_variant_annotation_passthrough():
-    text = emit_dimacs(known_unsat("nine_var"), variant="mono-sat-p3q3")
-    assert "c variant mono-sat-p3q3" in text
-    parse_dimacs(text)  # ignored but harmless
+    # a `c variant` line, like any other comment, is read past
+    text = "c mode sat\nc variant mono-sat-p3q3\np cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
+    expected = [(pos(0), pos(1), pos(2)), (neg(0), neg(1), neg(2))]
+    assert parse_dimacs(text) == CnfInstance.from_codes(3, expected, SAT)

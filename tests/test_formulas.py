@@ -13,13 +13,14 @@ from mono3sat.formulas import (
     Literal,
     VariantSpec,
     appearance_profile,
-    encode,
     evaluate,
     is_linear,
     monotone_sat,
     neg,
     negate_rename,
+    negative,
     pos,
+    positive,
     total,
     validate,
 )
@@ -31,37 +32,49 @@ from mono3sat.reductions import ReductionInputError, apply_reduction
 from mono3sat.witnesses import known_unsat, regular_hypergraphs_exhaustive
 
 
+def _views(codes):
+    """The benchmark's `Clause` views of clause codes."""
+    return tuple(Clause(tuple(Literal(x >> 1, bool(x & 1)) for x in c)) for c in codes)
+
+
 def test_clause_multiset_reads_its_literals():
-    assert Clause((pos(0), pos(0), pos(1))).multiset
-    assert Clause((pos(0), neg(0), pos(1))).multiset  # complementary pair
-    assert not Clause((pos(0), neg(1), pos(2))).multiset
-    assert not Clause(()).multiset
-
-
-def _from_views_through_codes(num_vars, clauses, mode):
-    return CnfInstance.from_codes(num_vars, encode(clauses), mode)
+    # the benchmark reads `multiset` off the decoded view
+    inst = CnfInstance.from_codes(3, [
+        (pos(0), pos(0), pos(1)),
+        (pos(0), neg(0), pos(1)),  # complementary pair
+        (pos(0), neg(1), pos(2)),
+        (),
+    ], SAT)
+    assert [c.multiset for c in inst.clauses] == [True, True, False, False]
+    assert inst.clauses == _views(inst.codes)
+    first = inst.clauses[0].literals
+    assert first[0] is first[1] is inst.clauses[1].literals[0]  # one Literal per code
 
 
 def test_instance_checks_variable_range():
-    # both doors, views and codes, run the same checks with the same messages
+    # both doors, the benchmark's views and codes, run the same checks with
+    # the same messages
     cases = [
-        ((1, (Clause((pos(1),)),), SAT), "clause 0 uses variable 1 >= num_vars=1"),
-        ((2, (Clause((pos(0),)), Clause((pos(1), neg(-3)))), SAT),
-         "clause 1 uses negative variable id -3"),
+        ((1, ((pos(1),),), SAT), "clause 0 uses variable 1 >= num_vars=1"),
+        ((2, ((pos(0),), (pos(1), neg(-3))), SAT), "clause 1 uses negative variable id -3"),
         ((1, (), "maybe"), "unknown mode 'maybe'"),
         ((-3, (), SAT), "negative num_vars -3"),
     ]
+
+    def from_views(num_vars, codes, mode):
+        return CnfInstance(num_vars, _views(codes), mode)
+
     for args, message in cases:
-        for door in (CnfInstance, _from_views_through_codes):
+        for door in (from_views, CnfInstance.from_codes):
             with pytest.raises(ValueError, match=re.escape(message)):
                 door(*args)
-    cls = (Clause((pos(0), neg(2))), Clause((neg(1),)))
-    views, codes = CnfInstance(3, cls, NAE), _from_views_through_codes(3, cls, NAE)
-    assert views == codes and hash(views) == hash(codes)
+    codes = ((pos(0), neg(2)), (neg(1),))
+    views, coded = from_views(3, codes, NAE), CnfInstance.from_codes(3, codes, NAE)
+    assert views == coded and hash(views) == hash(coded)
     assert repr(views) == "CnfInstance(num_vars=3, codes=((0, 5), (3,)), mode='nae')"
     lists = CnfInstance.from_codes(3, [[0, 5], [3]], NAE)
     assert lists.codes == ((0, 5), (3,)) and all(type(c) is tuple for c in lists.codes)
-    assert lists == views and lists.clauses == cls
+    assert lists == views and lists.clauses == _views(codes)
 
 
 def test_appearance_profile_nine_var():
@@ -70,12 +83,11 @@ def test_appearance_profile_nine_var():
 
 
 def test_appearance_profile_empty():
-    assert appearance_profile(CnfInstance(0, (), SAT)) == []
+    assert appearance_profile(CnfInstance.from_codes(0, (), SAT)) == []
 
 
 def test_appearance_profile_multiset_duplicates_counted():
-    c = Clause((pos(0), pos(0), pos(2)))
-    prof = appearance_profile(CnfInstance(3, (c,), SAT))
+    prof = appearance_profile(CnfInstance.from_codes(3, [(pos(0), pos(0), pos(2))], SAT))
     assert prof[0] == (2, 0)
     assert prof[2] == (1, 0)
 
@@ -88,16 +100,13 @@ def test_profile_totals_match_clause_lengths():
         for _ in range(rng.randint(0, 10)):
             k = rng.randint(1, 3)
             if rng.random() < 0.3:
-                lits = tuple(
-                    Literal(rng.randrange(n), rng.random() < 0.5) for _ in range(k)
-                )
-                cls.append(Clause(lits))
+                cls.append([rng.randrange(n) << 1 | (rng.random() < 0.5) for _ in range(k)])
             else:
                 vs = rng.sample(range(n), min(k, n))
-                cls.append(Clause(tuple(Literal(v, rng.random() < 0.5) for v in vs)))
-        inst = CnfInstance(n, tuple(cls), SAT)
+                cls.append([v << 1 | (rng.random() < 0.5) for v in vs])
+        inst = CnfInstance.from_codes(n, cls, SAT)
         prof = appearance_profile(inst)
-        assert sum(p + q for p, q in prof) == sum(len(c.literals) for c in inst.clauses)
+        assert sum(p + q for p, q in prof) == sum(len(c) for c in inst.codes)
 
 
 def test_validate_nine_var_profiles():
@@ -121,8 +130,8 @@ def test_validate_individual_predicates_recheck():
     spec = monotone_sat(3, 3)
     assert validate(inst, spec).ok
     # re-check each predicate independently
-    assert all(len(c.literals) == 3 for c in inst.clauses)
-    assert all(c.all_positive() or c.all_negative() for c in inst.clauses)
+    assert all(len(c) == 3 for c in inst.codes)
+    assert all(sum(x & 1 for x in c) in (0, 3) for c in inst.codes)
     assert appearance_profile(inst) == [(3, 3)] * 6
 
 
@@ -132,8 +141,8 @@ def test_monotone_counting_identity():
     for k in (1, 2, 3):
         inst = G.random_kk(6, k, rng)
         n = inst.num_vars
-        npos = sum(1 for c in inst.clauses if c.all_positive())
-        nneg = sum(1 for c in inst.clauses if c.all_negative())
+        npos = sum(1 for c in inst.codes if not any(x & 1 for x in c))
+        nneg = sum(1 for c in inst.codes if all(x & 1 for x in c))
         assert npos * 3 == n * k
         assert nneg * 3 == n * k
 
@@ -164,18 +173,17 @@ def test_regular_hypergraph_without_one_raises():
 def test_validate_names_the_first_variable_out_of_profile():
     # an exact (p1q1), a total (e4) and a choice spec, each failed by one
     # variable; the witness names it, whatever the reason says
-    exact = CnfInstance(6, (
-        Clause((pos(0), pos(1), pos(2))), Clause((neg(0), neg(1), neg(2))),
-        Clause((pos(3), pos(4), pos(5))), Clause((neg(3), neg(2), neg(5))),
-    ), SAT)  # x2 is (1,2), x4 is (1,0)
-    e4 = CnfInstance(4, (
-        Clause((pos(0), pos(1), pos(2))), Clause((neg(0), neg(1), neg(2))),
-        Clause((pos(0), neg(1), pos(2))), Clause((neg(0), pos(1), neg(2))),
-    ), SAT)  # x0..x2 are (2,2), x3 never appears
-    choice = CnfInstance(3, (
-        Clause((pos(0), pos(1), pos(2))), Clause((pos(0), neg(1), neg(2))),
-        Clause((pos(0), neg(1), pos(2))), Clause((neg(0), neg(1), neg(2))),
-    ), SAT)  # x0 is (3,1), x1 is (1,3), x2 is (2,2)
+    exact = CnfInstance.from_codes(6, [
+        positive((0, 1, 2)), negative((0, 1, 2)), positive((3, 4, 5)), negative((3, 2, 5)),
+    ], SAT)  # x2 is (1,2), x4 is (1,0)
+    e4 = CnfInstance.from_codes(4, [
+        positive((0, 1, 2)), negative((0, 1, 2)),
+        (pos(0), neg(1), pos(2)), (neg(0), pos(1), neg(2)),
+    ], SAT)  # x0..x2 are (2,2), x3 never appears
+    choice = CnfInstance.from_codes(3, [
+        positive((0, 1, 2)), (pos(0), neg(1), neg(2)),
+        (pos(0), neg(1), pos(2)), negative((0, 1, 2)),
+    ], SAT)  # x0 is (3,1), x1 is (1,3), x2 is (2,2)
     for inst, text, v in ((exact, "mono-sat-p1q1", 2), (e4, "e4", 3),
                           (choice, "choice-31-13", 2)):
         rep = validate(inst, parse_variant(text))
@@ -187,8 +195,7 @@ def test_validate_names_the_first_variable_out_of_profile():
 
 
 def test_validate_distinct_clauses():
-    c = Clause((pos(0), pos(1), pos(2)))
-    inst = CnfInstance(3, (c, c), SAT)
+    inst = CnfInstance.from_codes(3, [positive((0, 1, 2))] * 2, SAT)
     rep = validate(inst, VariantSpec())
     assert not rep.ok and rep.witness == ("clause_pair", 0, 1)
     assert validate(inst, VariantSpec(distinct_clauses=False)).ok
@@ -201,11 +208,7 @@ def test_is_linear_eq4l_gadget():
 
 
 def test_is_linear_two_shared():
-    cls = (
-        Clause((pos(0), pos(1), pos(2))),
-        Clause((pos(0), pos(1), pos(3))),
-    )
-    rep = is_linear(CnfInstance(4, cls, SAT))
+    rep = is_linear(CnfInstance.from_codes(4, [positive((0, 1, 2)), positive((0, 1, 3))], SAT))
     assert not rep.ok
     assert rep.witness == ("clause_pair", 0, 1)
 
@@ -217,38 +220,30 @@ def test_is_linear_nine_var_fails_on_clauses_1_and_7():
 
 
 def test_is_linear_rejects_multiset():
-    c = Clause((pos(0), pos(0), pos(1)))
     with pytest.raises(ValueError):
-        is_linear(CnfInstance(2, (c,), SAT))
+        is_linear(CnfInstance.from_codes(2, [positive((0, 0, 1))], SAT))
 
 
 def test_linear_spec_judges_repeats_not_the_flag():
-    flagged = CnfInstance(3, (Clause((pos(0), pos(1), pos(2))),), SAT)
+    flagged = CnfInstance.from_codes(3, [positive((0, 1, 2))], SAT)
     assert is_linear(flagged).ok
     assert validate(flagged, VariantSpec(linear="linear")).ok
-    repeating = CnfInstance(2, (Clause((pos(0), pos(0), pos(1))),), SAT)
+    repeating = CnfInstance.from_codes(2, [positive((0, 0, 1))], SAT)
     rep = validate(repeating, VariantSpec(duplicates=True, linear="linear"))
     assert not rep.ok and rep.witness == ("clause", 0)
 
 
 def test_exact_linear():
     # three clauses pairwise sharing exactly one variable
-    cls = (
-        Clause((pos(0), pos(1), pos(2))),
-        Clause((pos(0), pos(3), pos(4))),
-        Clause((pos(1), pos(3), pos(5))),
-    )
-    assert is_linear(CnfInstance(6, cls, SAT), exact=True).ok
-    disjoint = (
-        Clause((pos(0), pos(1), pos(2))),
-        Clause((pos(3), pos(4), pos(5))),
-    )
-    assert not is_linear(CnfInstance(6, disjoint, SAT), exact=True).ok
+    cls = map(positive, ((0, 1, 2), (0, 3, 4), (1, 3, 5)))
+    assert is_linear(CnfInstance.from_codes(6, cls, SAT), exact=True).ok
+    disjoint = map(positive, ((0, 1, 2), (3, 4, 5)))
+    assert not is_linear(CnfInstance.from_codes(6, disjoint, SAT), exact=True).ok
 
 
 def _pairwise_linear(inst, exact):
     """(ok, reason, witness) of the all-pairs definition of linearity."""
-    sets = [c.varset() for c in inst.clauses]
+    sets = [{x >> 1 for x in c} for c in inst.codes]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             k = len(sets[i] & sets[j])
@@ -285,9 +280,9 @@ def test_is_linear_matches_pairwise_reference():
             vsets = [[perm[v] for v in line] for line in rng.sample(FANO_LINES, rng.randint(0, 7))]
             if rng.random() < 0.5:
                 vsets.insert(rng.randint(0, len(vsets)), rng.sample(range(n), 3))
-        inst = CnfInstance(n, tuple(
-            Clause(tuple(Literal(v, rng.random() < 0.3) for v in vs)) for vs in vsets
-        ), SAT)
+        inst = CnfInstance.from_codes(n, [
+            [v << 1 | (rng.random() < 0.3) for v in vs] for vs in vsets
+        ], SAT)
         for exact in (False, True):
             rep = is_linear(inst, exact)
             assert (rep.ok, rep.reason, rep.witness) == _pairwise_linear(inst, exact)
@@ -297,13 +292,12 @@ def test_is_linear_matches_pairwise_reference():
 
 def test_negate_rename_profile_flip():
     # a variable appearing three times negated, once unnegated
-    cls = (
-        Clause((neg(0), pos(1), pos(2))),
-        Clause((neg(0), pos(1), pos(3))),
-        Clause((neg(0), pos(2), pos(3))),
-        Clause((pos(0), pos(1), pos(4))),
-    )
-    inst = CnfInstance(5, cls, SAT)
+    inst = CnfInstance.from_codes(5, [
+        (neg(0), pos(1), pos(2)),
+        (neg(0), pos(1), pos(3)),
+        (neg(0), pos(2), pos(3)),
+        (pos(0), pos(1), pos(4)),
+    ], SAT)
     assert appearance_profile(inst)[0] == (1, 3)
     flipped = negate_rename(inst, [0])
     assert appearance_profile(flipped)[0] == (3, 1)
@@ -325,13 +319,12 @@ def test_negate_rename_involution_and_sat_preservation():
 
 def test_negate_rename_range_check():
     with pytest.raises(ValueError):
-        negate_rename(CnfInstance(2, (), SAT), [5])
+        negate_rename(CnfInstance.from_codes(2, (), SAT), [5])
 
 
 def test_evaluate_modes():
-    c = Clause((pos(0), pos(1), pos(2)))
-    inst_sat = CnfInstance(3, (c,), SAT)
-    inst_nae = CnfInstance(3, (c,), NAE)
+    inst_sat = CnfInstance.from_codes(3, [positive((0, 1, 2))], SAT)
+    inst_nae = CnfInstance.from_codes(3, [positive((0, 1, 2))], NAE)
     assert evaluate(inst_sat, (True, True, True))
     assert not evaluate(inst_nae, (True, True, True))
     assert evaluate(inst_nae, (True, False, True))

@@ -7,13 +7,12 @@ import pytest
 from mono3sat import gadgets, reductions
 from mono3sat.formulas import (
     NAE,
-    Clause,
     CnfInstance,
-    Literal,
     appearance_profile,
-    decode,
-    encode,
     is_linear,
+    neg,
+    negative,
+    positive,
 )
 from mono3sat.gadgets import (
     CATALOGUE,
@@ -106,13 +105,8 @@ def test_s_on_identical_boundary():
     alloc = FreshAllocator(1)
     g = build_gadget("S", (0, 0, 0), alloc)
     assert len(g.clauses) == 13
-    first_three = [c.litset() for c in decode(g.clauses[:3])]
     a, b, c_, d, e, f = g.aux
-    assert first_three == [
-        frozenset({Literal(0), Literal(a), Literal(b)}),
-        frozenset({Literal(0), Literal(c_), Literal(d)}),
-        frozenset({Literal(0), Literal(e), Literal(f)}),
-    ]
+    assert g.clauses[:3] == (positive((0, a, b)), positive((0, c_, d)), positive((0, e, f)))
     assert set(g.predicate.accepted) == {1}  # S(x,x,x) forces x true
 
 
@@ -125,8 +119,7 @@ def test_eq4l_repeated_args_stay_buildable_but_not_linear():
     alloc = FreshAllocator(3)
     g = build_gadget("EQ4L", (0, 0, 1, 2), alloc)
     # clause 9 of the table is {z, u, b}: slots map to (1, 2)
-    nine = decode(g.clauses)[8]
-    assert {l.var for l in nine.literals} == {1, 2, g.aux[1]}
+    assert {x >> 1 for x in g.clauses[8]} == {1, 2, g.aux[1]}
     inst = CnfInstance.from_codes(9, g.clauses, NAE)
     assert not is_linear(inst).ok
 
@@ -180,7 +173,7 @@ def test_star22_appearance_pattern():
 def test_aux_appearance_counts_inside_nae_gadgets():
     for kind in ("NE9", "EQ13", "EQ4L", "P1"):
         g = fresh_instance(kind)
-        n = max(v for c in decode(g.clauses) for v in c.varset()) + 1
+        n = max(x >> 1 for c in g.clauses for x in c) + 1
         prof = appearance_profile(CnfInstance.from_codes(n, g.clauses, NAE))
         for v in g.aux:
             assert sum(prof[v]) == 4, f"{kind} aux {v}"
@@ -192,9 +185,7 @@ def test_f_composition_shape():
     assert all(p.kind == "D" for p in g.parts)
     assert len(g.connectors) == 1
     u1, u2, u3 = g.aux[:3]
-    assert decode(g.connectors)[0].litset() == frozenset(
-        {Literal(u1, True), Literal(u2, True), Literal(u3, True)}
-    )
+    assert set(g.connectors[0]) == set(negative((u1, u2, u3)))
 
 
 def test_b_composition_shape():
@@ -224,7 +215,7 @@ def test_verify_composite_checks_its_premise():
     # an extra clause (~x) leaves x = 1 without an extension, although the
     # parts and the connector alone still give the declared predicate
     g = fresh_instance("B")
-    extra = encode([Clause((Literal(g.boundary[0], True),))])
+    extra = ((neg(g.boundary[0]),),)
     rep = verify_composite(dataclasses.replace(g, clauses=g.clauses + extra))
     assert not rep.ok and "connectors" in rep.reason
     # two parts on the same auxiliaries

@@ -13,14 +13,12 @@ from mono3sat import _bitkernel
 from mono3sat.formulas import (
     NAE,
     SAT,
-    Clause,
     CnfInstance,
-    Literal,
     assignment_from_bits,
-    decode,
     evaluate,
     negate_rename,
     pos,
+    positive,
 )
 from mono3sat.gadgets import fresh_instance
 from mono3sat.generate import random_kk
@@ -46,8 +44,8 @@ def random_3cnf(n, m, rng, mode=SAT):
     cls = []
     for _ in range(m):
         vs = rng.sample(range(n), min(3, n))
-        cls.append(Clause(tuple(Literal(v, rng.random() < 0.5) for v in vs)))
-    return CnfInstance(n, tuple(cls), mode)
+        cls.append([v << 1 | (rng.random() < 0.5) for v in vs])
+    return CnfInstance.from_codes(n, cls, mode)
 
 
 def test_exhaustive_nine_var_unsat():
@@ -55,7 +53,7 @@ def test_exhaustive_nine_var_unsat():
 
 
 def test_exhaustive_empty_instance():
-    res = solve_exhaustive(CnfInstance(0, (), SAT))
+    res = solve_exhaustive(CnfInstance.from_codes(0, (), SAT))
     assert res.status == "sat" and res.model == ()
 
 
@@ -76,7 +74,7 @@ def test_exhaustive_model_is_verified():
 
 def test_exhaustive_cap(monkeypatch):
     monkeypatch.setenv("MONO3SAT_ENUM_CAP", "26")
-    inst = CnfInstance(30, (), SAT)
+    inst = CnfInstance.from_codes(30, (), SAT)
     with pytest.raises(CapExceededError) as exc:
         solve_exhaustive(inst)
     assert exc.value.needed == 30
@@ -93,8 +91,8 @@ def test_dpll_all_positive_is_sat():
         cls = []
         for _ in range(rng.randint(1, 10)):
             vs = rng.sample(range(n), 3)
-            cls.append(Clause(tuple(Literal(v) for v in vs)))
-        res = solve_dpll(CnfInstance(n, tuple(cls), SAT))
+            cls.append(positive(vs))
+        res = solve_dpll(CnfInstance.from_codes(n, cls, SAT))
         assert res.status == "sat"
 
 
@@ -127,15 +125,13 @@ def random_mixed_cnf(n, rng, mode):
     for _ in range(max(1, round(ratio[length - 1] * n * rng.uniform(0.6, 1.3)))):
         k = rng.randint(1, length) if rng.random() < 0.05 else length
         vs = rng.sample(range(n), k)
-        cls.append(Clause(tuple(Literal(v, rng.random() < 0.5) for v in vs)))
+        cls.append([v << 1 | (rng.random() < 0.5) for v in vs])
     if rng.random() < 0.2:
         core = rng.sample(range(n), min(length, 3))
         for signs in range(1 << len(core)):
-            cls.append(Clause(tuple(
-                Literal(v, bool(signs >> j & 1)) for j, v in enumerate(core)
-            )))
+            cls.append([v << 1 | (signs >> j & 1) for j, v in enumerate(core)])
         rng.shuffle(cls)
-    return CnfInstance(n, tuple(cls), mode)
+    return CnfInstance.from_codes(n, cls, mode)
 
 
 def _solve_dpll_watched(inst):
@@ -179,7 +175,7 @@ def test_dpll_mixed_lengths_fuzz():
         assert res.status == ref_solve(inst), f"disagreement on trial {trial}"
         if res.status == "sat":
             assert evaluate(inst, res.model)
-        longest_input = max(len(c.litset()) for c in inst.clauses)
+        longest_input = max(len(set(c)) for c in inst.codes)
         longer[inst.mode] += seen["learned"] > longest_input
         backjumps += seen["backjumps"]
     assert longer[SAT] > 0 and longer[NAE] > 0, longer
@@ -324,9 +320,9 @@ def test_extension_nae_flip_symmetry():
         full = (1 << nb) - 1
         acc = set(g.predicate.accepted)
         assert {full ^ p for p in acc} == acc
-        flipped = CnfInstance(
-            max(v for c in decode(g.clauses) for v in c.varset()) + 1,
-            tuple(c.negated() for c in decode(g.clauses)),
+        flipped = CnfInstance.from_codes(
+            max(x >> 1 for c in g.clauses for x in c) + 1,
+            [[x ^ 1 for x in c] for c in g.clauses],
             NAE,
         )
         # re-derive the accepted set of the flipped gadget by enumeration
@@ -345,14 +341,14 @@ def _d_positive_2clauses_and_u():
     """D with the boundary slots removed, plus the 27-transversal family."""
     g = fresh_instance("D")
     boundary = set(g.boundary)
-    dpos = []
-    for c in decode(g.clauses):
-        if c.all_positive():
-            lits = tuple(l for l in c.literals if l.var not in boundary)
-            dpos.append(Clause(lits))
+    dpos = [
+        tuple(x for x in c if x >> 1 not in boundary)
+        for c in g.clauses
+        if not any(x & 1 for x in c)
+    ]
     a, b, c_, d, e, f, gg, h, i = g.aux
     u = [
-        Clause((Literal(x), Literal(y), Literal(z)))
+        positive((x, y, z))
         for x in (a, c_, e)
         for y in (b, f, h)
         for z in (d, gg, i)
@@ -367,8 +363,8 @@ def test_subsumes_d_covers_u():
 
 
 def test_subsumes_subset_case():
-    cover = [Clause((pos(0), pos(1)))]
-    target = [Clause((pos(0), pos(1), pos(2)))]
+    cover = [positive((0, 1))]
+    target = [positive((0, 1, 2))]
     assert subsumes(cover, target).ok
 
 
@@ -377,12 +373,12 @@ def test_subsumes_fails_without_clause_4():
     g = fresh_instance("D")
     dpos, u = _d_positive_2clauses_and_u()
     a, b, _, d = g.aux[0], g.aux[1], g.aux[2], g.aux[3]
-    missing = Clause((Literal(a), Literal(b), Literal(d)))
-    reduced = [c for c in dpos if c.litset() != missing.litset()]
+    missing = set(positive((a, b, d)))
+    reduced = [c for c in dpos if set(c) != missing]
     rep = subsumes(reduced, u)
     assert not rep.ok
-    uncovered = u[rep.witness[1]]
-    assert uncovered.litset() == missing.litset()
+    _, i, uncovered = rep.witness
+    assert set(uncovered) == set(u[i]) == missing
 
 
 def test_subsumption_preserves_satisfiability():
@@ -392,12 +388,12 @@ def test_subsumption_preserves_satisfiability():
         base = random_3cnf(n, rng.randint(1, 8), rng)
         # supersets of base clauses are subsumed by base
         target = []
-        for c in base.clauses:
-            extra = rng.choice([v for v in range(n) if v not in c.varset()])
-            target.append(Clause(c.literals + (Literal(extra),)))
-        assert subsumes(base.clauses, target).ok
+        for c in base.codes:
+            extra = rng.choice([v for v in range(n) if v not in {x >> 1 for x in c}])
+            target.append(c + (pos(extra),))
+        assert subsumes(base.codes, target).ok
         if ref_solve(base) == "sat":
-            assert ref_solve(CnfInstance(n, tuple(target), SAT)) == "sat"
+            assert ref_solve(CnfInstance.from_codes(n, target, SAT)) == "sat"
 
 
 def test_split_forced_nine_var():
@@ -431,7 +427,7 @@ def test_split_forced_ss_bar():
 
 
 def test_split_forced_rejects_satisfiable():
-    sat_inst = CnfInstance(2, (Clause((pos(0), pos(1))),), SAT)
+    sat_inst = CnfInstance.from_codes(2, [positive((0, 1))], SAT)
     with pytest.raises(ValueError):
         split_forced(sat_inst)
 
@@ -451,7 +447,7 @@ def _models(inst):
     """The model indices, in increasing order."""
     for bits in range(1 << inst.num_vars):
         values = assignment_from_bits(bits, inst.num_vars)
-        if all(clause_value(c, values, inst.mode) for c in inst.clauses):
+        if all(clause_value(c, values, inst.mode) for c in inst.codes):
             yield bits
 
 
@@ -468,10 +464,10 @@ def _chunk_clauses(rng, n, low, high):
     for _ in range(rng.randint(0, 2 * n)):
         pool = rng.choice(pools)
         vs = rng.sample(pool, rng.randint(1, min(3, len(pool))))
-        lits = [Literal(v, rng.random() < 0.5) for v in vs]
+        lits = [v << 1 | (rng.random() < 0.5) for v in vs]
         if rng.random() < 0.1:
-            lits.append(Literal(lits[0].var, not lits[0].neg))
-        cls.append(Clause(tuple(lits)))
+            lits.append(lits[0] ^ 1)
+        cls.append(lits)
     return cls
 
 
@@ -490,7 +486,7 @@ def test_kernel_across_chunks(monkeypatch):
             low = min(num_aux, chunk_log)
             cls = _chunk_clauses(rng, n, low, chunk_log)
             mode = rng.choice([SAT, NAE])
-            inst = CnfInstance(n, tuple(cls), mode)
+            inst = CnfInstance.from_codes(n, cls, mode)
             codes = sat_codes(inst.codes, mode)
             masks = clause_masks(codes)
             assert _bitkernel.solve(n, masks) == _smallest_model(inst)
@@ -517,8 +513,8 @@ def test_kernel_across_chunks(monkeypatch):
                 firsts.setdefault(m >> (width_log + group_log), m)
             found = _bitkernel._first_models(masks, n, width_log, group_log)
             assert found == list(firsts.values())
-            vs = [{l.var for l in c.literals} for c in cls]
-            if any(len(v) < len(c.literals) for v, c in zip(vs, cls)):
+            vs = [{x >> 1 for x in c} for c in cls]
+            if any(len(v) < len(c) for v, c in zip(vs, cls)):
                 seen.add("both polarities")
             seen |= {
                 "no clauses" if not cls else "clauses",
@@ -576,13 +572,12 @@ def test_refute_inputs_unsat_on_both_paths():
 _OPTIMIZED_MODEL_CHECK = """
 import sys
 from mono3sat import _bitkernel, oracle
-from mono3sat.formulas import CnfInstance, clause, encode
+from mono3sat.formulas import CnfInstance, neg, negative, pos, positive
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 
 # DPLL's own invariant: a decision is due but no free literal is counted
-from mono3sat.formulas import neg
 
 def forget_counts(frame, event, arg):
     if event == "call" and frame.f_code.co_name == "pick":
@@ -594,24 +589,23 @@ def forget_counts(frame, event, arg):
 
 sys.setprofile(forget_counts)
 try:
-    oracle.solve_dpll(CnfInstance(2, (clause([0, 1]), clause([neg(0), neg(1)]))))
+    oracle.solve_dpll(CnfInstance.from_codes(2, [positive((0, 1)), negative((0, 1))]))
 except AssertionError as exc:
     print("dpll invariant raised:", exc)
 sys.setprofile(None)
 
 # R1's padding, handed a variable that already appears five times
 from mono3sat import reductions
-b = reductions._Builder(reductions.REDUCTIONS["R1"], CnfInstance(3, ()))
+b = reductions._Builder(reductions.REDUCTIONS["R1"], CnfInstance.from_codes(3, ()))
 b.alloc.fresh(3)
-b.clauses = list(encode([clause([0, 1, 2])])) * 5
+b.clauses = [positive((0, 1, 2))] * 5
 try:
     reductions._pad_to_four(b)
 except AssertionError as exc:
     print("pad_to_four raised:", exc)
 
 # a split plan that gives two appearances in one clause the same copy
-from mono3sat.formulas import Clause, pos
-star = CnfInstance(2, (Clause((pos(0), pos(0), pos(1))),), "nae")
+star = CnfInstance.from_codes(2, [positive((0, 0, 1))], "nae")
 b = reductions._Builder(reductions.REDUCTIONS["R2"], star)
 try:
     reductions._split(b, lambda u, q: ((0,) * u, (0,) * q, (False,)))
@@ -621,10 +615,10 @@ except AssertionError as exc:
 # a certificate whose back-map flips one copy: the pull-back must fail the
 # equisat check
 import dataclasses
-cert = reductions.apply_reduction("R5", CnfInstance(3, (
-    clause([0, 1, 2]), clause([neg(0), neg(1), neg(2)]),
-    clause([0, neg(1), neg(2)]), clause([neg(0), 1, 2]),
-)))
+cert = reductions.apply_reduction("R5", CnfInstance.from_codes(3, [
+    positive((0, 1, 2)), negative((0, 1, 2)),
+    (pos(0), neg(1), neg(2)), (neg(0), pos(1), pos(2)),
+]))
 out_v, (in_v, negated) = next(iter(cert.back_map.items()))
 bad = dataclasses.replace(cert, back_map={**cert.back_map, out_v: (in_v, not negated)})
 rep = reductions.check_equisat(bad)
@@ -640,7 +634,6 @@ if not rep.ok:
 
 # a row that emits a clause outside its output spec, and one that drops the
 # log entry of a gadget's auxiliaries
-from mono3sat.formulas import positive
 r5 = reductions.REDUCTIONS["R5"]
 
 def stray_clause(b):
@@ -659,7 +652,7 @@ for name, apply in (("spec", stray_clause), ("untraced", unlogged_aux)):
         print(f"finish {name} raised:", exc)
 reductions.REDUCTIONS["R5"] = r5
 
-inst = CnfInstance(1, (clause([0]),))
+inst = CnfInstance.from_codes(1, [(pos(0),)])
 _bitkernel.solve = lambda *args: 0
 oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
 for solve in (oracle.solve_exhaustive, oracle.solve_dpll):

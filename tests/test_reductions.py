@@ -12,8 +12,8 @@ from mono3sat.formulas import (
     Clause,
     CnfInstance,
     Literal,
-    encode,
     neg,
+    negative,
     pos,
     positive,
     validate,
@@ -21,8 +21,15 @@ from mono3sat.formulas import (
 from mono3sat import generate as G
 from mono3sat.dimacs import emit_dimacs, parse_dimacs
 from mono3sat import reductions as R
-from mono3sat.oracle import solve_dpll, solve_exhaustive
-from mono3sat.witnesses import WITNESS_NAMES, _canonical_pairs, known_unsat
+from mono3sat.gadgets import GADGET_NAMES, verify_gadget
+from mono3sat.oracle import solve_dpll, solve_exhaustive, split_forced
+from mono3sat.witnesses import (
+    WITNESS_NAMES,
+    SearchBudget,
+    _canonical_pairs,
+    known_unsat,
+    search_unsat,
+)
 
 # a frozen 9-variable unsatisfiable Monotone NAE-3-Sat-E4 instance: a
 # 4-regular 3-uniform hypergraph with no proper 2-coloring, found by random
@@ -51,28 +58,24 @@ p cnf 9 12
 
 
 def unsat_nae_e4() -> CnfInstance:
-    return CnfInstance(
-        9,
-        tuple(Clause(tuple(Literal(v) for v in t)) for t in UNSAT_NAE_E4_TRIPLES),
-        NAE,
-    )
+    return CnfInstance.from_codes(9, map(positive, UNSAT_NAE_E4_TRIPLES), NAE)
 
 
 def seed_22() -> CnfInstance:
     """The 3-variable (2,2) seed: {xyz}, {~x~y~z}, {x~y~z}, {~xyz}."""
-    return CnfInstance(3, (
-        Clause((pos(0), pos(1), pos(2))),
-        Clause((neg(0), neg(1), neg(2))),
-        Clause((pos(0), neg(1), neg(2))),
-        Clause((neg(0), pos(1), pos(2))),
-    ), SAT)
+    return CnfInstance.from_codes(3, [
+        positive((0, 1, 2)),
+        negative((0, 1, 2)),
+        (pos(0), neg(1), neg(2)),
+        (neg(0), pos(1), pos(2)),
+    ], SAT)
 
 
 def tiny_unsat_nae_star() -> CnfInstance:
-    return CnfInstance(2, (
-        Clause((pos(0), pos(0), pos(1))),
-        Clause((pos(0), pos(0), neg(1))),
-    ), NAE)
+    return CnfInstance.from_codes(2, [
+        positive((0, 0, 1)),
+        (pos(0), pos(0), neg(1)),
+    ], NAE)
 
 
 UNCONDITIONAL = [r for r in R.REDUCTIONS if r != "R10"]
@@ -103,9 +106,11 @@ def test_reduction_outputs_are_pinned():
 
 
 def test_build_path_makes_no_views(monkeypatch):
-    # codes are the one stored clause form: the reductions, generators,
-    # witnesses, DIMACS input and the (2,2) candidate stream write them
-    # without a Literal or a Clause in between
+    # codes are the one clause form: the reductions, generators, witnesses,
+    # DIMACS input and the (2,2) candidate stream write them, and the
+    # solvers, the gadget verifier, the equisat check, the forced-literal
+    # split and the unsat search read them, without a Literal or a Clause
+    # (the benchmark's view) in between
     inputs = []
     for rid in UNCONDITIONAL:
         row = R.REDUCTIONS[rid]
@@ -124,11 +129,10 @@ def test_build_path_makes_no_views(monkeypatch):
 
     monkeypatch.setattr(Literal, "__new__", counting_new)
     monkeypatch.setattr(Clause, "__init__", counting_init)
-    Clause((Literal(0),))
+    Clause((Literal(0, False),))
     assert made == {"Literal": 1, "Clause": 1}  # the counters count
     made.clear()
-    for rid, inst, k in inputs:
-        R.apply_reduction(rid, inst, k=k)
+    certs = [R.apply_reduction(rid, inst, k=k) for rid, inst, k in inputs]
     rng = random.Random(1)
     G.random_monotone_nae(6, 4, rng)
     G.random_nae_e4(6, rng)
@@ -140,6 +144,16 @@ def test_build_path_makes_no_views(monkeypatch):
     for name in WITNESS_NAMES:
         parse_dimacs(emit_dimacs(known_unsat(name)))
     assert len(list(_canonical_pairs(6))) == 819
+    assert made == {}
+    for name in ("nine_var", "ss_bar", "hitting27"):
+        assert solve_exhaustive(known_unsat(name)).status == "unsat"
+        assert solve_dpll(known_unsat(name)).status == "unsat"
+    for kind in GADGET_NAMES:
+        assert verify_gadget(kind).ok, kind
+    for cert in certs:
+        assert R.check_equisat(cert, timeout=60).ok, cert.rid
+    assert split_forced(known_unsat("nine_var"))[0] == list(range(17))
+    assert search_unsat((2, 2), SearchBudget(max_n=6)).found is None
     assert made == {}
 
 
@@ -160,7 +174,7 @@ def test_structural_and_equisat(rid):
 
 def test_split_refuses_one_copy_twice_in_a_clause():
     # a plan that gives both appearances of x0 in the clause copy 0
-    star = CnfInstance(2, (Clause((pos(0), pos(0), pos(1))),), NAE)
+    star = CnfInstance.from_codes(2, [positive((0, 0, 1))], NAE)
     b = R._Builder(R.REDUCTIONS["R2"], star)
     with pytest.raises(AssertionError, match="R2: the split gives clause 0 one copy twice"):
         R._split(b, lambda u, q: ((0,) * u, (0,) * q, (False,)))
@@ -207,11 +221,11 @@ def test_r7_q1_and_q2_branches():
     # ring padding clauses: 2q = 4 positive triples over the y variables
     ys = [e.boundary[0] for e in cert2.gadget_log if e.label == "Y_RING"]
     pad = [
-        c for c in cert2.output.clauses
-        if c.all_positive() and set(v for v in c.variables()) <= set(ys)
+        c for c in cert2.output.codes
+        if not any(x & 1 for x in c) and {x >> 1 for x in c} <= set(ys)
     ]
     assert len(pad) == 4
-    assert len({c.sorted_key() for c in pad}) == 4  # pairwise distinct
+    assert len({tuple(sorted(c)) for c in pad}) == 4  # pairwise distinct
 
 
 def test_r13_on_seed_both_sat():
@@ -278,8 +292,8 @@ def test_r4_clause_pair_property():
     rng = random.Random(44)
     linear = R.apply_reduction("R3", G.random_nae_e4(6, rng)).output
     out = R.apply_reduction("R4", linear).output
-    sets = [c.litset() for c in out.clauses]
-    varsets = [c.varset() for c in out.clauses]
+    sets = [set(c) for c in out.codes]
+    varsets = [{x >> 1 for x in c} for c in out.codes]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             if len(varsets[i] & varsets[j]) == 2:
@@ -385,16 +399,8 @@ def test_r10_error_paths():
     with pytest.raises(R.ReductionInputError):
         R.apply_reduction("R10", inst33, param=sat_param)
     # a satisfiable monotone (2,2)-shaped parameter is rejected as satisfiable
-    mono = CnfInstance(6, (
-        Clause((pos(0), pos(1), pos(2))),
-        Clause((pos(3), pos(4), pos(5))),
-        Clause((pos(0), pos(1), pos(3))),
-        Clause((pos(2), pos(4), pos(5))),
-        Clause((neg(0), neg(1), neg(2))),
-        Clause((neg(3), neg(4), neg(5))),
-        Clause((neg(0), neg(1), neg(3))),
-        Clause((neg(2), neg(4), neg(5))),
-    ), SAT)
+    sides = ((0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5))
+    mono = CnfInstance.from_codes(6, [*map(positive, sides), *map(negative, sides)], SAT)
     with pytest.raises(R.ReductionInputError, match="unsatisfiable"):
         R.apply_reduction("R10", inst33, param=mono)
     # a nae-mode parameter is rejected for its mode before anything is
@@ -410,10 +416,7 @@ def test_r10_assembly_structure():
     # forcing property is fictional, so the check here is structural.
     mg = R.MGadget(
         num_vars=3,
-        clauses=encode((
-            Clause((pos(0), pos(1), pos(2))),
-            Clause((neg(0), neg(1), neg(2))),
-        )),
+        clauses=(positive((0, 1, 2)), negative((0, 1, 2))),
         pos_pool=(0, 1, 2),
         neg_pool=(0, 1, 2),
         q=1,
@@ -430,7 +433,7 @@ def test_r10_assembly_structure():
     # one copy (q=1): 6 copies per input variable plus one gadget per variable
     assert out.num_vars == 6 * inst.num_vars + mg.num_vars * inst.num_vars
     # every 2-clause got exactly one padding literal: all clauses are triples
-    assert all(len(c.literals) == 3 for c in out.clauses)
+    assert all(len(c) == 3 for c in out.codes)
 
 
 def test_m_gadget_on_nine_var():
@@ -444,10 +447,10 @@ def test_m_gadget_on_nine_var():
     assert res.status == "sat"
     # forced-false pools: conjoin each literal and refute
     for v in set(mg.pos_pool):
-        probe = CnfInstance(mg.num_vars, inst.clauses + (Clause((pos(v),)),), SAT)
+        probe = CnfInstance.from_codes(mg.num_vars, inst.codes + ((pos(v),),), SAT)
         assert solve_dpll(probe).status == "unsat"
     for v in set(mg.neg_pool):
-        probe = CnfInstance(mg.num_vars, inst.clauses + (Clause((neg(v),)),), SAT)
+        probe = CnfInstance.from_codes(mg.num_vars, inst.codes + ((neg(v),),), SAT)
         assert solve_dpll(probe).status == "unsat"
 
 
@@ -490,9 +493,14 @@ def test_r2_r3_r4_chain():
             inst = cert.output
 
 
-@pytest.mark.parametrize("rid", ["R6", "R8"])
+@pytest.mark.parametrize("rid", UNCONDITIONAL)
 def test_lifting_an_empty_instance(rid):
-    # any k is valid for the empty input; no work may scale with it
-    cert = R.apply_reduction(rid, CnfInstance(0, ()), k=10**12)
+    # every unconditional row maps the empty input of its mode to the empty
+    # output; on the lifting rows any k is valid and no work may scale with it
+    row = R.REDUCTIONS[rid]
+    empty = CnfInstance.from_codes(0, (), row.input_mode)
+    cert = R.apply_reduction(rid, empty, k=10**12 if row.needs_k else None)
     assert cert.output.num_vars == cert.output.num_clauses == 0
-    assert [e.label for e in cert.gadget_log] == ["LINK_Y", "LINK_Z"]
+    assert R.check_equisat(cert).ok
+    if row.needs_k:
+        assert [e.label for e in cert.gadget_log] == ["LINK_Y", "LINK_Z"]

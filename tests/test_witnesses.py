@@ -5,12 +5,12 @@ import pytest
 
 from mono3sat.formulas import (
     SAT,
-    Clause,
     CnfInstance,
-    Literal,
     appearance_profile,
     neg,
+    negative,
     pos,
+    positive,
 )
 from mono3sat import witnesses as W
 from mono3sat.dimacs import emit_dimacs, parse_dimacs
@@ -36,9 +36,9 @@ def test_nine_var_transcription_before_solving():
     assert inst.num_vars == 9 and inst.num_clauses == 18
     assert len(NINE_VAR_TABLE) == 18
     # frozen table: first clause {~a,~d,~g}, clause 13 {a,b,c}, clause 18 {~c,~d,~f}
-    assert inst.clauses[0].litset() == frozenset({neg(0), neg(3), neg(6)})
-    assert inst.clauses[12].litset() == frozenset({pos(0), pos(1), pos(2)})
-    assert inst.clauses[17].litset() == frozenset({neg(2), neg(3), neg(5)})
+    assert set(inst.codes[0]) == set(negative((0, 3, 6)))
+    assert set(inst.codes[12]) == set(positive((0, 1, 2)))
+    assert set(inst.codes[17]) == set(negative((2, 3, 5)))
     assert appearance_profile(inst) == [(3, 3)] * 9
 
 
@@ -92,12 +92,9 @@ def test_coverage_count_n12():
 
 def _canonical_instance(k, positives):
     n = 3 * k
-    cls = [
-        Clause(tuple(Literal(3 * i + s, True) for s in range(3)))
-        for i in range(k)
-    ]
-    cls += [Clause(tuple(Literal(v) for v in tri)) for tri in positives]
-    return CnfInstance(n, tuple(cls), SAT)
+    cls = [negative(range(3 * i, 3 * i + 3)) for i in range(k)]
+    cls += map(positive, positives)
+    return CnfInstance.from_codes(n, cls, SAT)
 
 
 def test_transversal_hitting27_unsat():
@@ -189,7 +186,7 @@ def test_min_hitting_set_small_n_undefined():
 
 
 def test_canonical_shape_rejects_mixed():
-    inst = CnfInstance(3, (Clause((pos(0), neg(1), pos(2))),), SAT)
+    inst = CnfInstance.from_codes(3, [(pos(0), neg(1), pos(2))], SAT)
     with pytest.raises(ValueError):
         canonical_shape(inst)
 
@@ -199,9 +196,7 @@ def test_canonical_shape_judges_repeats_not_the_flag():
     flagged = parse_dimacs(text.replace("c duplicates forbidden", "c duplicates allowed"))
     assert not check_sat_via_transversal(flagged).ok
     assert bound_satisfiable(flagged) is None
-    repeating = CnfInstance(
-        3, (Clause((neg(0), neg(0), neg(1))), Clause((pos(0), pos(1), pos(2)))), SAT
-    )
+    repeating = CnfInstance.from_codes(3, [negative((0, 0, 1)), positive((0, 1, 2))], SAT)
     with pytest.raises(ValueError, match="set-flavor"):
         canonical_shape(repeating)
 
