@@ -167,17 +167,7 @@ class VerificationReport:
         return self.ok
 
     def as_dict(self) -> dict:
-        return {"ok": self.ok, "reason": self.reason, "witness": _jsonable(self.witness)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, frozenset):
-        return sorted(_jsonable(x) for x in obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+        return {"ok": self.ok, "reason": self.reason, "witness": self.witness}
 
 
 PASS = VerificationReport(True)

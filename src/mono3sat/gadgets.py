@@ -5,18 +5,19 @@ placeholders for boundary variables, names for auxiliaries) so the
 transcription can be reviewed line by line; every table is parsed once, at
 import.  A composite row (EQ_NE, F, B, BBAR) also lists its parts, the
 catalogue gadgets it is assembled from; its own table then holds only the
-connector clauses.  Every row is built by the one path in `build_gadget`,
-and every instantiation draws fresh, disjoint auxiliaries.  A built gadget
-holds its clauses as literal codes (see `formulas`): each table is indexed
-once, each name by its position, and a build writes the codes from that
-index.
+connector clauses.  A row's own auxiliaries are the names its table and its
+parts use that are not slots, in sorted order.  Every row is built by the
+one path in `build_gadget`, and every instantiation draws fresh, disjoint
+auxiliaries.  A built gadget holds its clauses as literal codes (see
+`formulas`): each table is indexed once, each name by its position, and a
+build writes the codes from that index.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 from .formulas import NAE, SAT, Codes, VerificationReport
@@ -84,10 +85,6 @@ def _differ(s):
     return s[0] != s[1]
 
 
-def _equal(s):
-    return s[0] == s[1]
-
-
 def _always(s):
     return True
 
@@ -100,15 +97,13 @@ def _chain22_neg(s):
     return not (s[0] and s[1] and s[5]) and not (s[2] and s[3] and s[4])
 
 
-def _forced_true(s):
-    return s[0]
-
-
 @dataclass(frozen=True)
 class GadgetRow:
     """One catalogue row.  A composite row lists its parts as (kind, slot
     names) pairs, "~KIND" meaning the polarity-flipped gadget; its table
-    holds the connector clauses over its slots and auxiliary names."""
+    holds the connector clauses over its slots and auxiliary names.  Every
+    name in the table or a part's slot list that is not a slot names one of
+    the row's own auxiliaries, which take ids in sorted name order."""
 
     name: str
     num_aux: int  # every auxiliary of a built instance, parts' included
@@ -116,9 +111,14 @@ class GadgetRow:
     mode: str
     slot_predicate: Callable
     slots: tuple[str, ...]
-    aux_names: tuple[str, ...] = ()
     table: Table = ()
     parts: tuple[tuple[str, tuple[str, ...]], ...] = ()
+
+    @cached_property
+    def aux_names(self) -> tuple[str, ...]:
+        names = {name for c in self.table for name, _ in c}
+        names.update(name for _, slots in self.parts for name in slots)
+        return tuple(sorted(names.difference(self.slots)))
 
 
 _NE6 = parse_table("""
@@ -342,49 +342,38 @@ def _flip_table(table: Table) -> Table:
 _XY = ("x", "y")
 _XYZ = ("x", "y", "z")
 _X6 = ("x1", "x2", "x3", "x4", "x5", "x6")
-_ABCDEF = tuple("abcdef")
-_ABCDEFGHI = tuple("abcdefghi")
-_UVW = ("u", "v", "w")
 _B_PARTS = (("C12", ("u", "x")), ("C12", ("v", "y")), ("C12", ("w", "z")))
 
 CATALOGUE: dict[str, GadgetRow] = {row.name: row for row in (
-    GadgetRow("NE6", 5, 6, NAE, _differ, _XY, tuple("ab") + tuple("uvw"), _NE6),
+    GadgetRow("NE6", 5, 6, NAE, _differ, _XY, _NE6),
     GadgetRow(
-        "EQ_NE", 13, 14, NAE, _equal, _XY, ("p", "q", "r"),
-        parse_table(["x q r", "y q r"]),
+        "EQ_NE", 13, 14, NAE, _all_equal, _XY, parse_table(["x q r", "y q r"]),
         parts=(("NE6", ("p", "q")), ("NE6", ("p", "r"))),
     ),
-    GadgetRow("P1", 5, 7, NAE, _always, ("x",), tuple("abcde"), _P1),
-    GadgetRow("NE9", 6, 9, NAE, _differ, _XY, _ABCDEF, _NE9),
-    GadgetRow("EQ13", 9, 13, NAE, _equal, _XY, _ABCDEFGHI, _EQ13),
-    GadgetRow("EQ4L", 6, 12, NAE, _all_equal, ("x", "y", "z", "u"), _ABCDEF, _EQ4L),
-    GadgetRow("S", 6, 13, SAT, _any_true, _XYZ, _ABCDEF, _S),
-    GadgetRow("SBAR", 6, 13, SAT, _any_false, _XYZ, _ABCDEF, _flip_table(_S)),
-    GadgetRow("A", 4, 10, SAT, _any_false, _XY, tuple("abcd"), _A),
-    GadgetRow("D", 9, 20, SAT, _any_true, _X6, _ABCDEFGHI, _D),
+    GadgetRow("P1", 5, 7, NAE, _always, ("x",), _P1),
+    GadgetRow("NE9", 6, 9, NAE, _differ, _XY, _NE9),
+    GadgetRow("EQ13", 9, 13, NAE, _all_equal, _XY, _EQ13),
+    GadgetRow("EQ4L", 6, 12, NAE, _all_equal, ("x", "y", "z", "u"), _EQ4L),
+    GadgetRow("S", 6, 13, SAT, _any_true, _XYZ, _S),
+    GadgetRow("SBAR", 6, 13, SAT, _any_false, _XYZ, _flip_table(_S)),
+    GadgetRow("A", 4, 10, SAT, _any_false, _XY, _A),
+    GadgetRow("D", 9, 20, SAT, _any_true, _X6, _D),
     GadgetRow(
-        "F", 30, 61, SAT, _forced_true, ("y",), ("u1", "u2", "u3"),
-        parse_table(["~u1 ~u2 ~u3"]),
+        "F", 30, 61, SAT, _any_true, ("y",), parse_table(["~u1 ~u2 ~u3"]),
         parts=tuple(("D", ("y",) + (u,) * 5) for u in ("u1", "u2", "u3")),
     ),
-    GadgetRow("G", 6, 11, SAT, _any_true, _XYZ, _ABCDEF, _G),
-    GadgetRow("H", 9, 16, SAT, _any_false, _XYZ, _ABCDEFGHI, _H),
-    GadgetRow("C12", 8, 12, SAT, _any_true, _XY, tuple("abcdefgh"), _C12),
+    GadgetRow("G", 6, 11, SAT, _any_true, _XYZ, _G),
+    GadgetRow("H", 9, 16, SAT, _any_false, _XYZ, _H),
+    GadgetRow("C12", 8, 12, SAT, _any_true, _XY, _C12),
+    GadgetRow("B", 27, 37, SAT, _any_true, _XYZ, parse_table(["~u ~v ~w"]), parts=_B_PARTS),
     GadgetRow(
-        "B", 27, 37, SAT, _any_true, _XYZ, _UVW, parse_table(["~u ~v ~w"]),
-        parts=_B_PARTS,
-    ),
-    GadgetRow(
-        "BBAR", 27, 37, SAT, _any_false, _XYZ, _UVW, parse_table(["u v w"]),
+        "BBAR", 27, 37, SAT, _any_false, _XYZ, parse_table(["u v w"]),
         parts=tuple(("~" + kind, slots) for kind, slots in _B_PARTS),
     ),
-    GadgetRow("CHAIN22", 0, 6, SAT, _chain22, _X6, (), _CHAIN22),
-    GadgetRow("CHAIN22_NEG", 0, 2, SAT, _chain22_neg, _X6, (), _CHAIN22_NEG),
-    GadgetRow(
-        "STAR22", 9, 18, SAT, _all_equal, _X6,
-        tuple(f"y{i}" for i in range(1, 10)), _STAR22,
-    ),
-    GadgetRow("INC32", 6, 13, SAT, _always, _XYZ, _ABCDEF, _INC32),
+    GadgetRow("CHAIN22", 0, 6, SAT, _chain22, _X6, _CHAIN22),
+    GadgetRow("CHAIN22_NEG", 0, 2, SAT, _chain22_neg, _X6, _CHAIN22_NEG),
+    GadgetRow("STAR22", 9, 18, SAT, _all_equal, _X6, _STAR22),
+    GadgetRow("INC32", 6, 13, SAT, _always, _XYZ, _INC32),
 )}
 
 GADGET_NAMES = tuple(CATALOGUE)
@@ -526,10 +515,11 @@ def verify_composite(g: GadgetInstance) -> VerificationReport:
     enumerated, by the same kernel call as `check_extension_property`, with
     each part's predicate in place of its clauses: one blocking clause per
     pattern the part rejects.  That is sound when the gadget's clauses are
-    exactly its parts' clauses plus its connectors, the parts share no
-    auxiliary variable, and no part auxiliary is a linking variable (a
-    variable of the gadget's boundary or of a part's boundary, the only ones
-    a connector may use); all of this is checked here.
+    exactly its parts' clauses plus its connectors, every part is in the
+    gadget's mode, the parts share no auxiliary variable, and no part
+    auxiliary is a linking variable (a variable of the gadget's boundary or
+    of a part's boundary, the only ones a connector may use); all of this is
+    checked here.
     """
     for part in g.parts:
         verify = verify_composite if part.parts else check_extension_property
@@ -567,6 +557,8 @@ def _composite_premise(g: GadgetInstance) -> str | None:
         linking.update(part.predicate.boundary)
     seen: set[int] = set()
     for part in g.parts:
+        if part.mode != g.mode:
+            return f"part {part.kind} is in {part.mode} mode, not {g.mode}"
         if seen & set(part.aux):
             return f"part {part.kind} shares auxiliaries with another part"
         if linking & set(part.aux):

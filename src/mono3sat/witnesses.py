@@ -16,7 +16,6 @@ from .formulas import (
     CnfInstance,
     VariantSpec,
     VerificationReport,
-    appearance_profile,
     monotone_sat,
     negative,
     positive,
@@ -26,7 +25,6 @@ from .gadgets import FreshAllocator, GadgetInstance, build_gadget, parse_table
 from .generate import GenerationError, random_k1
 from .oracle import (
     BoundaryPredicate,
-    CapExceededError,
     enum_cap,
     solve_dpll,
     solve_exhaustive,
@@ -157,11 +155,16 @@ def check_sat_via_transversal(inst: CnfInstance) -> VerificationReport:
 
     Pass means satisfiable, with the witness transversal (the variables set
     false); fail means unsatisfiable (every transversal is blocked).
+    Raises ValueError on more than DEFAULT_TRANSVERSAL_CAP negative triples,
+    a fixed cap that MONO3SAT_ENUM_CAP does not move.
     """
     triples, positives = canonical_shape(inst)
     k = len(triples)
     if k > DEFAULT_TRANSVERSAL_CAP:
-        raise CapExceededError(k, DEFAULT_TRANSVERSAL_CAP)
+        raise ValueError(
+            f"transversal search over {k} negative triples exceeds the fixed cap "
+            f"of {DEFAULT_TRANSVERSAL_CAP} triples"
+        )
     clause_vars = [[x >> 1 for x in c] for c in positives]
     by_var: dict[int, list[int]] = {}
     for idx, vs in enumerate(clause_vars):
@@ -197,17 +200,15 @@ def check_sat_via_transversal(inst: CnfInstance) -> VerificationReport:
 
 
 def bound_satisfiable(inst: CnfInstance) -> str | None:
-    """A satisfiability guarantee from the counting bounds, or None.
+    """A satisfiability guarantee from the counting bound, or None.
 
-    None means no guarantee, not unsatisfiability.  Guaranteed when the
-    maximum unnegated appearance count is below 81/n, or when there are
-    fewer than 27 positive clauses.
+    None means no guarantee, not unsatisfiability.  Guaranteed when there
+    are fewer than 27 positive clauses (`min_transversal_hitting_set`).
+    The appearance bound (every variable unnegated fewer than 81/n times)
+    is implied: the unnegated counts sum to 3m over m positive clauses, so
+    max_p·n < 81 gives m < 27.
     """
-    triples, positives = canonical_shape(inst)
-    n = inst.num_vars
-    max_p = max((p for p, _ in appearance_profile(inst)), default=0)
-    if max_p * n < 81:
-        return f"max unnegated appearances {max_p} < 81/{n}"
+    _, positives = canonical_shape(inst)
     if len(positives) < 27:
         return f"only {len(positives)} positive clauses < 27"
     return None
@@ -278,12 +279,11 @@ class SearchOutcome:
         }
 
 
-# profile -> smallest n worth searching per the counting bounds
-SEARCH_PROFILES: dict[tuple[int, int], int] = {(2, 2): 3, (3, 1): 27, (4, 1): 21, (5, 1): 3}
-
-
-def _round_up_mult3(n: int) -> int:
-    return n if n % 3 == 0 else n + (3 - n % 3)
+# profile -> smallest n worth searching: a (k,1) instance on n variables has
+# k·n/3 positive clauses, and fewer than 27 guarantee satisfiability
+SEARCH_PROFILES: dict[tuple[int, int], int] = {
+    (2, 2): 3, **{(k, 1): 3 * -(-27 // k) for k in (3, 4, 5)}
+}
 
 
 def regular_hypergraphs_exhaustive(n: int, degree: int):
@@ -393,9 +393,10 @@ def search_unsat(
 
     (2,2): deterministic exhaustive enumeration per n, modulo the
     lexicographic canonical form, until the candidate budget runs out.
-    (3,1)/(4,1): random sampling, starting only at the n where the counting
-    bounds stop guaranteeing satisfiability.  (5,1): the explicit
-    204-clause construction is probed first, then random sampling.
+    (k,1): random sampling, starting only at the n where the counting bound
+    stops guaranteeing satisfiability (k·n/3 positive clauses reach 27: n =
+    27, 21, 18 for k = 3, 4, 5).  (5,1): the explicit 204-clause
+    construction is probed first.
     A size counts as exhausted only when its exhaustive stream ran dry
     within the budget and the time limit; absence of a find is a valid
     outcome and no claim is made beyond the exhausted range.
@@ -424,7 +425,7 @@ def search_unsat(
             emit({"event": "found", "n": cand.num_vars, "source": "construction"})
             return outcome
 
-    for n in range(_round_up_mult3(min_n), budget.max_n + 1, 3):
+    for n in range(min_n, budget.max_n + 1, 3):
         if remaining <= 0:
             break
         emit({"event": "n-start", "n": n, "profile": list(profile)})

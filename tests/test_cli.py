@@ -85,6 +85,14 @@ def test_check_pass_and_fail(tmp_path, capsys):
     assert main(["check", "--variant", "bogus", path]) == 2
 
 
+def test_check_json_witness(tmp_path, capsys):
+    path = _witness_file(tmp_path, "nine_var")
+    capsys.readouterr()
+    assert main(["check", "--json", "--variant", "mono-nae-e4", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and payload["witness"] == ["clause", 0]
+
+
 def test_gadgets_verify_all(capsys):
     assert main(["gadgets", "verify", "ALL"]) == 0
     out = capsys.readouterr().out

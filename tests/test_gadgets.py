@@ -7,6 +7,7 @@ import pytest
 from mono3sat import gadgets, reductions
 from mono3sat.formulas import (
     NAE,
+    SAT,
     CnfInstance,
     appearance_profile,
     is_linear,
@@ -234,6 +235,13 @@ def test_verify_composite_checks_its_premise():
     )
     rep = verify_composite(linked)
     assert not rep.ok and "linking variable" in rep.reason
+    # a sat-mode gadget whose one part is the nae NE6: the part's certified
+    # predicate (x != y) does not hold once its clauses are read as sat
+    ne = build_gadget("NE6", (0, 1), FreshAllocator(2))
+    mixed = type(g)("MIXED", (0, 1), ne.aux, ne.clauses, ne.predicate, SAT, parts=(ne,))
+    assert "00 is a forbidden extension" in check_extension_property(mixed).reason
+    rep = verify_composite(mixed)
+    assert not rep.ok and "mode" in rep.reason
 
 
 def test_composite_mismatch_reported_like_extension_check():

@@ -113,6 +113,12 @@ def test_transversal_shape_mismatch():
         check_sat_via_transversal(known_unsat("nine_var"))
 
 
+def test_transversal_cap_counts_triples():
+    inst = _canonical_instance(W.DEFAULT_TRANSVERSAL_CAP + 1, [])
+    with pytest.raises(ValueError, match="16 negative triples exceeds the fixed cap of 15"):
+        check_sat_via_transversal(inst)
+
+
 def test_transversal_agrees_with_oracle():
     rng = random.Random(55)
     for _ in range(60):
@@ -130,7 +136,8 @@ def test_transversal_agrees_with_oracle():
 
 
 def test_bound_appearance_route():
-    # n = 30, every variable unnegated at most twice: 2 < 81/30
+    # n = 30, every variable unnegated at most twice: 2 < 81/30, which
+    # bounds the positive clauses by 2·30/3 = 20 < 27
     k = 10
     positives = [(3 * i, 3 * i + 4, 3 * i + 8) for i in range(k - 3)]
     inst = _canonical_instance(k, positives)
@@ -246,9 +253,11 @@ def test_search_22_budget_truncation_at_n9(monkeypatch):
 
 
 def test_search_41_below_bound_is_empty():
-    # the counting bound says n < 21 is always satisfiable; nothing to search
-    out = search_unsat((4, 1), SearchBudget(max_n=18, max_candidates=100))
-    assert out.found is None and out.records == []
+    # k·n/3 < 27 positive clauses is always satisfiable: nothing to search
+    # below n = 21 for (4,1), nor below n = 18 for (5,1)
+    for profile, max_n in (((4, 1), 18), ((5, 1), 15)):
+        out = search_unsat(profile, SearchBudget(max_n=max_n, max_candidates=100))
+        assert out.found is None and out.records == [], profile
 
 
 def test_search_41_samples_above_bound():
