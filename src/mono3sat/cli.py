@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 pass / decided, 1 fail / violation / indeterminate / bad
-input, 2 usage error, which includes a NaN or negative --timeout and a
-negative --max-n or --max-candidates.  Bad input (malformed or undecodable
-DIMACS, a file that cannot be read or written, a bad MONO3SAT_ENUM_CAP) is
-reported as `error: ...` on stderr, never as a traceback.  A stdout pipe
-closed by its reader (`mono3sat gadgets list --json | head -1`) ends the
-command with exit 1 and no traceback.  --json emits one machine-readable
-report object on stdout (schema "mono3sat-report/1").  The enumeration cap
-honors the MONO3SAT_ENUM_CAP environment variable.
+input, 2 usage error, which includes a NaN or negative --timeout, a
+negative --max-n, --max-candidates or reduce --k, and a --variant string
+whose segments conflict.  Bad input (malformed or undecodable DIMACS, a
+file that cannot be read or written, a bad MONO3SAT_ENUM_CAP) is reported
+as `error: ...` on stderr, never as a traceback.  A stdout pipe closed by
+its reader (`mono3sat gadgets list --json | head -1`) ends the command with
+exit 1 and no traceback.  --json emits one machine-readable report object
+on stdout (schema "mono3sat-report/1").  The enumeration cap honors the
+MONO3SAT_ENUM_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -43,7 +44,15 @@ def parse_variant(text: str) -> VariantSpec:
 
     Each profile segment (pPqQ, eK, choice-PQ-...) is a set of allowed
     (p, q) pairs, and the spec allows their intersection; an empty one is
-    a syntax error.  P, Q and K have at most three digits."""
+    a syntax error.  So is a second mono or linearity segment that differs
+    from the first (mono-sat-mono-nae, exact-linear-linear); a repeat is
+    allowed.  P, Q and K have at most three digits."""
+
+    def once(old, new, what):
+        if old not in (None, new):
+            raise VariantSyntaxError(f"{text!r} sets {what} twice: {old} and {new}")
+        return new
+
     tokens = text.strip().lower().split("-")
     monotone = None
     profile = None
@@ -58,7 +67,8 @@ def parse_variant(text: str) -> VariantSpec:
         elif tok == "mono":
             if i + 1 >= len(tokens) or tokens[i + 1] not in ("sat", "nae"):
                 raise VariantSyntaxError("'mono' must be followed by 'sat' or 'nae'")
-            monotone = MONOTONE_SAT if tokens[i + 1] == "sat" else MONOTONE_NAE
+            mode = MONOTONE_SAT if tokens[i + 1] == "sat" else MONOTONE_NAE
+            monotone = once(monotone, mode, "mono")
             i += 2
         elif m := re.fullmatch(r"p(\d{1,3})q(\d{1,3})", tok):
             allowed = frozenset({(int(m[1]), int(m[2]))})
@@ -78,10 +88,10 @@ def parse_variant(text: str) -> VariantSpec:
         elif tok == "exact":
             if i + 1 >= len(tokens) or tokens[i + 1] != "linear":
                 raise VariantSyntaxError("'exact' must be followed by 'linear'")
-            linear = "exact"
+            linear = once(linear, "exact", "linearity")
             i += 2
         elif tok == "linear":
-            linear = "linear"
+            linear = once(linear, "linear", "linearity")
             i += 1
         elif tok == "star":
             duplicates = True
@@ -107,7 +117,7 @@ def _seconds(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """A --max-n or --max-candidates value: an integer, at least 0."""
+    """A --max-n, --max-candidates or --k value: an integer, at least 0."""
     try:
         value = int(text)
     except ValueError:
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", required=True, help="input DIMACS file")
     r.add_argument("--out", required=True, help="output DIMACS file")
     r.add_argument("--cert", help="write the JSON certificate here")
-    r.add_argument("--k", type=int, help="appearance parameter for R6/R8")
+    r.add_argument("--k", type=_count, help="appearance parameter for R6/R8")
     r.add_argument("--param", help="unsat (2,2) parameter instance for R10")
     r.add_argument("--json", action="store_true")
     r.set_defaults(fn=_cmd_reduce)

@@ -1,9 +1,10 @@
 """Ground-truth decision procedures.
 
 Exhaustive enumeration (bounded by a variable cap), an exact DPLL solver
-with mandatory unit propagation and pure-literal elimination, extension
-checking for gadget boundary predicates, subsumption, and the forced-literal
-split used by the conditional (2,2) machinery.
+with unit propagation and clause learning, whose every decision is its
+branching rule's (there is no pure-literal elimination), extension checking
+for gadget boundary predicates, subsumption, and the forced-literal split
+used by the conditional (2,2) machinery.
 
 Enumeration runs on the pure-Python big-integer kernel in _bitkernel, which
 this module alone calls.  Each kernel call splits every clause once, into a
@@ -147,7 +148,8 @@ def _encoded_clauses(inst: CnfInstance) -> list[list[int]] | None:
 
 
 def solve_dpll(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
-    """Complete DPLL with unit propagation and pure-literal elimination.
+    """Complete DPLL with unit propagation and clause learning; every
+    decision is the branching rule's (no pure-literal elimination).
 
     nae mode is reduced to sat mode by `sat_codes`.  A timeout (seconds)
     yields "indeterminate".
@@ -164,18 +166,17 @@ def solve_dpll(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
 def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     """Counter-based DPLL with first-UIP conflict learning and backjumping.
 
-    Unit propagation and pure-literal elimination are always on; pure
-    literals are assigned as decisions (they are satisfiability-preserving,
-    not implied, so they must not serve as resolution reasons).  Branching
-    picks the most frequent free literal among the shortest unsatisfied
-    clauses, ties going to the smallest encoded literal.  The shortest
-    clauses come from an index, by_free[k], of the unsatisfied clauses
-    (learned ones included) with exactly k non-false literals, and the free
-    literals of each bucket are counted, in lc[k], where assignments,
-    backjumps and learning move a clause into, out of or between buckets;
-    a decision reads its literal off those counts instead of recounting.
-    Deterministic; no restarts.  The clauses are non-empty: `solve_dpll`
-    answers an empty one before calling.
+    Unit propagation is always on, and every decision is the literal that
+    pick() returns: there is no pure-literal rule.  Branching picks the most
+    frequent free literal among the shortest unsatisfied clauses, ties going
+    to the smallest encoded literal.  The shortest clauses come from an
+    index, by_free[k], of the unsatisfied clauses (learned ones included)
+    with exactly k non-false literals, and the free literals of each bucket
+    are counted, in lc[k] and, for the input clauses of the longest bucket,
+    in cnt, where assignments, backjumps and learning move a clause into,
+    out of or between buckets; a decision reads its literal off those counts
+    instead of recounting.  Deterministic; no restarts.  The clauses are
+    non-empty: `solve_dpll` answers an empty one before calling.
     """
     m = len(clauses)
     if m == 0:
@@ -183,9 +184,9 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     deadline = None if timeout is None else time.monotonic() + timeout
 
     occ: list[list[int]] = [[] for _ in range(2 * num_vars)]
-    # cnt[lit]: occurrences of lit in not-yet-satisfied input clauses;
-    # drives pure-literal detection (learned clauses are consequences, so
-    # they are deliberately excluded from purity counting)
+    # cnt[lit]: occurrences of lit in not-yet-satisfied input clauses, free
+    # or false; pick reads it only as the count of the input clauses in
+    # by_free[longest], when they are all the unsatisfied input clauses
     cnt = [0] * (2 * num_vars)
     nfree = [len(c) for c in clauses]
     ntrue = [0] * m
@@ -220,7 +221,6 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     units: list[tuple[int, int]] = [  # (implied lit, reason clause)
         (c[0], ci) for ci, c in enumerate(clauses) if len(c) == 1
     ]
-    pure_q: list[int] = list(range(num_vars))
     cur_level = 0
     ticks = 0
 
@@ -254,8 +254,6 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                 if ci < n_input:
                     for l in clauses[ci]:
                         cnt[l] -= 1
-                        if cnt[l] == 0:
-                            pure_q.append(l >> 1)
                     counts = lc_in[k]
                 else:
                     counts = lc[k]
@@ -392,30 +390,6 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
             occ[l].append(ci)
         return ci
 
-    def assign_pures() -> tuple[bool, int]:
-        """Assign queued pure literals as decisions; (moved, conflict)."""
-        nonlocal cur_level
-        moved = False
-        while pure_q:
-            v = pure_q.pop()
-            if val[v] != -1:
-                continue
-            p, q = cnt[v << 1], cnt[(v << 1) | 1]
-            if p > 0 and q == 0:
-                lit = v << 1
-            elif q > 0 and p == 0:
-                lit = (v << 1) | 1
-            else:
-                continue
-            moved = True
-            cur_level += 1
-            conflict = assign(lit, NO_REASON)
-            if conflict != -1:
-                return True, conflict
-            if units:
-                return True, -1
-        return moved, -1
-
     def pick() -> int | None:
         """Most frequent free literal among the shortest unsatisfied clauses,
         read off their bucket's counts; ties go to the smallest literal.
@@ -472,13 +446,6 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                 if val[v] == 1:
                     bits |= 1 << v
             return "sat", bits
-        moved, conflict = assign_pures()
-        if conflict != -1:
-            if not handle(conflict):
-                return "unsat", None
-            continue
-        if moved:
-            continue
         lit = pick()
         # some clause is unsatisfied and no conflict is pending, so the
         # shortest unsatisfied clauses have free literals

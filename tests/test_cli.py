@@ -33,6 +33,15 @@ def test_parse_variant_errors():
     for bad in ("mono", "mono-foo", "choice", "exact", "wat", "e1000", "p1q" + "9" * 5000):
         with pytest.raises(VariantSyntaxError):
             parse_variant(bad)
+    # a later mono or linearity segment does not overwrite an earlier one
+    for bad in ("mono-nae-mono-sat", "mono-sat-mono-nae", "exact-linear-linear",
+                "linear-exact-linear"):
+        with pytest.raises(VariantSyntaxError, match="twice"):
+            parse_variant(bad)
+    # repeating the same value is harmless
+    assert parse_variant("mono-sat-mono-sat").monotone == MONOTONE_SAT
+    assert parse_variant("linear-linear").linear == "linear"
+    assert parse_variant("exact-linear-exact-linear").linear == "exact"
 
 
 def test_parse_variant_profile_segments_intersect():
@@ -110,7 +119,7 @@ def test_reduce_roundtrip(tmp_path, capsys):
     assert main(["check", "--variant", "mono-sat-p2q2-star", out]) == 0
     assert main(["solve", "--engine", "dpll", out]) == 0
     assert capsys.readouterr().out.strip().endswith("UNSAT")
-    payload = json.loads(open(cert).read())
+    payload = json.loads((tmp_path / "cert.json").read_text())
     assert payload["reduction"] == "R9"
     assert payload["output_vars"] == 135
 
@@ -152,7 +161,7 @@ def test_search_unsat_cli(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "exhausted" in out and "no unsatisfiable" in out
-    events = [json.loads(line) for line in open(journal)]
+    events = [json.loads(line) for line in (tmp_path / "journal.jsonl").read_text().splitlines()]
     assert any(e["event"] == "n-done" for e in events)
     assert main(["search-unsat", "--profile", "7,7"]) == 2
     assert main(["search-unsat", "--profile", "x"]) == 2
@@ -167,6 +176,7 @@ def test_search_unsat_cli(tmp_path, capsys):
     ["search-unsat", "--profile", "2,2", "--max-n", "-3"],
     ["search-unsat", "--profile", "2,2", "--max-candidates", "-5"],
     ["search-unsat", "--profile", "2,2", "--max-n", "1.5"],
+    ["reduce", "--id", "R6", "--k", "-1"],
 ])
 def test_bad_numeric_options_are_usage_errors(tmp_path, capsys, argv):
     # rejected while parsing, before any solving or searching starts
@@ -245,7 +255,8 @@ def test_unreadable_input_and_output_are_errors(tmp_path, capsys):
 _FUZZ_DRIVER = """
 import json, os, sys
 from mono3sat import cli
-cases, out = json.load(open(sys.argv[1])), sys.argv[2]
+with open(sys.argv[1]) as fh:
+    cases = json.load(fh)
 codes = []
 for argv, cap in cases:
     if cap is None:
@@ -256,7 +267,8 @@ for argv, cap in cases:
         codes.append(cli.main(argv))
     except SystemExit as exc:
         codes.append(exc.code)
-json.dump(codes, open(out, "w"))
+with open(sys.argv[2], "w") as fh:
+    json.dump(codes, fh)
 """
 
 # bytes a mutation writes: DIMACS syntax, digits, and bytes that are not UTF-8
@@ -299,7 +311,7 @@ def test_bad_input_fuzz_never_tracebacks(tmp_path):
     rng = random.Random(0xF0221)
     nine = _witness_file(tmp_path, "nine_var")
     seeds = [
-        open(nine, "rb").read(),
+        (tmp_path / "nine_var.cnf").read_bytes(),
         emit_dimacs(random_monotone_nae(6, 5, random.Random(1))).encode(),
         b"c SATLIB style\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n",
         emit_dimacs(known_unsat("ss_bar")).encode(),
@@ -373,5 +385,5 @@ def test_reduce_r2_r3_r4_pipeline(tmp_path, capsys):
         out = str(tmp_path / f"{rid}.cnf")
         assert main(["reduce", "--id", rid, "--in", src, "--out", out]) == 0
         src = out
-    assert "c duplicates forbidden" in open(tmp_path / "R2.cnf").read()
+    assert "c duplicates forbidden" in (tmp_path / "R2.cnf").read_text()
     assert main(["check", "--variant", "mono-sat-p4q4", src]) == 0

@@ -67,6 +67,14 @@ def test_parse_errors():
         parse_dimacs("p cnf -1 0\n")
     with pytest.raises(DimacsError, match="second"):
         parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
+    # DIMACS integers are ASCII -?[0-9]+, narrower than what int() takes
+    for tok in ("1_0", "+2", "\u0663", "\uff13", "--1", "-"):
+        with pytest.raises(DimacsError, match="non-integer"):
+            parse_dimacs(f"p cnf 20 1\n1 {tok} 0\n")
+        with pytest.raises(DimacsError, match="bad problem line"):
+            parse_dimacs(f"p cnf {tok} 1\n1 0\n")
+        with pytest.raises(DimacsError, match="bad problem line"):
+            parse_dimacs(f"p cnf 3 {tok}\n1 0\n")
 
 
 def test_declared_variable_count_is_bounded():

@@ -193,12 +193,19 @@ def _fresh_counts(clauses, val, cis):
 
 def test_dpll_kept_counts_match_a_recount():
     # at every decision, each bucket's kept counts equal a fresh count of the
-    # free literals of the clauses they cover, and hold no zero entry
-    picks = {"longest": 0, "beyond": 0}
+    # free literals of the clauses they cover, and hold no zero entry; and
+    # every decision (an assignment with no reason) is a literal pick returned
+    picks = {"longest": 0, "beyond": 0, "calls": 0, "decisions": 0}
 
     def check(frame, event, arg):
-        if event != "call" or frame.f_code.co_name != "pick":
+        if event != "call" or frame.f_code.co_filename != solve_dpll.__code__.co_filename:
             return
+        if frame.f_code.co_name == "assign":
+            picks["decisions"] += frame.f_locals["why"] == -1
+            return
+        if frame.f_code.co_name != "pick":
+            return
+        picks["calls"] += 1
         loc = frame.f_back.f_locals
         by_free, lc, clauses, val = loc["by_free"], loc["lc"], loc["clauses"], loc["val"]
         longest, n_input = loc["longest"], loc["n_input"]
@@ -227,14 +234,16 @@ def test_dpll_kept_counts_match_a_recount():
         sys.setprofile(outer)
     # decisions on the longest bucket, and learned clauses counted beyond it
     assert picks["longest"] > 0 and picks["beyond"] > 0, picks
+    assert picks["decisions"] == picks["calls"], picks
 
 
 # sha256 over repr((status, model)) of every solve_dpll call in
-# test_dpll_models_are_pinned, taken on the DPLL that recounted the shortest
-# clauses' literals at each decision.  The inputs are those of the
-# anchored-triple configuration-model sampler; the previous reductions and
-# DPLL, run on them read back from DIMACS, gave the same digest
-PINNED_MODELS_SHA256 = "3818778d69de675d02d73e6902098a76dcbdcfaa7ee0cf4266637403fbed6b6f"
+# test_dpll_models_are_pinned, on the inputs of the anchored-triple
+# configuration-model sampler.  Taken on the DPLL without pure-literal
+# elimination: pure literals were decisions too, so dropping them moved
+# models, but every status (153 sat, 111 unsat) equals the one the DPLL with
+# them gave on the same 264 inputs
+PINNED_MODELS_SHA256 = "b151ecd737dc91d7d27dad33b22eeef93ae5a626bdb9dd602daf5e0ed4d3ef61"
 
 
 def test_dpll_models_are_pinned():
