@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 pass / decided, 1 fail / violation / indeterminate / bad
-input, 2 usage error, which includes a NaN or negative --timeout, a
-negative --max-n, --max-candidates or reduce --k, and a --variant string
-whose segments conflict.  Bad input (malformed or undecodable DIMACS, a
-file that cannot be read or written, a bad MONO3SAT_ENUM_CAP) is reported
+input, 2 usage error, which includes a --timeout that is not an ASCII
+decimal number of seconds (NaN, inf, a sign or an exponent), a --max-n,
+--max-candidates or reduce --k that is not a non-negative ASCII integer, a
+--seed or --profile number that is not an ASCII integer, and a --variant
+string whose segments conflict.  Integers are read by one rule,
+`formulas.ASCII_INT`, which refuses the `+`, `_` and non-ASCII digits that
+int() takes.  Bad input (malformed or undecodable DIMACS, a file that
+cannot be read or written, a bad MONO3SAT_ENUM_CAP) is reported
 as `error: ...` on stderr, never as a traceback.  A stdout pipe closed by
 its reader (`mono3sat gadgets list --json | head -1`) ends the command with
 exit 1 and no traceback.  --json emits one machine-readable report object
@@ -23,6 +27,7 @@ import time
 
 from . import __version__, dimacs, gadgets, oracle, reductions, witnesses
 from .formulas import (
+    ASCII_INT,
     MONOTONE_NAE,
     MONOTONE_SAT,
     CnfInstance,
@@ -70,16 +75,16 @@ def parse_variant(text: str) -> VariantSpec:
             mode = MONOTONE_SAT if tokens[i + 1] == "sat" else MONOTONE_NAE
             monotone = once(monotone, mode, "mono")
             i += 2
-        elif m := re.fullmatch(r"p(\d{1,3})q(\d{1,3})", tok):
+        elif m := re.fullmatch(r"p([0-9]{1,3})q([0-9]{1,3})", tok):
             allowed = frozenset({(int(m[1]), int(m[2]))})
             i += 1
-        elif re.fullmatch(r"e\d{1,3}", tok):  # total(k) holds k + 1 pairs
+        elif re.fullmatch(r"e[0-9]{1,3}", tok):  # total(k) holds k + 1 pairs
             allowed = total(int(tok[1:]))
             i += 1
         elif tok == "choice":
             pairs = []
             i += 1
-            while i < len(tokens) and re.fullmatch(r"\d\d", tokens[i]):
+            while i < len(tokens) and re.fullmatch(r"[0-9][0-9]", tokens[i]):
                 pairs.append((int(tokens[i][0]), int(tokens[i][1])))
                 i += 1
             if not pairs:
@@ -106,25 +111,28 @@ def parse_variant(text: str) -> VariantSpec:
 
 
 def _seconds(text: str) -> float:
-    """A --timeout value: a number of seconds, at least 0 (NaN is not)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not value >= 0:
+    """A --timeout value: an ASCII decimal number of seconds, such as 30,
+    0.5 or .5; no sign, exponent, nan or inf, and none of the `_`
+    separators and non-ASCII digits that float() would take."""
+    if not re.fullmatch(r"[0-9]+(\.[0-9]*)?|\.[0-9]+", text):
         raise argparse.ArgumentTypeError(f"want a number of seconds >= 0, got {text!r}")
-    return value
+    return float(text)
 
 
 def _count(text: str) -> int:
-    """A --max-n, --max-candidates or --k value: an integer, at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
+    """A --max-n, --max-candidates or --k value: an ASCII integer, at
+    least 0."""
+    value = int(text) if ASCII_INT.fullmatch(text) else -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
     return value
+
+
+def _integer(text: str) -> int:
+    """A --seed value: an ASCII integer."""
+    if not ASCII_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"want an integer, got {text!r}")
+    return int(text)
 
 
 def _load(path: str) -> CnfInstance:
@@ -274,11 +282,11 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        p, q = (int(x) for x in args.profile.split(","))
-    except ValueError:
+    fields = args.profile.split(",")
+    if len(fields) != 2 or not all(map(ASCII_INT.fullmatch, fields)):
         print("error: --profile wants P,Q like 2,2", file=sys.stderr)
         return 2
+    p, q = map(int, fields)
     if (p, q) not in witnesses.SEARCH_PROFILES:
         print(f"error: unsupported profile ({p},{q})", file=sys.stderr)
         return 2
@@ -369,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     u = sub.add_parser("search-unsat", help="search for an unsatisfiable instance")
     u.add_argument("--profile", required=True, help="P,Q e.g. 2,2")
     u.add_argument("--max-n", type=_count, default=9)
-    u.add_argument("--seed", type=int, default=0)
+    u.add_argument("--seed", type=_integer, default=0)
     u.add_argument("--timeout", type=_seconds, default=None)
     u.add_argument("--max-candidates", type=_count, default=100_000)
     u.add_argument("--journal", help="JSONL progress file")

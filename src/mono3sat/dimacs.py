@@ -9,9 +9,9 @@ satisfaction mode and the repeated-variable policy.
 Variables are 1-based on the wire and dense 0-based in memory.  Every 0
 ends a clause, so a clause may span lines and a line may hold several.
 Reading stops at a line that is exactly `%`, which SATLIB files end with.
-Literals and the header's counts are ASCII integers, `-?[0-9]+`: no `+`
-sign, no `_` separator and no non-ASCII digit, all of which Python's `int`
-would take.
+Literals and the header's counts are ASCII integers of at most 20
+digits, `formulas.ASCII_INT`: no `+` sign, no `_` separator and no
+non-ASCII digit, all of which Python's `int` would take.
 A header may declare at most MAX_VARS variables.  Each annotation holds for
 the whole file, wherever it stands: only under `c duplicates allowed` may a
 clause repeat a variable, and `emit_dimacs` writes that line exactly when
@@ -20,15 +20,11 @@ one does.  Any other `c` line is a comment and is ignored.
 
 from __future__ import annotations
 
-import re
-
-from .formulas import NAE, SAT, CnfInstance
+from .formulas import ASCII_INT, NAE, SAT, CnfInstance
 
 # far above the largest instance the library builds; a bigger header is
 # refused before a solver sizes anything by it
 MAX_VARS = 1 << 20
-
-_INT = re.compile(r"-?[0-9]+")  # narrower than int(): see the module docstring
 
 
 class DimacsError(ValueError):
@@ -69,7 +65,7 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise DimacsError("second 'p cnf' header", lineno)
             fields = line.split()
             if (len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf"
-                    or not all(map(_INT.fullmatch, fields[2:]))):
+                    or not all(map(ASCII_INT.fullmatch, fields[2:]))):
                 raise DimacsError(f"bad problem line {line!r}", lineno)
             num_vars = int(fields[2])
             num_clauses = int(fields[3])
@@ -83,7 +79,7 @@ def parse_dimacs(text: str) -> CnfInstance:
         if num_vars is None:
             raise DimacsError("clause before 'p cnf' header", lineno)
         toks = line.split()
-        if not all(map(_INT.fullmatch, toks)):
+        if not all(map(ASCII_INT.fullmatch, toks)):
             raise DimacsError(f"non-integer token in {line!r}", lineno)
         for x in map(int, toks):
             if x:

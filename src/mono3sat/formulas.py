@@ -16,11 +16,19 @@ only the star variants admit; that rule is checked where clauses come in
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
+
+# an integer as the library reads one from text (DIMACS, options, the
+# environment): ASCII digits with an optional minus, and no `+` sign, `_`
+# separator or non-ASCII digit, all of which int() would take.  20 digits
+# hold every 64-bit value and stay below int()'s own digit limit (at least
+# 640), past which it raises instead of converting.
+ASCII_INT = re.compile(r"-?[0-9]{1,20}")
 
 SAT = "sat"
 NAE = "nae"

@@ -2,9 +2,12 @@
 
 Exhaustive enumeration (bounded by a variable cap), an exact DPLL solver
 with unit propagation and clause learning, whose every decision is its
-branching rule's (there is no pure-literal elimination), extension checking
-for gadget boundary predicates, subsumption, and the forced-literal split
-used by the conditional (2,2) machinery.
+branching rule's (there is no pure-literal elimination) and which, when
+some clause is binary, first substitutes one literal for each class of
+equivalent literals (strongly connected components of the binary
+implication graph), extension checking for gadget boundary predicates,
+subsumption, and the forced-literal split used by the conditional (2,2)
+machinery.
 
 Enumeration runs on the pure-Python big-integer kernel in _bitkernel, which
 this module alone calls.  Each kernel call splits every clause once, into a
@@ -26,6 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _bitkernel
 from .formulas import (
+    ASCII_INT,
     NAE,
     SAT,
     CnfInstance,
@@ -45,17 +49,14 @@ DEFAULT_ENUM_CAP = 26
 
 class EnumCapError(ValueError):
     """MONO3SAT_ENUM_CAP is set to something other than a non-negative
-    integer."""
+    ASCII integer."""
 
 
 def enum_cap() -> int:
     env = os.environ.get("MONO3SAT_ENUM_CAP")
     if not env:
         return DEFAULT_ENUM_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = -1  # refused below, with the negative values
+    cap = int(env) if ASCII_INT.fullmatch(env) else -1
     if cap < 0:
         raise EnumCapError(
             f"MONO3SAT_ENUM_CAP must be a non-negative integer, got {env!r}"
@@ -128,39 +129,158 @@ def _checked_model(inst: CnfInstance, bits: int, solver: str) -> SolveResult:
 # DPLL
 
 
-def _encoded_clauses(inst: CnfInstance) -> list[list[int]] | None:
-    """The instance's clause codes as sorted literal lists, through `sat_codes`.
+def _encoded_clauses(inst: CnfInstance) -> tuple[list[list[int]], bool] | None:
+    """The instance's clause codes as sorted literal lists, through
+    `sat_codes`, and whether some clause has two literals.
 
     Repeated literals are merged and tautological clauses dropped before the
     nae mirror is added; returns None when some clause is empty.
     """
     out = []
+    binary = False
     for c in inst.codes:
         lits = set(c)
         if len({lit >> 1 for lit in lits}) < len(lits):
             continue  # tautology: some variable occurs in both polarities
         if not lits:
             return None
+        if len(lits) == 2:
+            binary = True
         out.append(sorted(lits))
     # the literals of a kept clause have distinct variables, so the mirror's
     # flipped low bits keep them sorted
-    return sat_codes(out, inst.mode)
+    return sat_codes(out, inst.mode), binary
 
 
 def solve_dpll(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
     """Complete DPLL with unit propagation and clause learning; every
     decision is the branching rule's (no pure-literal elimination).
 
-    nae mode is reduced to sat mode by `sat_codes`.  A timeout (seconds)
-    yields "indeterminate".
+    nae mode is reduced to sat mode by `sat_codes`.  When some clause is
+    binary, equivalent literals are substituted first (`_substituted`): each
+    literal becomes the smallest literal of its strongly connected component
+    in the binary implication graph, so an R9 output, whose stars make the
+    copies of a variable equal through binary clauses, reaches `_dpll` as
+    its input formula.  Every rewritten clause is RUP (reverse unit
+    propagation) with respect to the input, read over the representatives'
+    own variables: falsifying its literals makes unit propagation along the
+    binary chains falsify every literal of the clause it came from.  A
+    model of the rewritten clauses is lifted back literal by literal, and a
+    literal equivalent to its negation answers unsat without a search.
+    `_dpll` and its branching rule are the same on both paths, and an input
+    with no binary clause reaches it unchanged.  A timeout (seconds) yields
+    "indeterminate".
     """
-    clauses = _encoded_clauses(inst)
-    if clauses is None:
+    encoded = _encoded_clauses(inst)
+    if encoded is None:
         return SolveResult("unsat", None)
-    status, bits = _dpll(inst.num_vars, clauses, timeout)
+    clauses, binary = encoded
+    num_vars, lift = inst.num_vars, None
+    if binary:
+        substituted = _substituted(inst.num_vars, clauses)
+        if substituted is None:
+            return SolveResult("unsat", None)
+        num_vars, clauses, lift = substituted
+    status, bits = _dpll(num_vars, clauses, timeout)
     if status != "sat":
         return SolveResult(status, None)
+    if lift is not None:
+        # variable v equals the rewritten literal lift[v]
+        bits = sum(((bits >> (x >> 1) & 1) ^ (x & 1)) << v for v, x in enumerate(lift))
     return _checked_model(inst, bits, "DPLL")
+
+
+def _substituted(
+    num_vars: int, clauses: list[list[int]]
+) -> tuple[int, list[list[int]], list[int]] | None:
+    """Equivalent-literal substitution (Brafman 2001): (number of variables,
+    rewritten clauses, lift), or None when some literal is equivalent to its
+    negation.
+
+    The variables that represent a class are numbered densely in their
+    order; every literal maps to its representative's new code, and clauses
+    that this makes tautological are dropped.  lift[v] is the new literal
+    that variable v equals.
+    """
+    rep = _literal_classes(2 * num_vars, clauses)
+    code = [0] * (2 * num_vars)
+    k = 0
+    for v in range(num_vars):
+        r = rep[2 * v]
+        if rep[2 * v + 1] == r:
+            return None
+        if r == 2 * v:
+            code[r] = 2 * k
+            code[r + 1] = 2 * k + 1
+            k += 1
+        else:  # the representative's variable is smaller, so already numbered
+            code[2 * v] = code[r]
+            code[2 * v + 1] = code[r] ^ 1
+    out = []
+    for c in clauses:
+        if len(c) == 2:  # most of them, where the classes come from
+            a, b = code[c[0]], code[c[1]]
+            if a ^ b != 1:  # else a tautology
+                out.append([a] if a == b else [a, b] if a < b else [b, a])
+            continue
+        lits = {code[x] for x in c}
+        if len({x >> 1 for x in lits}) == len(lits):
+            out.append(sorted(lits))
+    return k, out, code[::2]
+
+
+def _literal_classes(size: int, clauses: list[list[int]]) -> list[int]:
+    """rep[x]: the smallest literal code in x's strongly connected component
+    of the implication graph of the binary clauses, which has the edges
+    ¬a → b and ¬b → a for each clause a ∨ b (Aspvall, Plass & Tarjan 1979).
+
+    Tarjan's algorithm, with an explicit stack of (literal, edge iterator)
+    in place of recursion.  The graph is its own mirror under negation, so
+    rep[x ^ 1] == rep[x] ^ 1 unless x and ¬x share a component.
+    """
+    succ: list[list[int]] = [[] for _ in range(size)]
+    for c in clauses:
+        if len(c) == 2:
+            a, b = c
+            succ[a ^ 1].append(b)
+            succ[b ^ 1].append(a)
+    rep = list(range(size))
+    done = size + 1  # the order of a literal already in a component
+    order = [0] * size  # discovery number, 0 while unvisited
+    low = [0] * size
+    stack: list[int] = []  # visited literals not yet in a component
+    count = 0
+    for root in range(size):
+        if order[root] or not succ[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if low[v] == order[v]:
+                    i = stack.index(v)
+                    component = stack[i:]
+                    del stack[i:]
+                    r = min(component)
+                    for w in component:
+                        rep[w] = r
+                        order[w] = done
+                elif low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+    return rep
 
 
 def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):

@@ -30,7 +30,8 @@ def test_parse_variant_grammar():
 
 
 def test_parse_variant_errors():
-    for bad in ("mono", "mono-foo", "choice", "exact", "wat", "e1000", "p1q" + "9" * 5000):
+    for bad in ("mono", "mono-foo", "choice", "exact", "wat", "e1000", "p1q" + "9" * 5000,
+                "mono-sat-p٣q٣", "e٤", "choice-٣١"):  # non-ASCII digits
         with pytest.raises(VariantSyntaxError):
             parse_variant(bad)
     # a later mono or linearity segment does not overwrite an earlier one
@@ -165,6 +166,7 @@ def test_search_unsat_cli(tmp_path, capsys):
     assert any(e["event"] == "n-done" for e in events)
     assert main(["search-unsat", "--profile", "7,7"]) == 2
     assert main(["search-unsat", "--profile", "x"]) == 2
+    assert main(["search-unsat", "--profile", "٢,٢"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,6 +179,16 @@ def test_search_unsat_cli(tmp_path, capsys):
     ["search-unsat", "--profile", "2,2", "--max-candidates", "-5"],
     ["search-unsat", "--profile", "2,2", "--max-n", "1.5"],
     ["reduce", "--id", "R6", "--k", "-1"],
+    # forms int() and float() take but an ASCII number rule does not
+    ["search-unsat", "--profile", "2,2", "--max-n", "٣"],
+    ["search-unsat", "--profile", "2,2", "--max-candidates", "1_0"],
+    ["search-unsat", "--profile", "2,2", "--max-n", "+3"],
+    ["search-unsat", "--profile", "2,2", "--seed", "٣"],
+    ["search-unsat", "--profile", "2,2", "--seed", "1_0"],
+    ["solve", "--timeout", "١"],
+    ["solve", "--timeout", "1_0"],
+    ["solve", "--timeout", "inf"],
+    ["solve", "--timeout", "1e3"],
 ])
 def test_bad_numeric_options_are_usage_errors(tmp_path, capsys, argv):
     # rejected while parsing, before any solving or searching starts
@@ -210,7 +222,7 @@ def test_solve_satlib_file(tmp_path, capsys):
 
 def test_bad_enum_cap_is_error(tmp_path, capsys, monkeypatch):
     path = _witness_file(tmp_path, "nine_var")
-    for cap in ("abc", "-3"):
+    for cap in ("abc", "-3", "2_6", "٢٦", "+26"):
         monkeypatch.setenv("MONO3SAT_ENUM_CAP", cap)
         for engine in ("auto", "exhaustive"):
             assert main(["solve", "--engine", engine, path]) == 1

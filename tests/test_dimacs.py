@@ -67,8 +67,9 @@ def test_parse_errors():
         parse_dimacs("p cnf -1 0\n")
     with pytest.raises(DimacsError, match="second"):
         parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
-    # DIMACS integers are ASCII -?[0-9]+, narrower than what int() takes
-    for tok in ("1_0", "+2", "\u0663", "\uff13", "--1", "-"):
+    # DIMACS integers are ASCII -?[0-9]+, narrower than what int() takes,
+    # of at most 20 digits, so int() never meets one too long to convert
+    for tok in ("1_0", "+2", "\u0663", "\uff13", "--1", "-", "1" * 21, "1" * 5000):
         with pytest.raises(DimacsError, match="non-integer"):
             parse_dimacs(f"p cnf 20 1\n1 {tok} 0\n")
         with pytest.raises(DimacsError, match="bad problem line"):

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from mono3sat import _bitkernel
+from mono3sat import _bitkernel, oracle
 from mono3sat.formulas import (
     NAE,
     SAT,
     CnfInstance,
     assignment_from_bits,
     evaluate,
+    neg,
     negate_rename,
     pos,
     positive,
@@ -25,8 +26,10 @@ from mono3sat.generate import random_kk
 from mono3sat.oracle import (
     BoundaryPredicate,
     CapExceededError,
+    EnumCapError,
     check_extension_property,
     clause_masks,
+    enum_cap,
     extending_patterns,
     sat_codes,
     solve_dpll,
@@ -78,6 +81,16 @@ def test_exhaustive_cap(monkeypatch):
     with pytest.raises(CapExceededError) as exc:
         solve_exhaustive(inst)
     assert exc.value.needed == 30
+
+
+def test_enum_cap_reads_ascii_integers(monkeypatch):
+    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "20")
+    assert enum_cap() == 20
+    # forms int() takes: separators, non-ASCII digits, signs, spaces
+    for bad in ("2_6", "٢٦", "+26", " 26", "-1"):
+        monkeypatch.setenv("MONO3SAT_ENUM_CAP", bad)
+        with pytest.raises(EnumCapError):
+            enum_cap()
 
 
 def test_dpll_mon51_unsat():
@@ -182,6 +195,65 @@ def test_dpll_mixed_lengths_fuzz():
     assert backjumps > 0
 
 
+def _dpll_inputs(monkeypatch):
+    """The (variables, clauses) counts of every later _dpll call."""
+    seen = []
+    inner = oracle._dpll
+
+    def watched(num_vars, clauses, timeout):
+        seen.append((num_vars, len(clauses)))
+        return inner(num_vars, clauses, timeout)
+
+    monkeypatch.setattr(oracle, "_dpll", watched)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["nine_var", "ss_bar"])
+def test_r9_output_reaches_dpll_as_its_input(name, monkeypatch):
+    # the STAR22 stars make the six copies of each variable equal through
+    # binary clauses; substituting one literal per class leaves the witness
+    base = known_unsat(name)
+    output = apply_reduction("R9", base).output
+    seen = _dpll_inputs(monkeypatch)
+    assert solve_dpll(output).status == "unsat"
+    assert seen == [(base.num_vars, base.num_clauses)]
+
+
+def test_literal_equivalent_to_its_negation_is_unsat(monkeypatch):
+    # x -> y -> -x -> z -> x through binary clauses alone
+    x, y, z = 0, 1, 2
+    inst = CnfInstance.from_codes(3, [
+        (neg(x), pos(y)), (neg(y), neg(x)), (pos(x), pos(z)), (neg(z), pos(x)),
+    ])
+    seen = _dpll_inputs(monkeypatch)
+    assert solve_dpll(inst).status == "unsat"
+    assert seen == []
+
+
+def test_substitution_fuzz(monkeypatch):
+    # statuses equal the kernel's on inputs whose binary clauses make
+    # literals equivalent, in either polarity (the mixed-lengths corpus) or
+    # as copies of one variable (R9 outputs of satisfiable (3,3) inputs),
+    # and every lifted model satisfies the original clauses
+    cases = [("mixed", inst, solve_exhaustive(inst).status)
+             for inst in mixed_lengths_corpus()]
+    rng = random.Random(23)
+    while len(cases) < 190:
+        inst = random_kk(rng.randint(4, 12), 3, rng)
+        if solve_exhaustive(inst).status == "sat":
+            cases.append(("R9", apply_reduction("R9", inst).output, "sat"))
+    seen = _dpll_inputs(monkeypatch)
+    substituted = {"mixed": 0, "R9": 0}
+    for kind, inst, status in cases:
+        seen.clear()
+        res = solve_dpll(inst)
+        assert res.status == status, (kind, inst)
+        if res.status == "sat":
+            assert evaluate(inst, res.model)
+        substituted[kind] += any(n < inst.num_vars for n, _ in seen)
+    assert substituted["mixed"] > 0 and substituted["R9"] == 30, substituted
+
+
 def _fresh_counts(clauses, val, cis):
     counts = {}
     for ci in cis:
@@ -239,11 +311,11 @@ def test_dpll_kept_counts_match_a_recount():
 
 # sha256 over repr((status, model)) of every solve_dpll call in
 # test_dpll_models_are_pinned, on the inputs of the anchored-triple
-# configuration-model sampler.  Taken on the DPLL without pure-literal
-# elimination: pure literals were decisions too, so dropping them moved
-# models, but every status (153 sat, 111 unsat) equals the one the DPLL with
-# them gave on the same 264 inputs
-PINNED_MODELS_SHA256 = "b151ecd737dc91d7d27dad33b22eeef93ae5a626bdb9dd602daf5e0ed4d3ef61"
+# configuration-model sampler.  Taken with equivalent-literal substitution:
+# models moved only on inputs with a binary clause (18 of their 92), which
+# _dpll now sees rewritten, and every status (153 sat, 111 unsat) equals the
+# one the DPLL without substitution gave on the same 264 inputs
+PINNED_MODELS_SHA256 = "8c804ad473976eee68c864a58023d29616453cff3bf560e2a709a5bb1ec783b7"
 
 
 def test_dpll_models_are_pinned():
@@ -598,7 +670,7 @@ def forget_counts(frame, event, arg):
 
 sys.setprofile(forget_counts)
 try:
-    oracle.solve_dpll(CnfInstance.from_codes(2, [positive((0, 1)), negative((0, 1))]))
+    oracle.solve_dpll(CnfInstance.from_codes(3, [positive((0, 1, 2)), negative((0, 1, 2))]))
 except AssertionError as exc:
     print("dpll invariant raised:", exc)
 sys.setprofile(None)
