@@ -315,8 +315,7 @@ def _cmd_search(args) -> int:
         _emit_json({"command": "search-unsat", **outcome.as_dict()})
     else:
         for rec in outcome.records:
-            status = "exhausted" if rec.get("exhausted") else "budget-truncated"
-            print(f"n={rec['n']}: {rec['candidates']} candidates checked ({status})")
+            print(f"n={rec['n']}: {rec['candidates']} candidates checked ({rec['ended']})")
         if outcome.found is not None:
             print(f"FOUND unsatisfiable ({p},{q}) instance with "
                   f"{outcome.found.num_vars} variables")

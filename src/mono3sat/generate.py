@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable
 
 from .formulas import NAE, SAT, CnfInstance, negative, positive
 
@@ -22,10 +21,12 @@ class GenerationError(RuntimeError):
 
 
 def _config_model_clauses(
-    stubs: list[int], rng: random.Random, var: Callable[[int], int]
+    stubs: list[int], rng: random.Random, shift: int
 ) -> list[tuple[int, ...]] | None:
     """Partition a stub pool into distinct sorted triples whose stubs have
-    distinct var(stub), in random order; None after 400 rejected attempts.
+    distinct stub >> shift (the vertex of a hypergraph stub at shift 0, the
+    variable of a literal-code stub at shift 1), in random order; None
+    after 400 rejected attempts.
 
     An attempt builds the partition one triple at a time: the last stub left
     in the pool anchors the next triple, and two stubs drawn uniformly from
@@ -40,24 +41,37 @@ def _config_model_clauses(
     valid ones, the law of shuffling the whole pool and checking every
     triple; the accepted triples are shuffled once, so their order is
     random too.
+
+    Each index in [0, m) is drawn inline by rejection over
+    `getrandbits(m.bit_length())`, the draws `rng.randrange(m)` makes, so
+    the stream is randrange's without its per-call overhead.
     """
+    getrandbits = rng.getrandbits
     for _ in range(400):
         pool = stubs[:]
         clauses = []
         seen = set()
         while pool:
             a = pool.pop()
-            va = var(a)
-            i = rng.randrange(len(pool))
+            va = a >> shift
+            m = len(pool)
+            k = m.bit_length()
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
             b = pool[i]
-            vb = var(b)
+            vb = b >> shift
             if vb == va:
                 break
             pool[i] = pool[-1]
             pool.pop()
-            i = rng.randrange(len(pool))
+            m -= 1
+            k = m.bit_length()
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
             c = pool[i]
-            vc = var(c)
+            vc = c >> shift
             if vc == va or vc == vb:
                 break
             pool[i] = pool[-1]
@@ -79,7 +93,7 @@ def regular_hypergraph(n: int, degree: int, rng: random.Random) -> list[tuple[in
         raise GenerationError(f"degree {degree} * n {n} not divisible by 3")
     stubs = [v for v in range(n) for _ in range(degree)]
     for _ in range(60):
-        got = _config_model_clauses(stubs, rng, lambda v: v)
+        got = _config_model_clauses(stubs, rng, 0)
         if got is not None:
             return got
     raise GenerationError(f"no {degree}-regular hypergraph found at n={n}")
@@ -145,7 +159,7 @@ def random_22(n: int, rng: random.Random) -> CnfInstance:
         raise GenerationError("n must be a multiple of 3 (4n = 3m)")
     # literal stubs as codes: +v twice, -v twice
     stubs = [v << 1 | s for v in range(n) for s in (0, 0, 1, 1)]
-    got = _config_model_clauses(stubs, rng, lambda x: x >> 1)
+    got = _config_model_clauses(stubs, rng, 1)
     if got is None:
         raise GenerationError(f"no (2,2) instance found at n={n}")
     return CnfInstance.from_codes(n, got, SAT)

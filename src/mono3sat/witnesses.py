@@ -16,6 +16,7 @@ from .formulas import (
     CnfInstance,
     VariantSpec,
     VerificationReport,
+    evaluate,
     monotone_sat,
     negative,
     positive,
@@ -138,6 +139,11 @@ def canonical_shape(inst: CnfInstance):
     if not rep.ok:
         raise ValueError(f"canonical shape needs set-flavor monotone triples, "
                          f"each variable negated once: {rep.reason}")
+    return _shape_parts(inst)
+
+
+def _shape_parts(inst: CnfInstance):
+    """canonical_shape's split of an instance already known to have it."""
     triples = [tuple(x >> 1 for x in c) for c in inst.codes if c[0] & 1]
     positives = [c for c in inst.codes if not c[0] & 1]
     return triples, positives
@@ -159,12 +165,22 @@ def check_sat_via_transversal(inst: CnfInstance) -> VerificationReport:
     a fixed cap that MONO3SAT_ENUM_CAP does not move.
     """
     triples, positives = canonical_shape(inst)
-    k = len(triples)
-    if k > DEFAULT_TRANSVERSAL_CAP:
+    if len(triples) > DEFAULT_TRANSVERSAL_CAP:
         raise ValueError(
-            f"transversal search over {k} negative triples exceeds the fixed cap "
+            f"transversal search over {len(triples)} negative triples exceeds the fixed cap "
             f"of {DEFAULT_TRANSVERSAL_CAP} triples"
         )
+    found = _witness_transversal(triples, positives)
+    if found is None:
+        return VerificationReport(False, "every transversal contains a positive clause")
+    return VerificationReport(True, "witness transversal", {"false_vars": found})
+
+
+def _witness_transversal(triples, positives) -> tuple[int, ...] | None:
+    """One variable from each negative triple such that no positive clause
+    has all three of its variables chosen, or None when every transversal
+    is blocked; depth-first over the triples in order."""
+    k = len(triples)
     clause_vars = [[x >> 1 for x in c] for c in positives]
     by_var: dict[int, list[int]] = {}
     for idx, vs in enumerate(clause_vars):
@@ -193,10 +209,7 @@ def check_sat_via_transversal(inst: CnfInstance) -> VerificationReport:
                 hits[idx] -= 1
         return None
 
-    found = dfs(0)
-    if found is None:
-        return VerificationReport(False, "every transversal contains a positive clause")
-    return VerificationReport(True, "witness transversal", {"false_vars": found})
+    return dfs(0)
 
 
 def bound_satisfiable(inst: CnfInstance) -> str | None:
@@ -337,12 +350,35 @@ def canonical_signature(clauses: list[tuple[tuple[int, ...], bool]]) -> tuple:
 
 
 def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> bool:
-    """DPLL says unsat, independently re-checked by enumeration when it fits."""
+    """Whether a candidate is unsatisfiable, each verdict on two paths.
+
+    A sat-mode candidate valid for a once-negated profile such as {(k,1)}
+    is in canonical shape; with at most DEFAULT_TRANSVERSAL_CAP negative
+    triples it is decided by transversal search.  A witness transversal,
+    set false with every other variable true, must satisfy the candidate
+    (`evaluate`), and an all-blocked answer must be DPLL's answer too.
+    Other candidates are decided by DPLL.  Every unsat answer is re-checked
+    by enumeration when it fits.
+    """
     if not validate(inst, spec).ok:
         raise AssertionError("search produced an out-of-profile candidate")
-    if solve_dpll(inst).status != "unsat":
+    n = inst.num_vars
+    once_negated = (inst.mode == SAT and spec.monotone == MONOTONE_SAT and not spec.duplicates
+                    and spec.profile is not None and all(q == 1 for _, q in spec.profile))
+    if once_negated and n <= 3 * DEFAULT_TRANSVERSAL_CAP:
+        found = _witness_transversal(*_shape_parts(inst))
+        if found is not None:
+            model = [True] * n
+            for v in found:
+                model[v] = False
+            if not evaluate(inst, model):
+                raise AssertionError("a witness transversal is not a model")
+            return False
+        if solve_dpll(inst).status != "unsat":
+            raise AssertionError("DPLL finds a model where every transversal is blocked")
+    elif solve_dpll(inst).status != "unsat":
         return False
-    if inst.num_vars <= enum_cap() and solve_exhaustive(inst).status != "unsat":
+    if n <= enum_cap() and solve_exhaustive(inst).status != "unsat":
         raise AssertionError("enumeration finds a model DPLL missed")
     return True
 
@@ -399,7 +435,11 @@ def search_unsat(
     construction is probed first.
     A size counts as exhausted only when its exhaustive stream ran dry
     within the budget and the time limit; absence of a find is a valid
-    outcome and no claim is made beyond the exhausted range.
+    outcome and no claim is made beyond the exhausted range.  Each size's
+    record says why it ended: "exhausted", "budget" (the candidate budget
+    ran out), "time limit", "sample quota" (a sampled size drew its share
+    of the budget), "generator failed" (the sampler could not fill the
+    size) or "found".
     """
     if profile not in SEARCH_PROFILES:
         raise KeyError(f"unsupported profile {profile}")
@@ -419,7 +459,7 @@ def search_unsat(
         if _certify_unsat_candidate(cand, spec):
             outcome.found = cand
             outcome.records.append(
-                {"n": cand.num_vars, "candidates": 1, "exhausted": False,
+                {"n": cand.num_vars, "candidates": 1, "exhausted": False, "ended": "found",
                  "note": "constructed from the D/F enforcers"}
             )
             emit({"event": "found", "n": cand.num_vars, "source": "construction"})
@@ -429,28 +469,36 @@ def search_unsat(
         if remaining <= 0:
             break
         emit({"event": "n-start", "n": n, "profile": list(profile)})
-        # (candidate stream, whether running dry means exhausted, progress interval)
+        # (candidate stream, sampling quota or None, progress interval)
         if profile == (2, 2):
-            stream, exhaustive, every = _canonical_pairs(n), True, 2000
+            stream, quota, every = _canonical_pairs(n), None, 2000
         else:
             quota = min(remaining, max(1, budget.max_candidates // 4))
-            stream, exhaustive, every = _samples(n, profile[0], quota, rng), False, 200
+            stream, every = _samples(n, profile[0], quota, rng), 200
         checked = 0
-        exhausted = False
-        while remaining > 0 and (deadline is None or time.monotonic() <= deadline):
+        ended = "budget"
+        while remaining > 0:
+            if deadline is not None and time.monotonic() >= deadline:
+                ended = "time limit"
+                break
             inst = next(stream, None)
             if inst is None:
-                exhausted = exhaustive
+                ended = ("exhausted" if quota is None
+                         else "sample quota" if checked == quota else "generator failed")
                 break
             checked += 1
             remaining -= 1
             if _certify_unsat_candidate(inst, spec):
                 outcome.found = inst
-                outcome.records.append({"n": n, "candidates": checked, "exhausted": False})
+                outcome.records.append(
+                    {"n": n, "candidates": checked, "exhausted": False, "ended": "found"})
                 emit({"event": "found", "n": n, "candidates": checked})
                 return outcome
             if checked % every == 0:
                 emit({"event": "progress", "n": n, "candidates": checked})
-        outcome.records.append({"n": n, "candidates": checked, "exhausted": exhausted})
-        emit({"event": "n-done", "n": n, "candidates": checked, "exhausted": exhausted})
+        exhausted = ended == "exhausted"
+        outcome.records.append(
+            {"n": n, "candidates": checked, "exhausted": exhausted, "ended": ended})
+        emit({"event": "n-done", "n": n, "candidates": checked, "exhausted": exhausted,
+              "ended": ended})
     return outcome

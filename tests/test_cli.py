@@ -169,6 +169,26 @@ def test_search_unsat_cli(tmp_path, capsys):
     assert main(["search-unsat", "--profile", "٢,٢"]) == 2
 
 
+def test_search_unsat_cli_says_why_each_size_ended(capsys):
+    # a size is cut by the candidate budget, by the time limit or by its
+    # sampling quota, and the text output names which
+    for argv, lines in (
+        (["--profile", "2,2", "--max-n", "9", "--max-candidates", "1000"],
+         ["n=6: 819 candidates checked (exhausted)", "n=9: 181 candidates checked (budget)"]),
+        (["--profile", "2,2", "--max-n", "6", "--timeout", "0"],
+         ["n=3: 0 candidates checked (time limit)", "n=6: 0 candidates checked (time limit)"]),
+        (["--profile", "4,1", "--max-n", "24", "--max-candidates", "40"],
+         ["n=21: 10 candidates checked (sample quota)",
+          "n=24: 10 candidates checked (sample quota)"]),
+    ):
+        assert main(["search-unsat", *argv]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert all(line in out for line in lines), out
+        assert main(["search-unsat", *argv, "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert all(r["exhausted"] == (r["ended"] == "exhausted") for r in records)
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--timeout", "nan"],
     ["solve", "--timeout", "-1"],

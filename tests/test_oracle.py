@@ -743,7 +743,25 @@ for solve in (oracle.solve_exhaustive, oracle.solve_dpll):
         print(solve.__name__, "raised:", exc)
 
 from mono3sat import witnesses
+from mono3sat.formulas import monotone_sat
 from mono3sat.oracle import SolveResult
+
+# the certify path's checks of a transversal search answer: a witness that
+# holds a positive clause, and a DPLL that finds a model where every
+# transversal is blocked
+hitting27, spec91 = witnesses.known_unsat("hitting27"), monotone_sat(9, 1)
+search = witnesses._witness_transversal
+witnesses._witness_transversal = lambda triples, positives: (0, 3, 6)
+try:
+    witnesses._certify_unsat_candidate(hitting27, spec91)
+except AssertionError as exc:
+    print("witness check raised:", exc)
+witnesses._witness_transversal = search
+witnesses.solve_dpll = lambda inst: SolveResult("sat", (False,) * 9)
+try:
+    witnesses._certify_unsat_candidate(hitting27, spec91)
+except AssertionError as exc:
+    print("blocked check raised:", exc)
 
 # the search's enumeration cross-check of a DPLL unsat answer
 witnesses.solve_dpll = lambda inst: SolveResult("unsat", None)
@@ -767,6 +785,8 @@ def test_model_checks_survive_optimize():
     assert "solve_exhaustive raised" in out.stdout
     assert "solve_dpll raised" in out.stdout
     assert "search cross-check raised" in out.stdout
+    assert "witness check raised: a witness transversal is not a model" in out.stdout
+    assert "blocked check raised: DPLL finds a model" in out.stdout
     assert "dpll invariant raised" in out.stdout
     assert "pad_to_four raised" in out.stdout
     assert "split raised" in out.stdout

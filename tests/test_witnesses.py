@@ -7,6 +7,8 @@ from mono3sat.formulas import (
     SAT,
     CnfInstance,
     appearance_profile,
+    evaluate,
+    monotone_sat,
     neg,
     negative,
     pos,
@@ -15,6 +17,7 @@ from mono3sat.formulas import (
 from mono3sat import witnesses as W
 from mono3sat.dimacs import emit_dimacs, parse_dimacs
 from mono3sat.gadgets import verify_composite
+from mono3sat.generate import GenerationError, random_k1
 from mono3sat.oracle import solve_dpll, solve_exhaustive
 from mono3sat.witnesses import (
     NINE_VAR_TABLE,
@@ -272,6 +275,52 @@ def test_search_51_probe_finds_construction():
     assert out.found.num_vars == 102
     prof = appearance_profile(out.found)
     assert all(pq == (5, 1) for pq in prof)
+
+
+def test_certify_path_agrees_with_dpll(monkeypatch):
+    # 300 seeded (k,1) samples at the first searched size and at the
+    # transversal cap (15 triples): the certify path's verdict is DPLL's,
+    # and every witness transversal it turns into a model satisfies its sample
+    checked = []
+
+    def spy(inst, model):
+        checked.append(evaluate(inst, model))
+        return checked[-1]
+
+    monkeypatch.setattr(W, "evaluate", spy)
+    rng = random.Random(2024)
+    sat = 0
+    for k, sizes in ((3, (27, 45)), (4, (21, 45)), (5, (18, 45))):
+        spec = monotone_sat(k, 1)
+        for n in sizes:
+            for _ in range(50):
+                inst = random_k1(n, k, rng)
+                unsat = W._certify_unsat_candidate(inst, spec)
+                assert unsat == (solve_dpll(inst).status == "unsat"), (k, n)
+                sat += not unsat
+    assert len(checked) == sat and all(checked)
+
+
+def test_certify_blocked_transversals_run_dpll_and_the_kernel(monkeypatch):
+    # hitting27 blocks every transversal; DPLL and the enumeration kernel
+    # must both confirm it before the candidate counts as unsatisfiable
+    calls = []
+    for name in ("solve_dpll", "solve_exhaustive"):
+        solve = getattr(W, name)
+        monkeypatch.setattr(
+            W, name, lambda inst, solve=solve, name=name: calls.append(name) or solve(inst))
+    assert W._certify_unsat_candidate(known_unsat("hitting27"), monotone_sat(9, 1)) is True
+    assert calls == ["solve_dpll", "solve_exhaustive"]
+
+
+def test_search_reports_a_sampler_that_gives_up(monkeypatch):
+    def give_up(n, k, rng):
+        raise GenerationError("no sample")
+
+    monkeypatch.setattr(W, "random_k1", give_up)
+    out = search_unsat((4, 1), SearchBudget(max_n=21, max_candidates=40))
+    assert out.records == [
+        {"n": 21, "candidates": 0, "exhausted": False, "ended": "generator failed"}]
 
 
 def test_search_unknown_profile():
