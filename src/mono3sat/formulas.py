@@ -61,7 +61,7 @@ Codes = tuple[tuple[int, ...], ...]
 # The decoded clause view: `Literal`, `Clause`, `clause`, the view
 # constructor `CnfInstance(num_vars, clauses, mode)` and the cached
 # `CnfInstance.clauses`.  Only the benchmark (certbench/) reads it; it goes
-# once the benchmark reads codes (ROADMAP item 5).
+# once the benchmark reads codes.
 
 
 class Literal(NamedTuple):

@@ -53,9 +53,6 @@ class FreshAllocator:
         self.next_id += k
         return out
 
-    def fresh1(self) -> int:
-        return self.fresh(1)[0]
-
 
 @dataclass(frozen=True)
 class GadgetInstance:

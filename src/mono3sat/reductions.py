@@ -150,6 +150,12 @@ class _Builder:
     def note(self, label: str, variables) -> None:
         self.log.append(LogEntry(label, tuple(variables), ()))
 
+    def fresh(self, label: str, n: int = 1) -> int:
+        """n fresh consecutive variables logged under label; the first id."""
+        base = self.alloc.next_id
+        self.note(label, self.alloc.fresh(n))
+        return base
+
     def finish(self) -> ReductionCertificate:
         rid = self.row.rid
         out = CnfInstance.from_codes(self.alloc.next_id, self.clauses, self.row.output_mode)
@@ -174,8 +180,8 @@ def _split(b: _Builder, plan, keep_negations: bool = False):
     negated appearance, and per copy its back-map negation.  Appearances are
     numbered by scanning clauses in order and literals left to right.  A
     negated appearance stays a negative literal only with keep_negations.
-    Returns the copies of each input variable and the rebuilt input clauses
-    as codes, in which no two appearances in a clause may share a copy.
+    Appends the rebuilt input clauses, in which no two appearances in a
+    clause may share a copy, and returns the copies of each input variable.
     """
     queues = []  # per input literal code, its appearances' output codes in order
     copies = []
@@ -191,10 +197,11 @@ def _split(b: _Builder, plan, keep_negations: bool = False):
     i = _repeating_clause(rebuilt)
     if i is not None:
         raise AssertionError(f"{b.row.rid}: the split gives clause {i} one copy twice")
-    return copies, rebuilt
+    b.clauses += rebuilt
+    return copies
 
 
-def _keep_input(b: _Builder, flipped: frozenset[int] = frozenset()) -> list[tuple[int, ...]]:
+def _keep_input(b: _Builder, flipped: frozenset[int] = frozenset()) -> None:
     """Input variable v as output variable v, and the input clauses; the
     literals of the variables in flipped are negated and those variables
     back-mapped as carrying the negated value."""
@@ -204,7 +211,7 @@ def _keep_input(b: _Builder, flipped: frozenset[int] = frozenset()) -> list[tupl
         b.back_map[v] = (v, v in flipped)
     if flipped:
         inst = negate_rename(inst, flipped)
-    return list(inst.codes)
+    b.clauses += inst.codes
 
 
 def _ring_plan(u: int, q: int):
@@ -244,26 +251,15 @@ def _check_input(
 
 
 def _apply_r1(b: _Builder) -> None:
-    ring_copies, clauses = _split(b, _ring_plan)
-    b.clauses.extend(clauses)
-    for copies in ring_copies:
+    for copies in _split(b, _ring_plan):
         a = len(copies)
-        if a == 0:
-            continue
+        for j in range(a):
+            b.add_gadget("EQ_NE", (copies[j], copies[(j + 1) % a]))
         if a == 1:
-            g = build_gadget("EQ_NE", (copies[0], copies[0]), b.alloc)
             # the degenerate ring EQ(c, c) repeats its closing clause; keep one
-            seen = set()
-            for c in g.clauses:
-                key = tuple(sorted(c))
-                if key not in seen:
-                    seen.add(key)
-                    b.clauses.append(c)
-            b.log.append(LogEntry("EQ_NE", g.boundary, g.aux))
-        else:
-            for j in range(a - 1):
-                b.add_gadget("EQ_NE", (copies[j], copies[j + 1]))
-            b.add_gadget("EQ_NE", (copies[a - 1], copies[0]))
+            c = b.clauses.pop()
+            if c != b.clauses[-1]:
+                raise AssertionError(f"R1: EQ_NE on copy {copies[0]} ends in no repeated clause")
     _pad_to_four(b)
 
 
@@ -282,9 +278,8 @@ def _pad_to_four(b: _Builder):
 def _apply_r2(b: _Builder) -> None:
     # unnegated appearances take the first u copies, negated ones the rest;
     # the negations are dropped, so those copies carry the complement
-    rings, clauses = _split(b, lambda u, q: (
+    rings = _split(b, lambda u, q: (
         range(u), range(u, u + q), (False,) * u + (True,) * q))
-    b.clauses.extend(clauses)
     for copies, (u, _) in zip(rings, appearance_profile(b.input)):
         a = len(copies)
         if a == 0:
@@ -301,15 +296,13 @@ def _apply_r2(b: _Builder) -> None:
 
 
 def _apply_r3(b: _Builder) -> None:
-    quads, clauses = _split(b, _ring_plan)
-    b.clauses.extend(clauses)
-    for copies in quads:
+    for copies in _split(b, _ring_plan):
         b.add_gadget("EQ4L", tuple(copies))
 
 
 def _apply_r4(b: _Builder) -> None:
-    for c in _keep_input(b):
-        b.clauses += (c, tuple([x ^ 1 for x in c]))
+    _keep_input(b)
+    b.clauses = [d for c in b.clauses for d in (c, tuple([x ^ 1 for x in c]))]
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +311,13 @@ def _apply_r4(b: _Builder) -> None:
 
 def _split_22(b: _Builder):
     """x_{i,1} takes the negated appearances, x_{i,2} the unnegated ones."""
-    pairs, clauses = _split(b, lambda u, q: ((1,) * u, (0,) * q, (True, False)))
-    b.clauses.extend(clauses)
-    return pairs
+    return _split(b, lambda u, q: ((1,) * u, (0,) * q, (True, False)))
 
 
 def _apply_r5(b: _Builder) -> None:
     pairs = _split_22(b)
     for g in range(_thirds(b, len(pairs), "4n = 3m")):
-        y = b.alloc.fresh1()
-        b.note("PAD_FALSE_Y", (y,))
+        y = b.fresh("PAD_FALSE_Y")
         for i in range(3 * g, 3 * g + 3):
             x1, x2 = pairs[i]
             b.clauses.append(positive((x1, x2, y)))
@@ -341,9 +331,8 @@ def _apply_r7(b: _Builder) -> None:
     q = _thirds(b, n, "4n = 3m")
     ys = []
     for x1, x2 in pairs:
-        y = b.alloc.fresh1()
+        y = b.fresh("Y_RING")
         ys.append(y)
-        b.note("Y_RING", (y,))
         b.add_gadget("D", (x1, x1, x1, x2, x2, x2))
         b.clauses.append(negative((x1, x2, y)))
         b.add_gadget("F", (y,))
@@ -364,18 +353,16 @@ def _apply_r7(b: _Builder) -> None:
 def _apply_r11(b: _Builder) -> None:
     pairs = _split_22(b)
     k = _thirds(b, len(pairs), "4n = 3m")
-    blocks = [tuple(b.alloc.fresh(3)) for _ in range(k)]  # (u, v, w)
-    for u, v, w in blocks:
-        b.note("UVW_BLOCK", (u, v, w))
+    blocks = [b.fresh("UVW_BLOCK", 3) for _ in range(k)]  # u; v = u + 1, w = u + 2
     for i, (x1, x2) in enumerate(pairs):
-        u = blocks[i // 3][0]
-        y = b.alloc.fresh1()
-        b.note("FORCED_TRUE_Y", (y,))
+        u = blocks[i // 3]
+        y = b.fresh("FORCED_TRUE_Y")
         b.clauses.append(positive((x1, x2, u)))
         b.clauses.append(negative((x1, x2, y)))
         b.add_gadget("G", (y, y, y))
         b.add_gadget("H", (y, x1, x2))
-    for u, v, w in blocks:
+    for u in blocks:
+        v, w = u + 1, u + 2
         b.add_gadget("H", (u, v, w))
         b.add_gadget("H", (u, v, w))
         b.add_gadget("G", (v, v, v))
@@ -385,10 +372,8 @@ def _apply_r11(b: _Builder) -> None:
 def _apply_r13(b: _Builder) -> None:
     pairs = _split_22(b)
     for x1, x2 in pairs:
-        y = b.alloc.fresh1()
-        z = b.alloc.fresh1()
-        b.note("FORCED_FALSE_Y", (y,))
-        b.note("FORCED_TRUE_Z", (z,))
+        y = b.fresh("FORCED_FALSE_Y")
+        z = b.fresh("FORCED_TRUE_Z")
         b.clauses.append(positive((x1, x2, y)))
         b.clauses.append(negative((x1, x2, z)))
         b.add_gadget("BBAR", (y, y, y))
@@ -409,24 +394,17 @@ def _copies(b: _Builder, k: int) -> list[int]:
     n = inst.num_vars
     if n == 0:
         return []
-    b.clauses.extend(_keep_input(b))
-    bases = [_noted_block(b, f"COPY{i}", n) for i in range(1, k + 1)]
+    _keep_input(b)
+    bases = [b.fresh(f"COPY{i}", n) for i in range(1, k + 1)]
     for base in bases:
         b.clauses.extend(_shifted(inst.codes, base))
     return [0] + bases
 
 
-def _noted_block(b: _Builder, label: str, n: int) -> int:
-    """n fresh consecutive variables logged under label; the first id."""
-    base = b.alloc.next_id
-    b.note(label, b.alloc.fresh(n))
-    return base
-
-
 def _apply_r6(b: _Builder) -> None:
     k, n = b.k, b.input.num_vars
     bases = _copies(b, k)
-    y_base, z_base = _noted_block(b, "LINK_Y", n), _noted_block(b, "LINK_Z", n)
+    y_base, z_base = b.fresh("LINK_Y", n), b.fresh("LINK_Z", n)
     for base in bases:
         for j in range(n):
             link = (base + j, y_base + j, z_base + j)
@@ -439,7 +417,7 @@ def _apply_r8(b: _Builder) -> None:
     k, n = b.k, b.input.num_vars
     bases = _copies(b, k)
     q = _thirds(b, n, "each variable once negated, in negative 3-clauses")
-    y_base, z_base = _noted_block(b, "LINK_Y", n), _noted_block(b, "LINK_Z", n)
+    y_base, z_base = b.fresh("LINK_Y", n), b.fresh("LINK_Z", n)
     for base in bases:
         for j in range(n):
             b.clauses.append(positive((base + j, y_base + j, z_base + j)))
@@ -490,9 +468,7 @@ def _split_six(b: _Builder, keep_negations: bool):
 
 
 def _apply_r9(b: _Builder) -> None:
-    sixes, clauses = _split_six(b, keep_negations=True)
-    b.clauses.extend(clauses)
-    for six in sixes:
+    for six in _split_six(b, keep_negations=True):
         b.add_gadget("STAR22", tuple(six))
 
 
@@ -558,27 +534,25 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
     n = b.input.num_vars
     pos2: list[tuple[int, int]] = []
     neg2: list[tuple[int, int]] = []
-    full3: list[tuple[int, ...]] = []
     for copy in range(q):
-        sixes, clauses = _split_six(b, keep_negations=False)
+        sixes = _split_six(b, keep_negations=False)
         if copy > 0:
             # only the first copy carries the back-map
             for six in sixes:
                 for cid in six:
                     del b.back_map[cid]
                 b.note(f"COPY{copy}", tuple(six))
-        full3.extend(clauses)
         for six in sixes:
             x1, x2, x3, x4, x5, x6 = six
             pos2 += [(x1, x2), (x3, x4), (x5, x6)]
             neg2 += [(x2, x3), (x4, x5), (x6, x1)]
-            full3.append(negative((x1, x2, x6)))
-            full3.append(negative((x3, x4, x5)))
+            b.clauses.append(negative((x1, x2, x6)))
+            b.clauses.append(negative((x3, x4, x5)))
     pos_pool: list[int] = []
     neg_pool: list[int] = []
     for _ in range(n):
-        base = _noted_block(b, "M_GADGET", mg.num_vars)
-        full3.extend(_shifted(mg.clauses, base))
+        base = b.fresh("M_GADGET", mg.num_vars)
+        b.clauses.extend(_shifted(mg.clauses, base))
         pos_pool += [base + v for v in mg.pos_pool]
         neg_pool += [base + v for v in mg.neg_pool]
     for pool, pairs in ((pos_pool, pos2), (neg_pool, neg2)):
@@ -588,10 +562,9 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
                 f"3nq = {3 * n * q}"
             )
     for (a, c), pad in zip(pos2, pos_pool):
-        full3.append(positive((a, c, pad)))
+        b.clauses.append(positive((a, c, pad)))
     for (a, c), pad in zip(neg2, neg_pool):
-        full3.append(negative((a, c, pad)))
-    b.clauses = full3
+        b.clauses.append(negative((a, c, pad)))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +574,7 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
 def _apply_r12(b: _Builder) -> None:
     n = b.input.num_vars
     _thirds(b, n, "2n negated appearances fill negative 3-clauses")
-    b.clauses.extend(_keep_input(b))
+    _keep_input(b)
     for t in range(0, n, 3):
         b.add_gadget("INC32", (t, t + 1, t + 2))
 
@@ -609,7 +582,7 @@ def _apply_r12(b: _Builder) -> None:
 def _apply_r14(b: _Builder) -> None:
     prof = appearance_profile(b.input)
     flipped = frozenset(v for v, (p, q) in enumerate(prof) if (p, q) == (1, 3))
-    b.clauses.extend(_keep_input(b, flipped))
+    _keep_input(b, flipped)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ def check_sat_via_transversal(inst: CnfInstance) -> VerificationReport:
     contains no positive clause.
 
     Pass means satisfiable, with the witness transversal (the variables set
-    false); fail means unsatisfiable (every transversal is blocked).
+    false), checked to satisfy the instance; fail means unsatisfiable (every
+    transversal is blocked).
     Raises ValueError on more than DEFAULT_TRANSVERSAL_CAP negative triples,
     a fixed cap that MONO3SAT_ENUM_CAP does not move.
     """
@@ -173,7 +174,17 @@ def check_sat_via_transversal(inst: CnfInstance) -> VerificationReport:
     found = _witness_transversal(triples, positives)
     if found is None:
         return VerificationReport(False, "every transversal contains a positive clause")
+    _check_witness(inst, found)
     return VerificationReport(True, "witness transversal", {"false_vars": found})
+
+
+def _check_witness(inst: CnfInstance, false_vars) -> None:
+    """Raise unless false_vars set false, every other variable true, satisfies inst."""
+    model = [True] * inst.num_vars
+    for v in false_vars:
+        model[v] = False
+    if not evaluate(inst, model):
+        raise AssertionError("a witness transversal is not a model")
 
 
 def _witness_transversal(triples, positives) -> tuple[int, ...] | None:
@@ -368,11 +379,7 @@ def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> bool:
     if once_negated and n <= 3 * DEFAULT_TRANSVERSAL_CAP:
         found = _witness_transversal(*_shape_parts(inst))
         if found is not None:
-            model = [True] * n
-            for v in found:
-                model[v] = False
-            if not evaluate(inst, model):
-                raise AssertionError("a witness transversal is not a model")
+            _check_witness(inst, found)
             return False
         if solve_dpll(inst).status != "unsat":
             raise AssertionError("DPLL finds a model where every transversal is blocked")
@@ -432,14 +439,15 @@ def search_unsat(
     (k,1): random sampling, starting only at the n where the counting bound
     stops guaranteeing satisfiability (k·n/3 positive clauses reach 27: n =
     27, 21, 18 for k = 3, 4, 5).  (5,1): the explicit 204-clause
-    construction is probed first.
+    construction is probed first, as one candidate of the budget, when the
+    budget and the time limit leave room for it.
     A size counts as exhausted only when its exhaustive stream ran dry
     within the budget and the time limit; absence of a find is a valid
     outcome and no claim is made beyond the exhausted range.  Each size's
     record says why it ended: "exhausted", "budget" (the candidate budget
-    ran out), "time limit", "sample quota" (a sampled size drew its share
-    of the budget), "generator failed" (the sampler could not fill the
-    size) or "found".
+    ran out), "time limit" (the last record: the search stops there),
+    "sample quota" (a sampled size drew its share of the budget),
+    "generator failed" (the sampler could not fill the size) or "found".
     """
     if profile not in SEARCH_PROFILES:
         raise KeyError(f"unsupported profile {profile}")
@@ -452,9 +460,13 @@ def search_unsat(
         if journal is not None:
             journal(event)
 
+    def timed_out() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
+
     remaining = budget.max_candidates
 
-    if profile == (5, 1) and budget.max_n >= 102:
+    if profile == (5, 1) and budget.max_n >= 102 and remaining > 0 and not timed_out():
+        remaining -= 1
         cand = known_unsat("mon51")
         if _certify_unsat_candidate(cand, spec):
             outcome.found = cand
@@ -478,7 +490,7 @@ def search_unsat(
         checked = 0
         ended = "budget"
         while remaining > 0:
-            if deadline is not None and time.monotonic() >= deadline:
+            if timed_out():
                 ended = "time limit"
                 break
             inst = next(stream, None)
@@ -501,4 +513,6 @@ def search_unsat(
             {"n": n, "candidates": checked, "exhausted": exhausted, "ended": ended})
         emit({"event": "n-done", "n": n, "candidates": checked, "exhausted": exhausted,
               "ended": ended})
+        if ended == "time limit":
+            break
     return outcome

@@ -171,19 +171,22 @@ def test_search_unsat_cli(tmp_path, capsys):
 
 def test_search_unsat_cli_says_why_each_size_ended(capsys):
     # a size is cut by the candidate budget, by the time limit or by its
-    # sampling quota, and the text output names which
-    for argv, lines in (
+    # sampling quota, and the text output names which; the time limit ends
+    # the search, so no size after it is reported
+    for argv, lines, absent in (
         (["--profile", "2,2", "--max-n", "9", "--max-candidates", "1000"],
-         ["n=6: 819 candidates checked (exhausted)", "n=9: 181 candidates checked (budget)"]),
+         ["n=6: 819 candidates checked (exhausted)", "n=9: 181 candidates checked (budget)"],
+         None),
         (["--profile", "2,2", "--max-n", "6", "--timeout", "0"],
-         ["n=3: 0 candidates checked (time limit)", "n=6: 0 candidates checked (time limit)"]),
+         ["n=3: 0 candidates checked (time limit)"], "n=6"),
         (["--profile", "4,1", "--max-n", "24", "--max-candidates", "40"],
          ["n=21: 10 candidates checked (sample quota)",
-          "n=24: 10 candidates checked (sample quota)"]),
+          "n=24: 10 candidates checked (sample quota)"], None),
     ):
         assert main(["search-unsat", *argv]) == 0
         out = capsys.readouterr().out.splitlines()
         assert all(line in out for line in lines), out
+        assert absent is None or not any(line.startswith(absent) for line in out), out
         assert main(["search-unsat", *argv, "--json"]) == 0
         records = json.loads(capsys.readouterr().out)["records"]
         assert all(r["exhausted"] == (r["ended"] == "exhausted") for r in records)

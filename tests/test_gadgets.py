@@ -199,7 +199,7 @@ def test_b_composition_shape():
 def test_fresh_allocator_monotone():
     alloc = FreshAllocator(5)
     a = alloc.fresh(3)
-    b = alloc.fresh1()
+    [b] = alloc.fresh(1)
     assert a == [5, 6, 7] and b == 8
     g1 = build_gadget("NE9", (0, 1), alloc)
     g2 = build_gadget("NE9", (0, 1), alloc)

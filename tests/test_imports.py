@@ -1,5 +1,6 @@
-"""Every top-level import in src/ and tests/ is used in its module, and in
-src/ only the oracle imports the enumeration kernel."""
+"""Every top-level import in src/ and tests/ is used in its module, in
+src/ only the oracle imports the enumeration kernel, and every name src/
+defines is read somewhere in src/ or certbench/."""
 
 import ast
 import pathlib
@@ -93,3 +94,68 @@ def test_only_the_oracle_imports_the_kernel():
         if lines:
             found[str(path.relative_to(ROOT))] = lines
     assert list(found) == ["src/mono3sat/oracle.py"]
+
+
+# Read only by the tests and the acceptance criteria.
+TEST_ONLY_NAMES = frozenset({
+    "subsumes", "check_equisat", "transversal_count", "check_sat_via_transversal",
+    "bound_satisfiable", "min_transversal_hitting_set",
+})
+
+
+def definitions(source: str) -> dict[str, int]:
+    """Top-level functions, classes and assigned names, and the non-dunder
+    methods of top-level classes, with their line numbers."""
+    found: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    found[t.id] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if (isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (f.name.startswith("__") and f.name.endswith("__"))):
+                    found[f.name] = f.lineno
+    return found
+
+
+def reads(source: str) -> set[str]:
+    """Names the module loads, attributes it reads and names it imports by
+    `from ... import`."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_unread_definitions_are_detected():
+    source = (
+        "LIMIT = 3\nUNUSED: int = 4\n"
+        "class A:\n    def __init__(self):\n        self.gone = 1\n"
+        "    def used(self):\n        return LIMIT\n    def gone(self):\n        pass\n"
+        "def helper():\n    return A().used()\n"
+    )
+    defined = definitions(source)
+    assert sorted(n for n in defined if n not in reads(source)) == ["UNUSED", "gone", "helper"]
+
+
+def test_every_src_definition_is_read():
+    read = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "certbench").rglob("*.py")]:
+        read |= reads(path.read_text())
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        names = [f"line {line}: {name}" for name, line in definitions(path.read_text()).items()
+                 if name not in read and name not in TEST_ONLY_NAMES]
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {}

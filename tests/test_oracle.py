@@ -746,9 +746,9 @@ from mono3sat import witnesses
 from mono3sat.formulas import monotone_sat
 from mono3sat.oracle import SolveResult
 
-# the certify path's checks of a transversal search answer: a witness that
-# holds a positive clause, and a DPLL that finds a model where every
-# transversal is blocked
+# the checks of a transversal search answer: a witness that holds a positive
+# clause, on the certify path and in check_sat_via_transversal, and a DPLL
+# that finds a model where every transversal is blocked
 hitting27, spec91 = witnesses.known_unsat("hitting27"), monotone_sat(9, 1)
 search = witnesses._witness_transversal
 witnesses._witness_transversal = lambda triples, positives: (0, 3, 6)
@@ -756,6 +756,10 @@ try:
     witnesses._certify_unsat_candidate(hitting27, spec91)
 except AssertionError as exc:
     print("witness check raised:", exc)
+try:
+    witnesses.check_sat_via_transversal(hitting27)
+except AssertionError as exc:
+    print("transversal check raised:", exc)
 witnesses._witness_transversal = search
 witnesses.solve_dpll = lambda inst: SolveResult("sat", (False,) * 9)
 try:
@@ -786,6 +790,7 @@ def test_model_checks_survive_optimize():
     assert "solve_dpll raised" in out.stdout
     assert "search cross-check raised" in out.stdout
     assert "witness check raised: a witness transversal is not a model" in out.stdout
+    assert "transversal check raised: a witness transversal is not a model" in out.stdout
     assert "blocked check raised: DPLL finds a model" in out.stdout
     assert "dpll invariant raised" in out.stdout
     assert "pad_to_four raised" in out.stdout

@@ -389,6 +389,23 @@ def test_input_validation():
         R.apply_reduction("R99", seed_22())
 
 
+def test_r1_degenerate_ring_keeps_one_closing_clause(monkeypatch):
+    # a variable with one appearance gets EQ_NE(c, c), whose repeated closing
+    # clause is kept once; a ring gadget that ends in no repeat is refused
+    inst = CnfInstance.from_codes(3, [positive((0, 1, 2))], NAE)
+    out = R.apply_reduction("R1", inst).output
+    assert len(set(out.codes)) == len(out.codes)
+    build = R.build_gadget
+
+    def no_repeat(kind, boundary, alloc):
+        g = build(kind, boundary, alloc)
+        return dataclasses.replace(g, clauses=g.clauses[:-1])
+
+    monkeypatch.setattr(R, "build_gadget", no_repeat)
+    with pytest.raises(AssertionError, match="ends in no repeated clause"):
+        R.apply_reduction("R1", inst)
+
+
 def test_r10_error_paths():
     rng = random.Random(5)
     inst33 = G.random_kk(6, 3, rng)

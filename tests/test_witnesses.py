@@ -277,6 +277,29 @@ def test_search_51_probe_finds_construction():
     assert all(pq == (5, 1) for pq in prof)
 
 
+def test_search_time_limit_ends_the_search():
+    # the size the time limit cuts is the last one walked and recorded
+    events = []
+    out = search_unsat((2, 2), SearchBudget(max_n=30, time_limit=0), journal=events.append)
+    assert out.records == [{"n": 3, "candidates": 0, "exhausted": False, "ended": "time limit"}]
+    assert [e["event"] for e in events] == ["n-start", "n-done"]
+
+
+def test_search_51_probe_is_a_candidate_within_the_limits(monkeypatch):
+    # the mon51 probe spends one candidate of the budget, and runs only when
+    # the budget and the time limit leave room for it
+    decided = []
+    monkeypatch.setattr(W, "_certify_unsat_candidate",
+                        lambda inst, spec: decided.append(inst.num_vars) and False)
+    for budget in (SearchBudget(max_n=102, max_candidates=0),
+                   SearchBudget(max_n=102, max_candidates=5, time_limit=0)):
+        assert search_unsat((5, 1), budget).found is None
+    assert decided == []
+    out = search_unsat((5, 1), SearchBudget(max_n=102, max_candidates=5))
+    assert decided[0] == 102 and len(decided) == 5
+    assert sum(r["candidates"] for r in out.records) == 4
+
+
 def test_certify_path_agrees_with_dpll(monkeypatch):
     # 300 seeded (k,1) samples at the first searched size and at the
     # transversal cap (15 triples): the certify path's verdict is DPLL's,
