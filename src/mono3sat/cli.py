@@ -315,7 +315,8 @@ def _cmd_search(args) -> int:
         _emit_json({"command": "search-unsat", **outcome.as_dict()})
     else:
         for rec in outcome.records:
-            print(f"n={rec['n']}: {rec['candidates']} candidates checked ({rec['ended']})")
+            print(f"n={rec['n']}: {rec['candidates']} candidates checked, "
+                  f"{rec['dpll']} by DPLL ({rec['ended']})")
         if outcome.found is not None:
             print(f"FOUND unsatisfiable ({p},{q}) instance with "
                   f"{outcome.found.num_vars} variables")

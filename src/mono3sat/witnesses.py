@@ -120,7 +120,7 @@ def known_unsat(name: str) -> CnfInstance:
 # Canonical shape: n/3 disjoint negative triples covering all variables,
 # plus positive 3-clauses.
 
-DEFAULT_TRANSVERSAL_CAP = 15  # at most 3^15 transversals
+DEFAULT_TRANSVERSAL_CAP = 15  # negative clauses: the witness search tries at most 3^15 sets
 
 
 def canonical_shape(inst: CnfInstance):
@@ -143,10 +143,12 @@ def canonical_shape(inst: CnfInstance):
 
 
 def _shape_parts(inst: CnfInstance):
-    """canonical_shape's split of an instance already known to have it."""
-    triples = [tuple(x >> 1 for x in c) for c in inst.codes if c[0] & 1]
+    """A monotone instance's negative clauses as variable tuples and its
+    positive clauses as codes; canonical_shape's split when it has that
+    shape."""
+    negatives = [tuple(x >> 1 for x in c) for c in inst.codes if c[0] & 1]
     positives = [c for c in inst.codes if not c[0] & 1]
-    return triples, positives
+    return negatives, positives
 
 
 def transversal_count(n: int) -> int:
@@ -187,11 +189,19 @@ def _check_witness(inst: CnfInstance, false_vars) -> None:
         raise AssertionError("a witness transversal is not a model")
 
 
-def _witness_transversal(triples, positives) -> tuple[int, ...] | None:
-    """One variable from each negative triple such that no positive clause
-    has all three of its variables chosen, or None when every transversal
-    is blocked; depth-first over the triples in order."""
-    k = len(triples)
+def _witness_transversal(negatives, positives) -> tuple[int, ...] | None:
+    """The false variables of a model of a monotone sat instance, or None
+    when it has none.
+
+    negatives are the negative clauses as variable tuples, positives the
+    positive clauses as codes.  A set F of variables, set false with every
+    other variable true, is a model iff F meets every negative clause and
+    holds no positive clause whole.  Depth-first over the negative clauses
+    in order: a clause an earlier choice already meets is skipped, else one
+    of its variables joins F unless that completes a positive clause.  On
+    disjoint negative triples (canonical shape) F is a transversal.
+    """
+    k = len(negatives)
     clause_vars = [[x >> 1 for x in c] for c in positives]
     by_var: dict[int, list[int]] = {}
     for idx, vs in enumerate(clause_vars):
@@ -199,23 +209,25 @@ def _witness_transversal(triples, positives) -> tuple[int, ...] | None:
             by_var.setdefault(v, []).append(idx)
     hits = [0] * len(clause_vars)
 
-    chosen: list[int] = []
+    chosen: dict[int, None] = {}  # F, in the order its variables joined
 
     def dfs(t: int) -> tuple[int, ...] | None:
+        while t < k and not chosen.keys().isdisjoint(negatives[t]):
+            t += 1
         if t == k:
             return tuple(chosen)
-        for v in triples[t]:
+        for v in negatives[t]:
             blocked = False
             for idx in by_var.get(v, ()):
                 hits[idx] += 1
-                if hits[idx] == 3:
+                if hits[idx] == len(clause_vars[idx]):
                     blocked = True
             if not blocked:
-                chosen.append(v)
+                chosen[v] = None
                 got = dfs(t + 1)
                 if got is not None:
                     return got
-                chosen.pop()
+                del chosen[v]
             for idx in by_var.get(v, ()):
                 hits[idx] -= 1
         return None
@@ -348,11 +360,13 @@ def regular_hypergraphs_exhaustive(n: int, degree: int):
 
 
 def canonical_signature(clauses: list[tuple[tuple[int, ...], bool]]) -> tuple:
-    """Relabel variables by first appearance in the sorted clause list."""
-    key = sorted((sorted(vs), negd) for vs, negd in clauses)
+    """Relabel variables by first appearance in the sorted clause list.
+
+    Each clause's variables must come as a sorted tuple, as the edges of
+    regular_hypergraphs_exhaustive do."""
     relabel: dict[int, int] = {}
     out = []
-    for vs, negd in key:
+    for vs, negd in sorted(clauses):
         for v in vs:
             if v not in relabel:
                 relabel[v] = len(relabel)
@@ -360,34 +374,33 @@ def canonical_signature(clauses: list[tuple[tuple[int, ...], bool]]) -> tuple:
     return tuple(sorted(out))
 
 
-def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> bool:
-    """Whether a candidate is unsatisfiable, each verdict on two paths.
+def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> tuple[bool, bool]:
+    """(whether a candidate is unsatisfiable, whether DPLL ran on it), each
+    verdict on two paths.
 
-    A sat-mode candidate valid for a once-negated profile such as {(k,1)}
-    is in canonical shape; with at most DEFAULT_TRANSVERSAL_CAP negative
-    triples it is decided by transversal search.  A witness transversal,
-    set false with every other variable true, must satisfy the candidate
-    (`evaluate`), and an all-blocked answer must be DPLL's answer too.
-    Other candidates are decided by DPLL.  Every unsat answer is re-checked
-    by enumeration when it fits.
+    A set-flavor monotone sat candidate with at most DEFAULT_TRANSVERSAL_CAP
+    negative clauses is decided by `_witness_transversal`: a witness, set
+    false with every other variable true, must satisfy the candidate
+    (`evaluate`), and "no witness" must be DPLL's answer too.  Other
+    candidates are decided by DPLL.  Every unsat answer is re-checked by
+    enumeration when it fits.
     """
     if not validate(inst, spec).ok:
         raise AssertionError("search produced an out-of-profile candidate")
-    n = inst.num_vars
-    once_negated = (inst.mode == SAT and spec.monotone == MONOTONE_SAT and not spec.duplicates
-                    and spec.profile is not None and all(q == 1 for _, q in spec.profile))
-    if once_negated and n <= 3 * DEFAULT_TRANSVERSAL_CAP:
-        found = _witness_transversal(*_shape_parts(inst))
+    monotone = inst.mode == SAT and spec.monotone == MONOTONE_SAT and not spec.duplicates
+    negatives, positives = _shape_parts(inst) if monotone else ((), ())
+    if monotone and len(negatives) <= DEFAULT_TRANSVERSAL_CAP:
+        found = _witness_transversal(negatives, positives)
         if found is not None:
             _check_witness(inst, found)
-            return False
+            return False, False
         if solve_dpll(inst).status != "unsat":
-            raise AssertionError("DPLL finds a model where every transversal is blocked")
+            raise AssertionError("DPLL finds a model where no witness exists")
     elif solve_dpll(inst).status != "unsat":
-        return False
-    if n <= enum_cap() and solve_exhaustive(inst).status != "unsat":
+        return False, True
+    if inst.num_vars <= enum_cap() and solve_exhaustive(inst).status != "unsat":
         raise AssertionError("enumeration finds a model DPLL missed")
-    return True
+    return True, True
 
 
 def _canonical_pairs(n: int):
@@ -441,6 +454,9 @@ def search_unsat(
     27, 21, 18 for k = 3, 4, 5).  (5,1): the explicit 204-clause
     construction is probed first, as one candidate of the budget, when the
     budget and the time limit leave room for it.
+    Every candidate goes through `_certify_unsat_candidate`, so one with a
+    witness never reaches DPLL; each size's record counts the candidates
+    it checked and, under "dpll", those that DPLL decided.
     A size counts as exhausted only when its exhaustive stream ran dry
     within the budget and the time limit; absence of a find is a valid
     outcome and no claim is made beyond the exhausted range.  Each size's
@@ -468,11 +484,12 @@ def search_unsat(
     if profile == (5, 1) and budget.max_n >= 102 and remaining > 0 and not timed_out():
         remaining -= 1
         cand = known_unsat("mon51")
-        if _certify_unsat_candidate(cand, spec):
+        unsat, ran_dpll = _certify_unsat_candidate(cand, spec)
+        if unsat:
             outcome.found = cand
             outcome.records.append(
-                {"n": cand.num_vars, "candidates": 1, "exhausted": False, "ended": "found",
-                 "note": "constructed from the D/F enforcers"}
+                {"n": cand.num_vars, "candidates": 1, "dpll": int(ran_dpll), "exhausted": False,
+                 "ended": "found", "note": "constructed from the D/F enforcers"}
             )
             emit({"event": "found", "n": cand.num_vars, "source": "construction"})
             return outcome
@@ -487,7 +504,7 @@ def search_unsat(
         else:
             quota = min(remaining, max(1, budget.max_candidates // 4))
             stream, every = _samples(n, profile[0], quota, rng), 200
-        checked = 0
+        checked = dpll = 0
         ended = "budget"
         while remaining > 0:
             if timed_out():
@@ -500,17 +517,19 @@ def search_unsat(
                 break
             checked += 1
             remaining -= 1
-            if _certify_unsat_candidate(inst, spec):
+            unsat, ran_dpll = _certify_unsat_candidate(inst, spec)
+            dpll += ran_dpll
+            if unsat:
                 outcome.found = inst
-                outcome.records.append(
-                    {"n": n, "candidates": checked, "exhausted": False, "ended": "found"})
+                outcome.records.append({"n": n, "candidates": checked, "dpll": dpll,
+                                        "exhausted": False, "ended": "found"})
                 emit({"event": "found", "n": n, "candidates": checked})
                 return outcome
             if checked % every == 0:
                 emit({"event": "progress", "n": n, "candidates": checked})
         exhausted = ended == "exhausted"
-        outcome.records.append(
-            {"n": n, "candidates": checked, "exhausted": exhausted, "ended": ended})
+        outcome.records.append({"n": n, "candidates": checked, "dpll": dpll,
+                                "exhausted": exhausted, "ended": ended})
         emit({"event": "n-done", "n": n, "candidates": checked, "exhausted": exhausted,
               "ended": ended})
         if ended == "time limit":

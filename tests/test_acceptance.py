@@ -174,7 +174,9 @@ def test_criterion_7_challenge_scaffolding():
     assert recs[6]["exhausted"] and recs[6]["candidates"] > 0
     # n = 9 ran under the budget and is reported truncated, never "all sat"
     assert 9 in recs and not recs[9]["exhausted"]
+    # a checked witness decides every candidate: none reaches DPLL
+    assert all(r["dpll"] == 0 for r in out.records)
     assert any(e["event"] == "n-done" for e in events)
     print(f"\nACCEPTANCE 7 challenge scaffolding (n=3: empty, "
           f"n=6: {recs[6]['candidates']} candidates all satisfiable, "
-          f"n=9: truncated at {recs[9]['candidates']}): PASS")
+          f"n=9: truncated at {recs[9]['candidates']}; DPLL on none): PASS")

@@ -175,13 +175,14 @@ def test_search_unsat_cli_says_why_each_size_ended(capsys):
     # the search, so no size after it is reported
     for argv, lines, absent in (
         (["--profile", "2,2", "--max-n", "9", "--max-candidates", "1000"],
-         ["n=6: 819 candidates checked (exhausted)", "n=9: 181 candidates checked (budget)"],
+         ["n=6: 819 candidates checked, 0 by DPLL (exhausted)",
+          "n=9: 181 candidates checked, 0 by DPLL (budget)"],
          None),
         (["--profile", "2,2", "--max-n", "6", "--timeout", "0"],
-         ["n=3: 0 candidates checked (time limit)"], "n=6"),
+         ["n=3: 0 candidates checked, 0 by DPLL (time limit)"], "n=6"),
         (["--profile", "4,1", "--max-n", "24", "--max-candidates", "40"],
-         ["n=21: 10 candidates checked (sample quota)",
-          "n=24: 10 candidates checked (sample quota)"], None),
+         ["n=21: 10 candidates checked, 0 by DPLL (sample quota)",
+          "n=24: 10 candidates checked, 0 by DPLL (sample quota)"], None),
     ):
         assert main(["search-unsat", *argv]) == 0
         out = capsys.readouterr().out.splitlines()

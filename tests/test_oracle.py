@@ -767,7 +767,16 @@ try:
 except AssertionError as exc:
     print("blocked check raised:", exc)
 
-# the search's enumeration cross-check of a DPLL unsat answer
+# a (2,2) witness that leaves every negative clause unmet
+witnesses._witness_transversal = lambda negatives, positives: ()
+try:
+    witnesses.search_unsat((2, 2), witnesses.SearchBudget(max_n=6, max_candidates=1))
+except AssertionError as exc:
+    print("(2,2) model check raised:", exc)
+
+# the search's enumeration cross-check of a DPLL unsat answer, on a (2,2)
+# candidate whose witness search is made to find none
+witnesses._witness_transversal = lambda negatives, positives: None
 witnesses.solve_dpll = lambda inst: SolveResult("unsat", None)
 witnesses.solve_exhaustive = lambda inst: SolveResult("sat", None)
 try:
@@ -788,7 +797,8 @@ def test_model_checks_survive_optimize():
     assert out.returncode == 0, out.stderr
     assert "solve_exhaustive raised" in out.stdout
     assert "solve_dpll raised" in out.stdout
-    assert "search cross-check raised" in out.stdout
+    assert "search cross-check raised: enumeration finds a model" in out.stdout
+    assert "(2,2) model check raised: a witness transversal is not a model" in out.stdout
     assert "witness check raised: a witness transversal is not a model" in out.stdout
     assert "transversal check raised: a witness transversal is not a model" in out.stdout
     assert "blocked check raised: DPLL finds a model" in out.stdout

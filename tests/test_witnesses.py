@@ -17,7 +17,7 @@ from mono3sat.formulas import (
 from mono3sat import witnesses as W
 from mono3sat.dimacs import emit_dimacs, parse_dimacs
 from mono3sat.gadgets import verify_composite
-from mono3sat.generate import GenerationError, random_k1
+from mono3sat.generate import GenerationError, random_k1, random_kk
 from mono3sat.oracle import solve_dpll, solve_exhaustive
 from mono3sat.witnesses import (
     NINE_VAR_TABLE,
@@ -281,7 +281,8 @@ def test_search_time_limit_ends_the_search():
     # the size the time limit cuts is the last one walked and recorded
     events = []
     out = search_unsat((2, 2), SearchBudget(max_n=30, time_limit=0), journal=events.append)
-    assert out.records == [{"n": 3, "candidates": 0, "exhausted": False, "ended": "time limit"}]
+    assert out.records == [
+        {"n": 3, "candidates": 0, "dpll": 0, "exhausted": False, "ended": "time limit"}]
     assert [e["event"] for e in events] == ["n-start", "n-done"]
 
 
@@ -290,7 +291,7 @@ def test_search_51_probe_is_a_candidate_within_the_limits(monkeypatch):
     # the budget and the time limit leave room for it
     decided = []
     monkeypatch.setattr(W, "_certify_unsat_candidate",
-                        lambda inst, spec: decided.append(inst.num_vars) and False)
+                        lambda inst, spec: decided.append(inst.num_vars) or (False, True))
     for budget in (SearchBudget(max_n=102, max_candidates=0),
                    SearchBudget(max_n=102, max_candidates=5, time_limit=0)):
         assert search_unsat((5, 1), budget).found is None
@@ -298,12 +299,15 @@ def test_search_51_probe_is_a_candidate_within_the_limits(monkeypatch):
     out = search_unsat((5, 1), SearchBudget(max_n=102, max_candidates=5))
     assert decided[0] == 102 and len(decided) == 5
     assert sum(r["candidates"] for r in out.records) == 4
+    assert sum(r["dpll"] for r in out.records) == 4
 
 
 def test_certify_path_agrees_with_dpll(monkeypatch):
-    # 300 seeded (k,1) samples at the first searched size and at the
-    # transversal cap (15 triples): the certify path's verdict is DPLL's,
-    # and every witness transversal it turns into a model satisfies its sample
+    # 300 seeded (k,1) samples at the first searched size and at the cap
+    # (15 negative triples), every (2,2) candidate at n = 6 and 500 seeded
+    # (2,2) instances at n = 9: the certify path's verdict is DPLL's, no
+    # candidate with a witness reaches DPLL, and every witness it turns
+    # into a model satisfies its candidate
     checked = []
 
     def spy(inst, model):
@@ -312,28 +316,84 @@ def test_certify_path_agrees_with_dpll(monkeypatch):
 
     monkeypatch.setattr(W, "evaluate", spy)
     rng = random.Random(2024)
+    groups = [(monotone_sat(k, 1), [random_k1(n, k, rng) for n in sizes for _ in range(50)])
+              for k, sizes in ((3, (27, 45)), (4, (21, 45)), (5, (18, 45)))]
+    groups.append((monotone_sat(2, 2),
+                   list(W._canonical_pairs(6)) + [random_kk(9, 2, rng) for _ in range(500)]))
+    assert len(groups[-1][1]) == 819 + 500
     sat = 0
-    for k, sizes in ((3, (27, 45)), (4, (21, 45)), (5, (18, 45))):
-        spec = monotone_sat(k, 1)
-        for n in sizes:
-            for _ in range(50):
-                inst = random_k1(n, k, rng)
-                unsat = W._certify_unsat_candidate(inst, spec)
-                assert unsat == (solve_dpll(inst).status == "unsat"), (k, n)
-                sat += not unsat
+    for spec, candidates in groups:
+        for inst in candidates:
+            unsat, ran_dpll = W._certify_unsat_candidate(inst, spec)
+            assert unsat == (solve_dpll(inst).status == "unsat"), spec.profile
+            assert ran_dpll == unsat, spec.profile
+            sat += not unsat
     assert len(checked) == sat and all(checked)
 
 
 def test_certify_blocked_transversals_run_dpll_and_the_kernel(monkeypatch):
-    # hitting27 blocks every transversal; DPLL and the enumeration kernel
-    # must both confirm it before the candidate counts as unsatisfiable
+    # hitting27 blocks every transversal, and nine_var, whose negative
+    # clauses overlap, has no witness either: DPLL and then the enumeration
+    # kernel must confirm each before it counts as unsatisfiable
     calls = []
-    for name in ("solve_dpll", "solve_exhaustive"):
-        solve = getattr(W, name)
-        monkeypatch.setattr(
-            W, name, lambda inst, solve=solve, name=name: calls.append(name) or solve(inst))
-    assert W._certify_unsat_candidate(known_unsat("hitting27"), monotone_sat(9, 1)) is True
-    assert calls == ["solve_dpll", "solve_exhaustive"]
+
+    def spying(name, fn):
+        def call(*args):
+            calls.append((name, fn(*args)))
+            return calls[-1][1]
+        return call
+
+    for name in ("_witness_transversal", "solve_dpll", "solve_exhaustive"):
+        monkeypatch.setattr(W, name, spying(name, getattr(W, name)))
+    for name, spec in (("hitting27", monotone_sat(9, 1)), ("nine_var", monotone_sat(3, 3))):
+        calls.clear()
+        assert W._certify_unsat_candidate(known_unsat(name), spec) == (True, True)
+        assert [step for step, _ in calls] == [
+            "_witness_transversal", "solve_dpll", "solve_exhaustive"], name
+        assert calls[0][1] is None, name
+
+
+def test_certify_22_witness_cap_counts_negative_clauses():
+    # a (2,2) instance on n variables has 2n/3 negative clauses: the witness
+    # search decides n = 21 (14 clauses), DPLL decides n = 24 (16 clauses)
+    rng = random.Random(7)
+    spec = monotone_sat(2, 2)
+    assert W._certify_unsat_candidate(random_kk(21, 2, rng), spec) == (False, False)
+    assert W._certify_unsat_candidate(random_kk(24, 2, rng), spec) == (False, True)
+
+
+def _relabelled(rng, n, clauses):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    codes = [tuple(perm[x >> 1] << 1 | x & 1 for x in c) for c in clauses]
+    rng.shuffle(codes)
+    return CnfInstance.from_codes(n, codes, SAT)
+
+
+def test_witness_search_agrees_with_the_kernel_on_overlapping_negatives():
+    # seeded monotone instances whose negative clauses share variables, and
+    # relabelled disjoint unions of an unsat witness with such an instance
+    rng = random.Random(31)
+    answers = set()
+    for trial in range(300):
+        extra = rng.randint(3, 7)
+        triples = list(itertools.combinations(range(extra), 3))
+        part = [negative(t) for t in rng.sample(triples, rng.randint(1, min(6, len(triples))))]
+        part += [positive(t) for t in rng.sample(triples, rng.randint(0, len(triples)))]
+        if trial % 3:
+            inst = _relabelled(rng, extra, part)
+        else:
+            base = known_unsat(("nine_var", "ss_bar")[trial % 2])
+            shifted = [tuple(x + (base.num_vars << 1) for x in c) for c in part]
+            inst = _relabelled(rng, base.num_vars + extra, list(base.codes) + shifted)
+        found = W._witness_transversal(*W._shape_parts(inst))
+        sat = solve_exhaustive(inst).status == "sat"
+        assert (found is not None) == sat, trial
+        if found is not None:
+            model = [v not in found for v in range(inst.num_vars)]
+            assert evaluate(inst, model), trial
+        answers.add(sat)
+    assert answers == {True, False}
 
 
 def test_search_reports_a_sampler_that_gives_up(monkeypatch):
@@ -343,7 +403,7 @@ def test_search_reports_a_sampler_that_gives_up(monkeypatch):
     monkeypatch.setattr(W, "random_k1", give_up)
     out = search_unsat((4, 1), SearchBudget(max_n=21, max_candidates=40))
     assert out.records == [
-        {"n": 21, "candidates": 0, "exhausted": False, "ended": "generator failed"}]
+        {"n": 21, "candidates": 0, "dpll": 0, "exhausted": False, "ended": "generator failed"}]
 
 
 def test_search_unknown_profile():
