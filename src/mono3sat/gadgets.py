@@ -3,14 +3,15 @@
 Each clause list is stored as a data table (one line per clause, slot
 placeholders for boundary variables, names for auxiliaries) so the
 transcription can be reviewed line by line; every table is parsed once, at
-import.  A composite row (EQ_NE, F, B, BBAR) also lists its parts, the
-catalogue gadgets it is assembled from; its own table then holds only the
-connector clauses.  A row's own auxiliaries are the names its table and its
-parts use that are not slots, in sorted order.  Every row is built by the
-one path in `build_gadget`, and every instantiation draws fresh, disjoint
-auxiliaries.  A built gadget holds its clauses as literal codes (see
-`formulas`): each table is indexed once, each name by its position, and a
-build writes the codes from that index.
+import.  A polarity-flipped row (SBAR, C12BAR) holds its base table with
+every literal negated.  A composite row (EQ_NE, F, B, BBAR) also lists its
+parts, the catalogue rows it is assembled from; its own table then holds
+only the connector clauses.  A row's own auxiliaries are the names its
+table and its parts use that are not slots, in sorted order.  Every row is
+built by the one path in `build_gadget`, and every instantiation draws
+fresh, disjoint auxiliaries.  A built gadget holds its clauses as literal
+codes (see `formulas`): each table is indexed once, each name by its
+position, and a build writes the codes from that index.
 """
 
 from __future__ import annotations
@@ -97,10 +98,10 @@ def _chain22_neg(s):
 @dataclass(frozen=True)
 class GadgetRow:
     """One catalogue row.  A composite row lists its parts as (kind, slot
-    names) pairs, "~KIND" meaning the polarity-flipped gadget; its table
-    holds the connector clauses over its slots and auxiliary names.  Every
-    name in the table or a part's slot list that is not a slot names one of
-    the row's own auxiliaries, which take ids in sorted name order."""
+    names) pairs, each kind a catalogue row; its table holds the connector
+    clauses over its slots and auxiliary names.  Every name in the table or
+    a part's slot list that is not a slot names one of the row's own
+    auxiliaries, which take ids in sorted name order."""
 
     name: str
     num_aux: int  # every auxiliary of a built instance, parts' included
@@ -339,7 +340,7 @@ def _flip_table(table: Table) -> Table:
 _XY = ("x", "y")
 _XYZ = ("x", "y", "z")
 _X6 = ("x1", "x2", "x3", "x4", "x5", "x6")
-_B_PARTS = (("C12", ("u", "x")), ("C12", ("v", "y")), ("C12", ("w", "z")))
+_B_SLOTS = (("u", "x"), ("v", "y"), ("w", "z"))
 
 CATALOGUE: dict[str, GadgetRow] = {row.name: row for row in (
     GadgetRow("NE6", 5, 6, NAE, _differ, _XY, _NE6),
@@ -362,10 +363,14 @@ CATALOGUE: dict[str, GadgetRow] = {row.name: row for row in (
     GadgetRow("G", 6, 11, SAT, _any_true, _XYZ, _G),
     GadgetRow("H", 9, 16, SAT, _any_false, _XYZ, _H),
     GadgetRow("C12", 8, 12, SAT, _any_true, _XY, _C12),
-    GadgetRow("B", 27, 37, SAT, _any_true, _XYZ, parse_table(["~u ~v ~w"]), parts=_B_PARTS),
+    GadgetRow("C12BAR", 8, 12, SAT, _any_false, _XY, _flip_table(_C12)),
+    GadgetRow(
+        "B", 27, 37, SAT, _any_true, _XYZ, parse_table(["~u ~v ~w"]),
+        parts=tuple(("C12", slots) for slots in _B_SLOTS),
+    ),
     GadgetRow(
         "BBAR", 27, 37, SAT, _any_false, _XYZ, parse_table(["u v w"]),
-        parts=tuple(("~" + kind, slots) for kind, slots in _B_PARTS),
+        parts=tuple(("C12BAR", slots) for slots in _B_SLOTS),
     ),
     GadgetRow("CHAIN22", 0, 6, SAT, _chain22, _X6, _CHAIN22),
     GadgetRow("CHAIN22_NEG", 0, 2, SAT, _chain22_neg, _X6, _CHAIN22_NEG),
@@ -445,38 +450,14 @@ def build_gadget(
         raise ValueError(f"{kind}{boundary}: fresh ids from {alloc.next_id} meet the boundary")
     predicate = predicate_for(kind, boundary)
     values = boundary + tuple(alloc.fresh(len(row.aux_names)))
-    aux = values[len(boundary):]
-    parts: list[GadgetInstance] = []
-    clauses: Codes = ()
-    if row.parts:
-        var_of = dict(zip(row.slots + row.aux_names, values))
-        for part_kind, slots in row.parts:
-            part = build_gadget(part_kind.lstrip("~"), [var_of[s] for s in slots], alloc)
-            if part_kind.startswith("~"):
-                part = _flip_instance(part)
-            parts.append(part)
-            aux += part.aux
-            clauses += part.clauses
+    var_of = dict(zip(row.slots + row.aux_names, values))
+    parts = tuple(build_gadget(k, [var_of[s] for s in slots], alloc) for k, slots in row.parts)
     lits = [x for v in values for x in (v << 1, v << 1 | 1)]
     own = tuple([tuple([lits[i] for i in c]) for c in _indexed_table(kind)])
     return GadgetInstance(
-        kind, boundary, aux, clauses + own, predicate, row.mode,
-        parts=tuple(parts), connectors=own if parts else (),
-    )
-
-
-def _flip_instance(g: GadgetInstance) -> GadgetInstance:
-    """Negate every literal; accepted patterns map to their complements."""
-    full = (1 << len(g.predicate.boundary)) - 1
-    return GadgetInstance(
-        g.kind + "~", g.boundary, g.aux,
-        tuple([tuple([x ^ 1 for x in c]) for c in g.clauses]),
-        BoundaryPredicate(
-            g.predicate.boundary, frozenset(full ^ p for p in g.predicate.accepted)
-        ),
-        g.mode,
-        parts=tuple(_flip_instance(p) for p in g.parts),
-        connectors=tuple([tuple([x ^ 1 for x in c]) for c in g.connectors]),
+        kind, boundary, values[len(boundary):] + tuple(v for p in parts for v in p.aux),
+        tuple(c for p in parts for c in p.clauses) + own, predicate, row.mode,
+        parts=parts, connectors=own if parts else (),
     )
 
 

@@ -532,8 +532,9 @@ def _apply_r10(b: _Builder) -> None:
 def _assemble_r10(b: _Builder, mg: MGadget) -> None:
     q = mg.q
     n = b.input.num_vars
-    pos2: list[tuple[int, int]] = []
-    neg2: list[tuple[int, int]] = []
+    # each six's CHAIN22 2-clauses by sign, positive then negative; each
+    # gets a third literal of its sign from the M-gadgets' forced-false pool
+    two: tuple[list, list] = ([], [])
     for copy in range(q):
         sixes = _split_six(b, keep_negations=False)
         if copy > 0:
@@ -543,28 +544,23 @@ def _assemble_r10(b: _Builder, mg: MGadget) -> None:
                     del b.back_map[cid]
                 b.note(f"COPY{copy}", tuple(six))
         for six in sixes:
-            x1, x2, x3, x4, x5, x6 = six
-            pos2 += [(x1, x2), (x3, x4), (x5, x6)]
-            neg2 += [(x2, x3), (x4, x5), (x6, x1)]
-            b.clauses.append(negative((x1, x2, x6)))
-            b.clauses.append(negative((x3, x4, x5)))
-    pos_pool: list[int] = []
-    neg_pool: list[int] = []
+            # CHAIN22 has no auxiliaries, so building it draws no ids
+            for c in build_gadget("CHAIN22", six, b.alloc).clauses:
+                two[c[0] & 1].append(c)
+            b.add_gadget("CHAIN22_NEG", six)
+    pools: tuple[list, list] = ([], [])
     for _ in range(n):
         base = b.fresh("M_GADGET", mg.num_vars)
         b.clauses.extend(_shifted(mg.clauses, base))
-        pos_pool += [base + v for v in mg.pos_pool]
-        neg_pool += [base + v for v in mg.neg_pool]
-    for pool, pairs in ((pos_pool, pos2), (neg_pool, neg2)):
-        if not len(pool) == len(pairs) == 3 * n * q:
+        pools[0].extend(base + v for v in mg.pos_pool)
+        pools[1].extend(base + v for v in mg.neg_pool)
+    for sign in (0, 1):
+        if not len(pools[sign]) == len(two[sign]) == 3 * n * q:
             raise AssertionError(
-                f"R10: {len(pool)} pad variables for {len(pairs)} 2-clauses, "
-                f"3nq = {3 * n * q}"
+                f"R10: {len(pools[sign])} pad variables for {len(two[sign])} "
+                f"2-clauses, 3nq = {3 * n * q}"
             )
-    for (a, c), pad in zip(pos2, pos_pool):
-        b.clauses.append(positive((a, c, pad)))
-    for (a, c), pad in zip(neg2, neg_pool):
-        b.clauses.append(negative((a, c, pad)))
+        b.clauses.extend(c + (pad << 1 | sign,) for c, pad in zip(two[sign], pools[sign]))
 
 
 # ---------------------------------------------------------------------------

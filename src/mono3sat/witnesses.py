@@ -378,7 +378,8 @@ def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> tuple[bool
     """(whether a candidate is unsatisfiable, whether DPLL ran on it), each
     verdict on two paths.
 
-    A set-flavor monotone sat candidate with at most DEFAULT_TRANSVERSAL_CAP
+    The candidate is a sat-mode instance and spec a `monotone_sat` profile,
+    checked by `validate`.  One with at most DEFAULT_TRANSVERSAL_CAP
     negative clauses is decided by `_witness_transversal`: a witness, set
     false with every other variable true, must satisfy the candidate
     (`evaluate`), and "no witness" must be DPLL's answer too.  Other
@@ -387,9 +388,8 @@ def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> tuple[bool
     """
     if not validate(inst, spec).ok:
         raise AssertionError("search produced an out-of-profile candidate")
-    monotone = inst.mode == SAT and spec.monotone == MONOTONE_SAT and not spec.duplicates
-    negatives, positives = _shape_parts(inst) if monotone else ((), ())
-    if monotone and len(negatives) <= DEFAULT_TRANSVERSAL_CAP:
+    negatives, positives = _shape_parts(inst)
+    if len(negatives) <= DEFAULT_TRANSVERSAL_CAP:
         found = _witness_transversal(negatives, positives)
         if found is not None:
             _check_witness(inst, found)

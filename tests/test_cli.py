@@ -106,7 +106,7 @@ def test_check_json_witness(tmp_path, capsys):
 def test_gadgets_verify_all(capsys):
     assert main(["gadgets", "verify", "ALL"]) == 0
     out = capsys.readouterr().out
-    assert out.count("pass") == 20
+    assert out.count("pass") == 21
     assert main(["gadgets", "verify", "NOPE"]) == 2
     assert main(["gadgets", "list"]) == 0
 

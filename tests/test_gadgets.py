@@ -33,9 +33,11 @@ from reference import ref_accepted
 def test_catalogue_is_complete():
     assert set(GADGET_NAMES) == {
         "NE6", "EQ_NE", "P1", "NE9", "EQ13", "EQ4L", "S", "SBAR", "A", "D",
-        "F", "G", "H", "C12", "B", "BBAR", "CHAIN22", "CHAIN22_NEG",
+        "F", "G", "H", "C12", "C12BAR", "B", "BBAR", "CHAIN22", "CHAIN22_NEG",
         "STAR22", "INC32",
     }
+    # a composite is assembled from catalogue rows only
+    assert all(kind in CATALOGUE for row in CATALOGUE.values() for kind, _ in row.parts)
 
 
 @pytest.mark.parametrize("kind", GADGET_NAMES)
@@ -86,7 +88,7 @@ def test_specific_accepted_sets():
 
 
 def test_polarity_flip_duality_sbar_and_bbar():
-    for plain, flipped in (("S", "SBAR"), ("B", "BBAR")):
+    for plain, flipped in (("S", "SBAR"), ("C12", "C12BAR"), ("B", "BBAR")):
         a = fresh_instance(plain)
         b = fresh_instance(flipped)
         full = (1 << len(a.predicate.boundary)) - 1
@@ -194,6 +196,10 @@ def test_b_composition_shape():
     assert len(g.parts) == 3
     assert all(p.kind == "C12" for p in g.parts)
     assert len(g.clauses) == 37
+    gbar = fresh_instance("BBAR")
+    assert all(p.kind == "C12BAR" for p in gbar.parts)
+    # literal by literal the negation of B
+    assert gbar.clauses == tuple(tuple(x ^ 1 for x in c) for c in g.clauses)
 
 
 def test_fresh_allocator_monotone():

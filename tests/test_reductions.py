@@ -451,6 +451,13 @@ def test_r10_assembly_structure():
     assert out.num_vars == 6 * inst.num_vars + mg.num_vars * inst.num_vars
     # every 2-clause got exactly one padding literal: all clauses are triples
     assert all(len(c) == 3 for c in out.codes)
+    # the chain's negative triples come from the catalogue row, one per six
+    chain_negs = [e.boundary for e in cert.gadget_log if e.label == "CHAIN22_NEG"]
+    assert chain_negs == [tuple(range(6 * v, 6 * v + 6)) for v in range(inst.num_vars)]
+    # R10 is outside PINNED_OUTPUTS_SHA256, so its assembled bytes are pinned here
+    assert hashlib.sha256(emit_dimacs(out).encode()).hexdigest() == (
+        "58c8ff23b574c40ad5736309523fb36b4649562a3d789b43979b23c16f81ca30"
+    )
 
 
 def test_m_gadget_on_nine_var():
