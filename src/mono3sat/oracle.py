@@ -134,11 +134,18 @@ def _encoded_clauses(inst: CnfInstance) -> tuple[list[list[int]], bool] | None:
     `sat_codes`, and whether some clause has two literals.
 
     Repeated literals are merged and tautological clauses dropped before the
-    nae mirror is added; returns None when some clause is empty.
+    nae mirror is added; returns None when some clause is empty.  A clause
+    of three distinct variables, the shape of every catalogued variant's
+    clauses, needs neither and is only sorted.
     """
     out = []
     binary = False
     for c in inst.codes:
+        if len(c) == 3:
+            a, b, d = c
+            if (a ^ b) > 1 and (a ^ d) > 1 and (b ^ d) > 1:
+                out.append(sorted(c))
+                continue
         lits = set(c)
         if len({lit >> 1 for lit in lits}) < len(lits):
             continue  # tautology: some variable occurs in both polarities
@@ -291,12 +298,14 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     frequent free literal among the shortest unsatisfied clauses, ties going
     to the smallest encoded literal.  The shortest clauses come from an
     index, by_free[k], of the unsatisfied clauses (learned ones included)
-    with exactly k non-false literals, and the free literals of each bucket
-    are counted, in lc[k] and, for the input clauses of the longest bucket,
-    in cnt, where assignments, backjumps and learning move a clause into,
-    out of or between buckets; a decision reads its literal off those counts
-    instead of recounting.  Deterministic; no restarts.  The clauses are
-    non-empty: `solve_dpll` answers an empty one before calling.
+    with exactly k non-false literals, which assignments, backjumps and
+    learning keep as clauses move; learned_by_free[k] holds the learned
+    clauses of by_free[k].  Only what a decision reads is counted: cnt
+    counts the literals of the unsatisfied input clauses, which pick reads
+    when the longest input bucket is the shortest, as all those literals
+    are free then; a shorter bucket's free literals are counted when pick
+    is called.  Deterministic; no restarts.  The clauses are non-empty:
+    `solve_dpll` answers an empty one before calling.
     """
     m = len(clauses)
     if m == 0:
@@ -304,32 +313,24 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     deadline = None if timeout is None else time.monotonic() + timeout
 
     occ: list[list[int]] = [[] for _ in range(2 * num_vars)]
+    for ci, lits in enumerate(clauses):
+        for lit in lits:
+            occ[lit].append(ci)
     # cnt[lit]: occurrences of lit in not-yet-satisfied input clauses, free
-    # or false; pick reads it only as the count of the input clauses in
-    # by_free[longest], when they are all the unsatisfied input clauses
-    cnt = [0] * (2 * num_vars)
+    # or false; a bytearray, which pick searches with memchr, when every
+    # count fits in a byte.  No entry ever exceeds its initial count.
+    counts = [len(o) for o in occ]
+    top_cnt = max(counts)
+    cnt = bytearray(counts) if top_cnt < 256 else counts
     nfree = [len(c) for c in clauses]
     ntrue = [0] * m
     # by_free[k]: unsatisfied clauses with k non-false literals; grows when
     # a learned clause is longer than every clause before it
     longest = max(nfree)
     by_free: list[set[int]] = [set() for _ in range(longest + 1)]
-    # lc[k][lit]: occurrences of the free literal lit in the clauses of
-    # by_free[k], deleted when it reaches 0.  Only what a decision reads is
-    # counted (see pick): not buckets 0 and 1, empty at every decision, and
-    # not the input clauses of by_free[longest], whose literals cnt counts
-    # already.  lc_in is lc as input clauses see it; None marks a bucket
-    # whose counts leave the clause out.
-    lc: list[dict[int, int] | None] = [{} if k > 1 else None for k in range(longest + 1)]
-    lc_in = lc[:-1] + [None]
-    for ci, lits in enumerate(clauses):
-        by_free[len(lits)].add(ci)
-        counts = lc_in[len(lits)]
-        for lit in lits:
-            occ[lit].append(ci)
-            cnt[lit] += 1
-            if counts is not None:
-                counts[lit] = counts.get(lit, 0) + 1
+    learned_by_free: list[set[int]] = [set() for _ in range(longest + 1)]
+    for ci, k in enumerate(nfree):
+        by_free[k].add(ci)
     n_input = m
     clauses = list(clauses)  # learned clauses are appended
 
@@ -344,28 +345,9 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     cur_level = 0
     ticks = 0
 
-    def shift(ci: int, src: dict | None, dst: dict | None) -> int:
-        """Moves the counts of clause ci's free literals from src to dst
-        (None: a bucket that leaves ci out); returns one of them."""
-        free = -1
-        for l in clauses[ci]:
-            if val[l >> 1] == -1:
-                free = l
-                if src is not None:
-                    c = src[l]
-                    if c == 1:
-                        del src[l]
-                    else:
-                        src[l] = c - 1
-                if dst is not None:
-                    dst[l] = dst.get(l, 0) + 1
-        return free
-
     def assign(lit: int, why: int) -> int:
         """Make lit true; returns a conflicting clause index or -1."""
         v = lit >> 1
-        # clauses are satisfied while lit still reads as free, so that shift
-        # takes its count out with the others'
         for ci in occ[lit]:  # literal made true
             ntrue[ci] += 1
             if ntrue[ci] == 1:
@@ -374,55 +356,43 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                 if ci < n_input:
                     for l in clauses[ci]:
                         cnt[l] -= 1
-                    counts = lc_in[k]
                 else:
-                    counts = lc[k]
-                if counts is not None:
-                    shift(ci, counts, None)
+                    learned_by_free[k].remove(ci)
         val[v] = 1 - (lit & 1)
         level[v] = cur_level
         reason[v] = why
         trail.append(v)
         conflict = -1
-        f = lit ^ 1
-        for ci in occ[f]:  # literal made false
+        for ci in occ[lit ^ 1]:  # literal made false
             k = nfree[ci] - 1
             nfree[ci] = k
             if ntrue[ci] == 0:
                 by_free[k + 1].remove(ci)
                 by_free[k].add(ci)
-                row = lc_in if ci < n_input else lc
-                src = row[k + 1]
-                if src is not None:
-                    c = src[f]
-                    if c == 1:
-                        del src[f]
-                    else:
-                        src[f] = c - 1
-                free = shift(ci, src, row[k])
+                if ci >= n_input:
+                    learned_by_free[k + 1].remove(ci)
+                    learned_by_free[k].add(ci)
                 if k == 0:
                     conflict = ci
                 elif k == 1:
-                    units.append((free, ci))
+                    for l in clauses[ci]:
+                        if val[l >> 1] == -1:
+                            units.append((l, ci))
+                            break
         return conflict
 
     def unassign_top():
         v = trail.pop()
-        b = val[v]
-        f = (v << 1) | b  # the literal that was false
-        # clauses regain f while it still reads as assigned, so that shift
-        # leaves its count to the line below
+        f = (v << 1) | val[v]  # the literal that was false
         for ci in occ[f]:
             k = nfree[ci]
             nfree[ci] = k + 1
             if ntrue[ci] == 0:
                 by_free[k].remove(ci)
                 by_free[k + 1].add(ci)
-                row = lc_in if ci < n_input else lc
-                dst = row[k + 1]
-                shift(ci, row[k], dst)
-                if dst is not None:
-                    dst[f] = dst.get(f, 0) + 1
+                if ci >= n_input:
+                    learned_by_free[k].remove(ci)
+                    learned_by_free[k + 1].add(ci)
         val[v] = -1
         reason[v] = NO_REASON
         for ci in occ[f ^ 1]:
@@ -433,11 +403,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                 if ci < n_input:
                     for l in clauses[ci]:
                         cnt[l] += 1
-                    counts = lc_in[k]
                 else:
-                    counts = lc[k]
-                if counts is not None:
-                    shift(ci, None, counts)
+                    learned_by_free[k].add(ci)
 
     def backjump(target: int):
         nonlocal cur_level
@@ -501,35 +468,57 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         # backjumps can unassign every literal of the clause
         while len(by_free) <= len(lits):
             by_free.append(set())
-            lc.append({})
+            learned_by_free.append(set())
         if ntrue[ci] == 0:
-            # one free literal, the asserting one: lc counts no clause of
-            # by_free[1], and backjumps count it once it has more
             by_free[nfree[ci]].add(ci)
+            learned_by_free[nfree[ci]].add(ci)
         for l in lits:
             occ[l].append(ci)
         return ci
 
     def pick() -> int | None:
-        """Most frequent free literal among the shortest unsatisfied clauses,
-        read off their bucket's counts; ties go to the smallest literal.
+        """Most frequent free literal among the shortest unsatisfied clauses;
+        ties go to the smallest literal.
 
         The shortest bucket is at least 2 here: a clause left with one free
         literal is queued as a unit and propagated before any decision, and
         one left with none is a conflict.  When it is by_free[longest], no
         unsatisfied input clause is shorter or has a false literal, so cnt
         counts exactly their literals and reads 0 on every assigned one.
+        With no learned clause there either, the answer is the first index
+        of cnt's largest value, found by searching the bytes for each value
+        from the initial maximum down; otherwise the free literals of the
+        bucket's learned clauses are added to a copy of cnt.  A bucket below
+        the longest, small on the reductions' outputs, is counted here.  No
+        bucket beyond it is ever the shortest: a learned clause follows from
+        the input clauses, so it is satisfied once they all are.
         """
-        k = next(k for k, b in enumerate(by_free) if b)
-        counts = lc[k]
-        if counts is None:
+        for k, bucket in enumerate(by_free):
+            if bucket:
+                break
+        if k < 2:
             return None
         if k == longest:
-            total = cnt[:]
-            for lit, c in counts.items():
-                total[lit] += c
+            extra = learned_by_free[k]
+            if not extra and top_cnt < 256:
+                for top in range(top_cnt, 0, -1):
+                    lit = cnt.find(top)
+                    if lit >= 0:
+                        return lit
+                return None
+            total = list(cnt)
+            for ci in extra:
+                for l in clauses[ci]:
+                    if val[l >> 1] == -1:
+                        total[l] += 1
             top = max(total)
             return total.index(top) if top else None
+        counts: dict[int, int] = {}
+        get = counts.get
+        for ci in bucket:
+            for l in clauses[ci]:
+                if val[l >> 1] == -1:
+                    counts[l] = get(l, 0) + 1
         if not counts:
             return None
         top = max(counts.values())

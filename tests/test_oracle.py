@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import zlib
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -254,46 +255,75 @@ def test_substitution_fuzz(monkeypatch):
     assert substituted["mixed"] > 0 and substituted["R9"] == 30, substituted
 
 
-def _fresh_counts(clauses, val, cis):
-    counts = {}
-    for ci in cis:
-        for lit in clauses[ci]:
-            if val[lit >> 1] == -1:
-                counts[lit] = counts.get(lit, 0) + 1
-    return counts
+def test_encoded_clauses_drop_tautologies_and_repeats():
+    # a tautology is dropped whichever two positions of a 3-literal clause
+    # hold the variable, a repeated literal is merged, and a clause of three
+    # variables is only sorted
+    inst = CnfInstance.from_codes(3, [(4, 1, 2), (0, 1, 2), (2, 0, 3), (0, 2, 3), (4, 2, 4)])
+    assert oracle._encoded_clauses(inst) == ([[1, 2, 4], [2, 4]], True)
 
 
-def test_dpll_kept_counts_match_a_recount():
-    # at every decision, each bucket's kept counts equal a fresh count of the
-    # free literals of the clauses they cover, and hold no zero entry; and
-    # every decision (an assignment with no reason) is a literal pick returned
-    picks = {"longest": 0, "beyond": 0, "calls": 0, "decisions": 0}
+def _recounted_pick(clauses, val):
+    """The branching rule from scratch: (the fewest non-false literals of an
+    unsatisfied clause, the most frequent free literal of the clauses with
+    that many, ties to the smallest code)."""
+    shortest, free = None, []
+    for c in clauses:
+        if any(val[lit >> 1] == 1 - (lit & 1) for lit in c):
+            continue
+        lits = [lit for lit in c if val[lit >> 1] == -1]
+        if shortest is None or len(lits) < shortest:
+            shortest, free = len(lits), lits
+        elif len(lits) == shortest:
+            free += lits
+    counts = Counter(free)
+    top = max(counts.values())
+    return shortest, min(lit for lit, c in counts.items() if c == top)
+
+
+def test_dpll_picks_match_a_recount():
+    # every literal pick returns is the one a recount of all clauses gives;
+    # when the shortest bucket is the longest input length, cnt counts the
+    # literals of the unsatisfied input clauses; and every decision (an
+    # assignment with no reason) is a literal pick returned
+    picks = {"longest": 0, "longest+learned": 0, "below": 0, "beyond": 0,
+             "calls": 0, "decisions": 0}
+    expected = []
 
     def check(frame, event, arg):
-        if event != "call" or frame.f_code.co_filename != solve_dpll.__code__.co_filename:
+        if frame.f_code.co_filename != solve_dpll.__code__.co_filename:
             return
-        if frame.f_code.co_name == "assign":
+        name = frame.f_code.co_name
+        if name == "assign" and event == "call":
             picks["decisions"] += frame.f_locals["why"] == -1
+        if name != "pick":
             return
-        if frame.f_code.co_name != "pick":
+        if event == "return":
+            assert arg == expected.pop()
+            return
+        if event != "call":
             return
         picks["calls"] += 1
         loc = frame.f_back.f_locals
-        by_free, lc, clauses, val = loc["by_free"], loc["lc"], loc["clauses"], loc["val"]
-        longest, n_input = loc["longest"], loc["n_input"]
-        shortest = next(k for k, b in enumerate(by_free) if b)
+        clauses, val, longest = loc["clauses"], loc["val"], loc["longest"]
+        shortest, lit = _recounted_pick(clauses, val)
         assert shortest > 1, "a decision with a unit or a conflict pending"
-        for k in range(2, len(by_free)):
-            kept = [ci for ci in by_free[k] if k < longest or ci >= n_input]
-            assert lc[k] == _fresh_counts(clauses, val, kept), k
-            assert 0 not in lc[k].values()
-        if shortest == longest:
-            # the input clauses there are all the unsatisfied ones: cnt's
-            inputs = [ci for ci in by_free[longest] if ci < n_input]
-            cnt = {lit: c for lit, c in enumerate(loc["cnt"]) if c}
-            assert cnt == _fresh_counts(clauses, val, inputs)
-            picks["longest"] += 1
-        picks["beyond"] += any(lc[longest + 1:])
+        assert shortest == next(k for k, b in enumerate(loc["by_free"]) if b)
+        expected.append(lit)
+        # a learned clause follows from the input clauses, so it is satisfied
+        # once they all are: the shortest bucket is never beyond the longest
+        # input length, but longer learned clauses can wait there
+        assert shortest <= longest
+        picks["beyond"] += any(loc["by_free"][longest + 1:])
+        if shortest < longest:
+            picks["below"] += 1
+        else:
+            unsatisfied = [c for c in clauses[:loc["n_input"]]
+                           if not any(val[x >> 1] == 1 - (x & 1) for x in c)]
+            cnt = {x: c for x, c in enumerate(loc["cnt"]) if c}
+            assert cnt == Counter(x for c in unsatisfied for x in c)
+            learned = bool(loc["learned_by_free"][longest])
+            picks["longest+learned" if learned else "longest"] += 1
 
     outer = sys.getprofile()
     sys.setprofile(check)
@@ -302,11 +332,43 @@ def test_dpll_kept_counts_match_a_recount():
             solve_dpll(inst)
         for name in ("nine_var", "ss_bar", "mon51", "hitting27"):
             solve_dpll(known_unsat(name))
+        # R13 outputs, whose learned clauses reach the longest bucket
+        rng = random.Random(zlib.crc32(b"R13"))
+        for _ in range(4):
+            solve_dpll(apply_reduction("R13", REDUCTIONS["R13"].sample(rng)[0]).output)
     finally:
         sys.setprofile(outer)
-    # decisions on the longest bucket, and learned clauses counted beyond it
-    assert picks["longest"] > 0 and picks["beyond"] > 0, picks
+    assert not expected
+    assert all(picks.values()), picks
     assert picks["decisions"] == picks["calls"], picks
+
+
+def test_dpll_counts_past_a_byte():
+    # a clause repeated 256 times puts its literals' counts past a byte, so
+    # pick reads the longest bucket off a list instead of searching bytes;
+    # the verdicts must still be the kernel's and the models models
+    rng = random.Random(256)
+    kinds, statuses = set(), set()
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "pick":
+            kinds.add(type(frame.f_back.f_locals["cnt"]))
+
+    for _ in range(30):
+        n = rng.randint(6, 14)
+        base = random_3cnf(n, rng.randint(n, 6 * n), rng)
+        inst = CnfInstance.from_codes(n, list(base.codes) + [base.codes[0]] * 256)
+        outer = sys.getprofile()
+        sys.setprofile(watch)
+        try:
+            res = solve_dpll(inst)
+        finally:
+            sys.setprofile(outer)
+        assert res.status == solve_exhaustive(inst).status
+        if res.status == "sat":
+            assert evaluate(inst, res.model)
+        statuses.add(res.status)
+    assert kinds == {list} and statuses == {"sat", "unsat"}, (kinds, statuses)
 
 
 # sha256 over repr((status, model)) of every solve_dpll call in
@@ -659,14 +721,12 @@ if not sys.flags.optimize:
     sys.exit("not running under -O")
 
 # DPLL's own invariant: a decision is due but no free literal is counted
+# (both clauses are in the longest bucket, which pick reads off cnt)
 
 def forget_counts(frame, event, arg):
     if event == "call" and frame.f_code.co_name == "pick":
-        loc = frame.f_back.f_locals
-        for counts in loc["lc"]:
-            if counts is not None:
-                counts.clear()
-        loc["cnt"][:] = [0] * len(loc["cnt"])
+        cnt = frame.f_back.f_locals["cnt"]
+        cnt[:] = bytes(len(cnt))
 
 sys.setprofile(forget_counts)
 try:
