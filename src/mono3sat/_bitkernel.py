@@ -42,15 +42,15 @@ and 2^16 needs half the table memory of 2^17.
 
 from __future__ import annotations
 
+from functools import cache
+
 CHUNK_LOG = 16
 
-_pattern_cache: dict[int, list[int]] = {}
 
-
+@cache
 def _var_patterns(width_log: int) -> list[int]:
-    """Truth tables of variables 0..width_log-1 over a 2^width_log space."""
-    if width_log in _pattern_cache:
-        return _pattern_cache[width_log]
+    """Truth tables of variables 0..width_log-1 over a 2^width_log space,
+    built once per width and shared by every later call."""
     width = 1 << width_log
     tables = []
     for i in range(width_log):
@@ -61,7 +61,6 @@ def _var_patterns(width_log: int) -> list[int]:
             t |= t << size
             size <<= 1
         tables.append(t)
-    _pattern_cache[width_log] = tables
     return tables
 
 

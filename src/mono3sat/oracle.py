@@ -295,17 +295,19 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
 
     Unit propagation is always on, and every decision is the literal that
     pick() returns: there is no pure-literal rule.  Branching picks the most
-    frequent free literal among the shortest unsatisfied clauses, ties going
-    to the smallest encoded literal.  The shortest clauses come from an
-    index, by_free[k], of the unsatisfied clauses (learned ones included)
-    with exactly k non-false literals, which assignments, backjumps and
-    learning keep as clauses move; learned_by_free[k] holds the learned
-    clauses of by_free[k].  Only what a decision reads is counted: cnt
-    counts the literals of the unsatisfied input clauses, which pick reads
-    when the longest input bucket is the shortest, as all those literals
-    are free then; a shorter bucket's free literals are counted when pick
-    is called.  Deterministic; no restarts.  The clauses are non-empty:
-    `solve_dpll` answers an empty one before calling.
+    frequent free literal among the shortest unsatisfied input clauses, ties
+    going to the smallest encoded literal, and the search answers sat once
+    every input clause is satisfied.  A learned clause follows from the
+    input clauses, so it only yields units and conflicts; it never steers a
+    decision.  The shortest input clauses come from an index, by_free[k],
+    of the unsatisfied input clauses with exactly k non-false literals,
+    which assignments and backjumps keep as clauses move.  Only what a
+    decision reads is counted: cnt counts the literals of the unsatisfied
+    input clauses, which pick reads when the longest bucket is the
+    shortest, as all those literals are free then; a shorter bucket's free
+    literals are counted when pick is called.  Deterministic; no restarts.
+    The clauses are non-empty: `solve_dpll` answers an empty one before
+    calling.
     """
     m = len(clauses)
     if m == 0:
@@ -324,11 +326,9 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     cnt = bytearray(counts) if top_cnt < 256 else counts
     nfree = [len(c) for c in clauses]
     ntrue = [0] * m
-    # by_free[k]: unsatisfied clauses with k non-false literals; grows when
-    # a learned clause is longer than every clause before it
+    # by_free[k]: unsatisfied input clauses with k non-false literals
     longest = max(nfree)
     by_free: list[set[int]] = [set() for _ in range(longest + 1)]
-    learned_by_free: list[set[int]] = [set() for _ in range(longest + 1)]
     for ci, k in enumerate(nfree):
         by_free[k].add(ci)
     n_input = m
@@ -350,14 +350,10 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         v = lit >> 1
         for ci in occ[lit]:  # literal made true
             ntrue[ci] += 1
-            if ntrue[ci] == 1:
-                k = nfree[ci]
-                by_free[k].remove(ci)
-                if ci < n_input:
-                    for l in clauses[ci]:
-                        cnt[l] -= 1
-                else:
-                    learned_by_free[k].remove(ci)
+            if ntrue[ci] == 1 and ci < n_input:
+                by_free[nfree[ci]].remove(ci)
+                for l in clauses[ci]:
+                    cnt[l] -= 1
         val[v] = 1 - (lit & 1)
         level[v] = cur_level
         reason[v] = why
@@ -367,11 +363,9 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
             k = nfree[ci] - 1
             nfree[ci] = k
             if ntrue[ci] == 0:
-                by_free[k + 1].remove(ci)
-                by_free[k].add(ci)
-                if ci >= n_input:
-                    learned_by_free[k + 1].remove(ci)
-                    learned_by_free[k].add(ci)
+                if ci < n_input:
+                    by_free[k + 1].remove(ci)
+                    by_free[k].add(ci)
                 if k == 0:
                     conflict = ci
                 elif k == 1:
@@ -387,24 +381,17 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         for ci in occ[f]:
             k = nfree[ci]
             nfree[ci] = k + 1
-            if ntrue[ci] == 0:
+            if ntrue[ci] == 0 and ci < n_input:
                 by_free[k].remove(ci)
                 by_free[k + 1].add(ci)
-                if ci >= n_input:
-                    learned_by_free[k].remove(ci)
-                    learned_by_free[k + 1].add(ci)
         val[v] = -1
         reason[v] = NO_REASON
         for ci in occ[f ^ 1]:
             ntrue[ci] -= 1
-            if ntrue[ci] == 0:
-                k = nfree[ci]
-                by_free[k].add(ci)
-                if ci < n_input:
-                    for l in clauses[ci]:
-                        cnt[l] += 1
-                else:
-                    learned_by_free[k].add(ci)
+            if ntrue[ci] == 0 and ci < n_input:
+                by_free[nfree[ci]].add(ci)
+                for l in clauses[ci]:
+                    cnt[l] += 1
 
     def backjump(target: int):
         nonlocal cur_level
@@ -465,33 +452,23 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         clauses.append(lits)
         ntrue.append(sum(1 for l in lits if val[l >> 1] == 1 - (l & 1)))
         nfree.append(sum(1 for l in lits if val[l >> 1] != (l & 1)))
-        # backjumps can unassign every literal of the clause
-        while len(by_free) <= len(lits):
-            by_free.append(set())
-            learned_by_free.append(set())
-        if ntrue[ci] == 0:
-            by_free[nfree[ci]].add(ci)
-            learned_by_free[nfree[ci]].add(ci)
         for l in lits:
             occ[l].append(ci)
         return ci
 
     def pick() -> int | None:
-        """Most frequent free literal among the shortest unsatisfied clauses;
-        ties go to the smallest literal.
+        """Most frequent free literal among the shortest unsatisfied input
+        clauses; ties go to the smallest literal.
 
         The shortest bucket is at least 2 here: a clause left with one free
         literal is queued as a unit and propagated before any decision, and
         one left with none is a conflict.  When it is by_free[longest], no
         unsatisfied input clause is shorter or has a false literal, so cnt
-        counts exactly their literals and reads 0 on every assigned one.
-        With no learned clause there either, the answer is the first index
-        of cnt's largest value, found by searching the bytes for each value
-        from the initial maximum down; otherwise the free literals of the
-        bucket's learned clauses are added to a copy of cnt.  A bucket below
-        the longest, small on the reductions' outputs, is counted here.  No
-        bucket beyond it is ever the shortest: a learned clause follows from
-        the input clauses, so it is satisfied once they all are.
+        counts exactly their literals and reads 0 on every assigned one: the
+        answer is the first index of cnt's largest value, found by searching
+        the bytes for each value from the initial maximum down, or, with a
+        count of 256 or more, by max and index.  A bucket below the longest,
+        small on the reductions' outputs, is counted here.
         """
         for k, bucket in enumerate(by_free):
             if bucket:
@@ -499,20 +476,14 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         if k < 2:
             return None
         if k == longest:
-            extra = learned_by_free[k]
-            if not extra and top_cnt < 256:
+            if top_cnt < 256:
                 for top in range(top_cnt, 0, -1):
                     lit = cnt.find(top)
                     if lit >= 0:
                         return lit
                 return None
-            total = list(cnt)
-            for ci in extra:
-                for l in clauses[ci]:
-                    if val[l >> 1] == -1:
-                        total[l] += 1
-            top = max(total)
-            return total.index(top) if top else None
+            top = max(cnt)
+            return cnt.index(top) if top else None
         counts: dict[int, int] = {}
         get = counts.get
         for ci in bucket:
@@ -549,7 +520,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
             if not handle(conflict):
                 return "unsat", None
             continue
-        if not any(by_free):  # every clause is satisfied
+        if not any(by_free):  # every input clause is satisfied
             bits = 0
             for v in range(num_vars):
                 if val[v] == 1:

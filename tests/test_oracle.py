@@ -180,8 +180,9 @@ def mixed_lengths_corpus():
 
 
 def test_dpll_mixed_lengths_fuzz():
-    # learned clauses longer than every input clause must survive the
-    # backjumps that unassign their literals again
+    # learned clauses longer than every input clause, which never enter the
+    # clause index, must still give units and conflicts after the backjumps
+    # that unassign their literals again
     longer = {SAT: 0, NAE: 0}
     backjumps = 0
     for trial, inst in enumerate(mixed_lengths_corpus()):
@@ -264,9 +265,10 @@ def test_encoded_clauses_drop_tautologies_and_repeats():
 
 
 def _recounted_pick(clauses, val):
-    """The branching rule from scratch: (the fewest non-false literals of an
-    unsatisfied clause, the most frequent free literal of the clauses with
-    that many, ties to the smallest code)."""
+    """The branching rule from scratch, over the input clauses given: (the
+    fewest non-false literals of an unsatisfied clause, the most frequent
+    free literal of the clauses with that many, ties to the smallest
+    code)."""
     shortest, free = None, []
     for c in clauses:
         if any(val[lit >> 1] == 1 - (lit & 1) for lit in c):
@@ -282,12 +284,12 @@ def _recounted_pick(clauses, val):
 
 
 def test_dpll_picks_match_a_recount():
-    # every literal pick returns is the one a recount of all clauses gives;
+    # every literal pick returns is the one a recount of the input clauses
+    # gives; by_free holds input clauses only and keeps its initial size;
     # when the shortest bucket is the longest input length, cnt counts the
     # literals of the unsatisfied input clauses; and every decision (an
     # assignment with no reason) is a literal pick returned
-    picks = {"longest": 0, "longest+learned": 0, "below": 0, "beyond": 0,
-             "calls": 0, "decisions": 0}
+    picks = {"longest": 0, "below": 0, "calls": 0, "decisions": 0}
     expected = []
 
     def check(frame, event, arg):
@@ -305,25 +307,23 @@ def test_dpll_picks_match_a_recount():
             return
         picks["calls"] += 1
         loc = frame.f_back.f_locals
-        clauses, val, longest = loc["clauses"], loc["val"], loc["longest"]
-        shortest, lit = _recounted_pick(clauses, val)
+        val, longest, n_input = loc["val"], loc["longest"], loc["n_input"]
+        by_free = loc["by_free"]
+        inputs = loc["clauses"][:n_input]
+        assert len(by_free) == longest + 1
+        assert all(ci < n_input for bucket in by_free for ci in bucket)
+        shortest, lit = _recounted_pick(inputs, val)
         assert shortest > 1, "a decision with a unit or a conflict pending"
-        assert shortest == next(k for k, b in enumerate(loc["by_free"]) if b)
+        assert shortest == next(k for k, b in enumerate(by_free) if b)
         expected.append(lit)
-        # a learned clause follows from the input clauses, so it is satisfied
-        # once they all are: the shortest bucket is never beyond the longest
-        # input length, but longer learned clauses can wait there
-        assert shortest <= longest
-        picks["beyond"] += any(loc["by_free"][longest + 1:])
         if shortest < longest:
             picks["below"] += 1
         else:
-            unsatisfied = [c for c in clauses[:loc["n_input"]]
+            unsatisfied = [c for c in inputs
                            if not any(val[x >> 1] == 1 - (x & 1) for x in c)]
             cnt = {x: c for x, c in enumerate(loc["cnt"]) if c}
             assert cnt == Counter(x for c in unsatisfied for x in c)
-            learned = bool(loc["learned_by_free"][longest])
-            picks["longest+learned" if learned else "longest"] += 1
+            picks["longest"] += 1
 
     outer = sys.getprofile()
     sys.setprofile(check)
@@ -332,7 +332,7 @@ def test_dpll_picks_match_a_recount():
             solve_dpll(inst)
         for name in ("nine_var", "ss_bar", "mon51", "hitting27"):
             solve_dpll(known_unsat(name))
-        # R13 outputs, whose learned clauses reach the longest bucket
+        # R13 outputs, which learn clauses before picks at the longest bucket
         rng = random.Random(zlib.crc32(b"R13"))
         for _ in range(4):
             solve_dpll(apply_reduction("R13", REDUCTIONS["R13"].sample(rng)[0]).output)
@@ -372,18 +372,18 @@ def test_dpll_counts_past_a_byte():
 
 
 # sha256 over repr((status, model)) of every solve_dpll call in
-# test_dpll_models_are_pinned, on the inputs of the anchored-triple
-# configuration-model sampler.  Taken with equivalent-literal substitution:
-# models moved only on inputs with a binary clause (18 of their 92), which
-# _dpll now sees rewritten, and every status (153 sat, 111 unsat) equals the
-# one the DPLL without substitution gave on the same 264 inputs
-PINNED_MODELS_SHA256 = "8c804ad473976eee68c864a58023d29616453cff3bf560e2a709a5bb1ec783b7"
+# test_dpll_models_are_pinned.  Taken when learned clauses stopped steering
+# decisions (the rule reads the input clauses only): 9 models moved, all on
+# reduction outputs (R1 3, R2 1, R3 4, R4 1), and every status equals the
+# one the rule over input and learned clauses gave on the same 264 inputs
+PINNED_MODELS_SHA256 = "0b18f5218186e13c78e5e759edd687987af59147234ba85a938304698bf00658"
 
 
 def test_dpll_models_are_pinned():
-    # the branching rule (most frequent free literal of the shortest clauses,
-    # ties to the smallest code) fixes every model; a faster way to find that
-    # literal must not move one
+    # the branching rule (most frequent free literal of the shortest input
+    # clauses, ties to the smallest code) fixes every model; a faster way to
+    # find that literal must not move one, and a change of rule that moves
+    # models must keep every status
     corpus = []
     for rid, row in REDUCTIONS.items():
         if row.needs_param:
@@ -394,9 +394,12 @@ def test_dpll_models_are_pinned():
             corpus.append(apply_reduction(rid, inst, k=k).output)
     corpus += mixed_lengths_corpus()
     digest = hashlib.sha256()
+    statuses = Counter()
     for inst in corpus:
         res = solve_dpll(inst)
         digest.update(repr((res.status, res.model)).encode())
+        statuses[res.status] += 1
+    assert statuses == {"sat": 153, "unsat": 111}
     assert digest.hexdigest() == PINNED_MODELS_SHA256
 
 
@@ -669,6 +672,15 @@ def test_kernel_across_chunks(monkeypatch):
             if any(max(v) < low for v in vs):
                 seen.add("all low")
     assert len(seen) == 9, seen
+
+
+def test_kernel_tables_built_once():
+    # solving an empty instance builds the variable tables for its width,
+    # as the benchmark's set-up does; later calls of that width reuse them
+    solve_exhaustive(CnfInstance.from_codes(11, ()))
+    tables = _bitkernel._var_patterns(11)
+    assert solve_exhaustive(random_3cnf(11, 20, random.Random(11))).status == "sat"
+    assert _bitkernel._var_patterns(11) is tables
 
 
 def _refute_input(base, n, rng):
