@@ -8,12 +8,11 @@ decimal number of seconds (NaN, inf, a sign or an exponent), a --max-n,
 string whose segments conflict.  Integers are read by one rule,
 `formulas.ASCII_INT`, which refuses the `+`, `_` and non-ASCII digits that
 int() takes.  Bad input (malformed or undecodable DIMACS, a file that
-cannot be read or written, a bad MONO3SAT_ENUM_CAP) is reported
-as `error: ...` on stderr, never as a traceback.  A stdout pipe closed by
-its reader (`mono3sat gadgets list --json | head -1`) ends the command with
-exit 1 and no traceback.  --json emits one machine-readable report object
-on stdout (schema "mono3sat-report/1").  The enumeration cap honors the
-MONO3SAT_ENUM_CAP environment variable.
+cannot be read or written) is reported as `error: ...` on stderr, never as
+a traceback.  A stdout pipe closed by its reader (`mono3sat gadgets list
+--json | head -1`) ends the command with exit 1 and no traceback.  --json
+emits one machine-readable report object on stdout (schema
+"mono3sat-report/1").
 """
 
 from __future__ import annotations
@@ -403,7 +402,6 @@ def main(argv=None) -> int:
         OSError,
         UnicodeDecodeError,
         oracle.CapExceededError,
-        oracle.EnumCapError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ only: nae clauses are mirrored once, by `sat_codes`.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from itertools import compress
@@ -29,7 +28,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _bitkernel
 from .formulas import (
-    ASCII_INT,
     NAE,
     SAT,
     CnfInstance,
@@ -44,34 +42,21 @@ def backend_name() -> str:
     return "python"
 
 
-DEFAULT_ENUM_CAP = 26
-
-
-class EnumCapError(ValueError):
-    """MONO3SAT_ENUM_CAP is set to something other than a non-negative
-    ASCII integer."""
+ENUM_CAP = 26  # the most variables exhaustive enumeration takes
 
 
 def enum_cap() -> int:
-    env = os.environ.get("MONO3SAT_ENUM_CAP")
-    if not env:
-        return DEFAULT_ENUM_CAP
-    cap = int(env) if ASCII_INT.fullmatch(env) else -1
-    if cap < 0:
-        raise EnumCapError(
-            f"MONO3SAT_ENUM_CAP must be a non-negative integer, got {env!r}"
-        )
-    return cap
+    """ENUM_CAP, read through this call by the benchmark's workloads."""
+    return ENUM_CAP
 
 
 class CapExceededError(RuntimeError):
-    def __init__(self, needed: int, cap: int):
+    def __init__(self, needed: int):
         super().__init__(
-            f"enumeration over {needed} variables exceeds cap {cap}; "
-            f"raise MONO3SAT_ENUM_CAP to at least {needed}"
+            f"enumeration over {needed} variables exceeds cap {ENUM_CAP}; "
+            "solve_dpll decides larger instances"
         )
         self.needed = needed
-        self.cap = cap
 
 
 class SolveResult(NamedTuple):
@@ -108,9 +93,8 @@ def sat_codes(codes: Iterable[Sequence[int]], mode: str) -> list[Sequence[int]]:
 
 def solve_exhaustive(inst: CnfInstance) -> SolveResult:
     """Exact result by enumerating all 2^n assignments (n capped)."""
-    cap = enum_cap()
-    if inst.num_vars > cap:
-        raise CapExceededError(inst.num_vars, cap)
+    if inst.num_vars > ENUM_CAP:
+        raise CapExceededError(inst.num_vars)
     bits = _bitkernel.solve(inst.num_vars, clause_masks(sat_codes(inst.codes, inst.mode)))
     if bits is None:
         return SolveResult("unsat", None)
@@ -531,15 +515,16 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         # shortest unsatisfied clauses have free literals
         if lit is None:
             raise AssertionError("unsatisfied clause without free literals")
+        # checked before the push, as propagate skips an assigned literal
+        if val[lit >> 1] != -1:
+            raise AssertionError("pick returned an assigned literal")
         cur_level += 1
-        conflict = assign(lit, NO_REASON)
-        if conflict != -1 and not handle(conflict):
-            return "unsat", None
+        units.append((lit, NO_REASON))
 
 
 def solve_auto(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
     """Exhaustive when the instance fits under the cap, DPLL otherwise."""
-    if inst.num_vars <= enum_cap():
+    if inst.num_vars <= ENUM_CAP:
         return solve_exhaustive(inst)
     return solve_dpll(inst, timeout)
 
@@ -579,10 +564,9 @@ def extending_patterns(
     """The patterns of the boundary (bit j is boundary[j]) that some
     assignment of aux extends to a model of the sat-mode codes; boundary and
     aux hold every variable of codes, and their number is capped."""
-    cap = enum_cap()
     n = len(boundary) + len(aux)
-    if n > cap:
-        raise CapExceededError(n, cap)
+    if n > ENUM_CAP:
+        raise CapExceededError(n)
     var_map = {v: i for i, v in enumerate(aux)}
     for j, v in enumerate(boundary):
         var_map[v] = len(aux) + j

@@ -25,8 +25,8 @@ from .formulas import (
 from .gadgets import FreshAllocator, GadgetInstance, build_gadget, parse_table
 from .generate import GenerationError, random_k1
 from .oracle import (
+    ENUM_CAP,
     BoundaryPredicate,
-    enum_cap,
     solve_dpll,
     solve_exhaustive,
 )
@@ -120,7 +120,7 @@ def known_unsat(name: str) -> CnfInstance:
 # Canonical shape: n/3 disjoint negative triples covering all variables,
 # plus positive 3-clauses.
 
-DEFAULT_TRANSVERSAL_CAP = 15  # negative clauses: the witness search tries at most 3^15 sets
+TRANSVERSAL_CAP = 15  # negative clauses: the witness search tries at most 3^15 sets
 
 
 def canonical_shape(inst: CnfInstance):
@@ -164,14 +164,13 @@ def check_sat_via_transversal(inst: CnfInstance) -> VerificationReport:
     Pass means satisfiable, with the witness transversal (the variables set
     false), checked to satisfy the instance; fail means unsatisfiable (every
     transversal is blocked).
-    Raises ValueError on more than DEFAULT_TRANSVERSAL_CAP negative triples,
-    a fixed cap that MONO3SAT_ENUM_CAP does not move.
+    Raises ValueError on more than TRANSVERSAL_CAP negative triples.
     """
     triples, positives = canonical_shape(inst)
-    if len(triples) > DEFAULT_TRANSVERSAL_CAP:
+    if len(triples) > TRANSVERSAL_CAP:
         raise ValueError(
             f"transversal search over {len(triples)} negative triples exceeds the fixed cap "
-            f"of {DEFAULT_TRANSVERSAL_CAP} triples"
+            f"of {TRANSVERSAL_CAP} triples"
         )
     found = _witness_transversal(triples, positives)
     if found is None:
@@ -379,17 +378,17 @@ def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> tuple[bool
     verdict on two paths.
 
     The candidate is a sat-mode instance and spec a `monotone_sat` profile,
-    checked by `validate`.  One with at most DEFAULT_TRANSVERSAL_CAP
-    negative clauses is decided by `_witness_transversal`: a witness, set
-    false with every other variable true, must satisfy the candidate
-    (`evaluate`), and "no witness" must be DPLL's answer too.  Other
-    candidates are decided by DPLL.  Every unsat answer is re-checked by
-    enumeration when it fits.
+    checked by `validate`.  One with at most TRANSVERSAL_CAP negative
+    clauses is decided by `_witness_transversal`: a witness, set false with
+    every other variable true, must satisfy the candidate (`evaluate`), and
+    "no witness" must be DPLL's answer too.  Other candidates are decided by
+    DPLL.  Every unsat answer is re-checked by enumeration when it has at
+    most ENUM_CAP variables.
     """
     if not validate(inst, spec).ok:
         raise AssertionError("search produced an out-of-profile candidate")
     negatives, positives = _shape_parts(inst)
-    if len(negatives) <= DEFAULT_TRANSVERSAL_CAP:
+    if len(negatives) <= TRANSVERSAL_CAP:
         found = _witness_transversal(negatives, positives)
         if found is not None:
             _check_witness(inst, found)
@@ -398,7 +397,7 @@ def _certify_unsat_candidate(inst: CnfInstance, spec: VariantSpec) -> tuple[bool
             raise AssertionError("DPLL finds a model where no witness exists")
     elif solve_dpll(inst).status != "unsat":
         return False, True
-    if inst.num_vars <= enum_cap() and solve_exhaustive(inst).status != "unsat":
+    if inst.num_vars <= ENUM_CAP and solve_exhaustive(inst).status != "unsat":
         raise AssertionError("enumeration finds a model DPLL missed")
     return True, True
 

@@ -27,10 +27,8 @@ from mono3sat.generate import random_kk
 from mono3sat.oracle import (
     BoundaryPredicate,
     CapExceededError,
-    EnumCapError,
     check_extension_property,
     clause_masks,
-    enum_cap,
     extending_patterns,
     sat_codes,
     solve_dpll,
@@ -76,22 +74,11 @@ def test_exhaustive_model_is_verified():
             assert evaluate(inst, res.model)
 
 
-def test_exhaustive_cap(monkeypatch):
-    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "26")
+def test_exhaustive_cap():
     inst = CnfInstance.from_codes(30, (), SAT)
     with pytest.raises(CapExceededError) as exc:
         solve_exhaustive(inst)
     assert exc.value.needed == 30
-
-
-def test_enum_cap_reads_ascii_integers(monkeypatch):
-    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "20")
-    assert enum_cap() == 20
-    # forms int() takes: separators, non-ASCII digits, signs, spaces
-    for bad in ("2_6", "٢٦", "+26", " 26", "-1"):
-        monkeypatch.setenv("MONO3SAT_ENUM_CAP", bad)
-        with pytest.raises(EnumCapError):
-            enum_cap()
 
 
 def test_dpll_mon51_unsat():
@@ -450,8 +437,7 @@ def test_extension_reports_counterexample_direction():
     assert rep2.witness["direction"] == "forbidden extension"
 
 
-def test_extension_cap_guard(monkeypatch):
-    monkeypatch.setenv("MONO3SAT_ENUM_CAP", "26")
+def test_extension_cap_guard():
     g = fresh_instance("F")  # 31 variables
     with pytest.raises(CapExceededError):
         check_extension_property(g)
@@ -747,6 +733,20 @@ except AssertionError as exc:
     print("dpll invariant raised:", exc)
 sys.setprofile(None)
 
+# pick answering with a literal the search has already assigned: the unit
+# clause sets variable 0 at level 0, then its count is made the largest
+
+def count_assigned(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "pick":
+        frame.f_back.f_locals["cnt"][pos(0)] = 1
+
+sys.setprofile(count_assigned)
+try:
+    oracle.solve_dpll(CnfInstance.from_codes(4, [(pos(0),), positive((1, 2, 3))]))
+except AssertionError as exc:
+    print("dpll pick check raised:", exc)
+sys.setprofile(None)
+
 # R1's padding, handed a variable that already appears five times
 from mono3sat import reductions
 b = reductions._Builder(reductions.REDUCTIONS["R1"], CnfInstance.from_codes(3, ()))
@@ -875,6 +875,7 @@ def test_model_checks_survive_optimize():
     assert "transversal check raised: a witness transversal is not a model" in out.stdout
     assert "blocked check raised: DPLL finds a model" in out.stdout
     assert "dpll invariant raised" in out.stdout
+    assert "dpll pick check raised: pick returned an assigned literal" in out.stdout
     assert "pad_to_four raised" in out.stdout
     assert "split raised" in out.stdout
     assert "pull-back check failed: R5" in out.stdout

@@ -458,24 +458,47 @@ def test_r10_assembly_structure():
     assert hashlib.sha256(emit_dimacs(out).encode()).hexdigest() == (
         "58c8ff23b574c40ad5736309523fb36b4649562a3d789b43979b23c16f81ca30"
     )
+    # two copies (q=2): the second copy's sixes are logged as COPY1 and
+    # leave the back-map, which keeps the first copy's 36 variables
+    mg2 = R.MGadget(
+        num_vars=6,
+        clauses=(positive((0, 1, 2)), negative((0, 1, 2)),
+                 positive((3, 4, 5)), negative((3, 4, 5))),
+        pos_pool=tuple(range(6)),
+        neg_pool=tuple(range(6)),
+        q=2,
+    )
+    b = R._Builder(R.REDUCTIONS["R10"], inst)
+    R._assemble_r10(b, mg2)
+    cert = b.finish()
+    out = cert.output
+    assert validate(out, spec).ok
+    assert cert.untraced_variables() == []
+    assert (out.num_vars, out.num_clauses) == (108, 144)
+    assert all(len(c) == 3 for c in out.codes)
+    copies = [e.boundary for e in cert.gadget_log if e.label == "COPY1"]
+    assert copies == [tuple(range(36 + 6 * v, 42 + 6 * v)) for v in range(inst.num_vars)]
+    assert sorted(cert.back_map) == list(range(36))
 
 
 def test_m_gadget_on_nine_var():
     # the doubling construction behind the conditional reduction, checked on
-    # the explicit (3,3) witness: core satisfiable, pools balanced at 3q
-    mg = R.build_m_gadget(known_unsat("nine_var"))
-    assert mg.q >= 1
-    assert len(mg.pos_pool) == len(mg.neg_pool) == 3 * mg.q
-    inst = CnfInstance.from_codes(mg.num_vars, mg.clauses, SAT)
-    res = solve_dpll(inst)
-    assert res.status == "sat"
-    # forced-false pools: conjoin each literal and refute
-    for v in set(mg.pos_pool):
-        probe = CnfInstance.from_codes(mg.num_vars, inst.codes + ((pos(v),),), SAT)
-        assert solve_dpll(probe).status == "unsat"
-    for v in set(mg.neg_pool):
-        probe = CnfInstance.from_codes(mg.num_vars, inst.codes + ((neg(v),),), SAT)
-        assert solve_dpll(probe).status == "unsat"
+    # the explicit (3,3) witness and on hitting27, whose forced literals are
+    # positive: core satisfiable, pools balanced at 3q
+    pools = {"nine_var": ((11, 12, 14), (2, 3, 5)), "hitting27": ((2, 5, 8), (11, 14, 17))}
+    for name, (pos_pool, neg_pool) in pools.items():
+        mg = R.build_m_gadget(known_unsat(name))
+        assert (mg.q, mg.pos_pool, mg.neg_pool) == (1, pos_pool, neg_pool)
+        inst = CnfInstance.from_codes(mg.num_vars, mg.clauses, SAT)
+        res = solve_dpll(inst)
+        assert res.status == "sat"
+        # forced-false pools: conjoin each literal and refute
+        for v in set(mg.pos_pool):
+            probe = CnfInstance.from_codes(mg.num_vars, inst.codes + ((pos(v),),), SAT)
+            assert solve_dpll(probe).status == "unsat"
+        for v in set(mg.neg_pool):
+            probe = CnfInstance.from_codes(mg.num_vars, inst.codes + ((neg(v),),), SAT)
+            assert solve_dpll(probe).status == "unsat"
 
 
 def test_back_map_polarity_relations():

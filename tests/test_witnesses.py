@@ -117,7 +117,7 @@ def test_transversal_shape_mismatch():
 
 
 def test_transversal_cap_counts_triples():
-    inst = _canonical_instance(W.DEFAULT_TRANSVERSAL_CAP + 1, [])
+    inst = _canonical_instance(W.TRANSVERSAL_CAP + 1, [])
     with pytest.raises(ValueError, match="16 negative triples exceeds the fixed cap of 15"):
         check_sat_via_transversal(inst)
 
