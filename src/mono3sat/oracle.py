@@ -2,9 +2,10 @@
 
 Exhaustive enumeration (bounded by a variable cap), an exact DPLL solver
 with unit propagation and clause learning, whose every decision is its
-branching rule's (there is no pure-literal elimination) and which, when
-some clause is binary, first substitutes one literal for each class of
-equivalent literals (strongly connected components of the binary
+branching rule's (there is no pure-literal elimination) and whose input is
+prepared in one pass over the instance's own variables (which, when some
+clause is binary, also substitutes one literal for each class of
+equivalent literals: strongly connected components of the binary
 implication graph), extension checking for gadget boundary predicates,
 subsumption, and the forced-literal split used by the conditional (2,2)
 machinery.
@@ -113,14 +114,19 @@ def _checked_model(inst: CnfInstance, bits: int, solver: str) -> SolveResult:
 # DPLL
 
 
-def _encoded_clauses(inst: CnfInstance) -> tuple[list[list[int]], bool] | None:
-    """The instance's clause codes as sorted literal lists, through
-    `sat_codes`, and whether some clause has two literals.
+def _dpll_clauses(inst: CnfInstance) -> tuple[list[list[int]], list[int] | None] | None:
+    """`_dpll`'s clauses for the instance, over its own variables, and the
+    lift; None when an empty clause, or a literal equivalent to its
+    negation, makes the instance unsat.
 
     Repeated literals are merged and tautological clauses dropped before the
-    nae mirror is added; returns None when some clause is empty.  A clause
-    of three distinct variables, the shape of every catalogued variant's
-    clauses, needs neither and is only sorted.
+    nae mirror is added (`sat_codes`).  A clause of three distinct
+    variables, the shape of every catalogued variant's clauses, needs
+    neither and is only sorted.  When some clause is binary, equivalent
+    literals are substituted (Brafman 2001): every literal becomes rep[x],
+    the smallest literal of its class (`_literal_classes`), clauses this
+    makes tautological are dropped, and lift[v] = rep[2v] is the literal
+    that variable v equals.  The lift is None when no clause is binary.
     """
     out = []
     binary = False
@@ -140,84 +146,54 @@ def _encoded_clauses(inst: CnfInstance) -> tuple[list[list[int]], bool] | None:
         out.append(sorted(lits))
     # the literals of a kept clause have distinct variables, so the mirror's
     # flipped low bits keep them sorted
-    return sat_codes(out, inst.mode), binary
+    clauses = sat_codes(out, inst.mode)
+    if not binary:
+        return clauses, None
+    rep = _literal_classes(2 * inst.num_vars, clauses)
+    lift = rep[::2]
+    if any(r == s for r, s in zip(lift, rep[1::2])):
+        return None
+    out = []
+    for c in clauses:
+        if len(c) == 2:  # most of them, where the classes come from
+            a, b = rep[c[0]], rep[c[1]]
+            if a ^ b != 1:  # else a tautology
+                out.append([a] if a == b else [a, b] if a < b else [b, a])
+            continue
+        lits = {rep[x] for x in c}
+        if len({x >> 1 for x in lits}) == len(lits):
+            out.append(sorted(lits))
+    return out, lift
 
 
 def solve_dpll(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
     """Complete DPLL with unit propagation and clause learning; every
     decision is the branching rule's (no pure-literal elimination).
 
-    nae mode is reduced to sat mode by `sat_codes`.  When some clause is
-    binary, equivalent literals are substituted first (`_substituted`): each
-    literal becomes the smallest literal of its strongly connected component
-    in the binary implication graph, so an R9 output, whose stars make the
-    copies of a variable equal through binary clauses, reaches `_dpll` as
-    its input formula.  Every rewritten clause is RUP (reverse unit
-    propagation) with respect to the input, read over the representatives'
-    own variables: falsifying its literals makes unit propagation along the
-    binary chains falsify every literal of the clause it came from.  A
-    model of the rewritten clauses is lifted back literal by literal, and a
-    literal equivalent to its negation answers unsat without a search.
-    `_dpll` and its branching rule are the same on both paths, and an input
-    with no binary clause reaches it unchanged.  A timeout (seconds) yields
+    One preprocessing pass, `_dpll_clauses`, gives `_dpll` its clauses over
+    the instance's own variables, in sat mode.  When some clause is binary
+    it replaces each literal by the smallest literal of its strongly
+    connected component in the binary implication graph, so an R9 output,
+    whose stars make the copies of a variable equal through binary clauses,
+    reaches `_dpll` as its input formula over one copy of each variable.
+    Every rewritten clause is RUP (reverse unit propagation) with respect to
+    the input: falsifying its literals makes unit propagation along the
+    binary chains falsify every literal of the clause it came from.  A model
+    is lifted back literal by literal, and a literal equivalent to its
+    negation answers unsat without a search.  A timeout (seconds) yields
     "indeterminate".
     """
-    encoded = _encoded_clauses(inst)
-    if encoded is None:
+    prepared = _dpll_clauses(inst)
+    if prepared is None:
         return SolveResult("unsat", None)
-    clauses, binary = encoded
-    num_vars, lift = inst.num_vars, None
-    if binary:
-        substituted = _substituted(inst.num_vars, clauses)
-        if substituted is None:
-            return SolveResult("unsat", None)
-        num_vars, clauses, lift = substituted
-    status, bits = _dpll(num_vars, clauses, timeout)
+    clauses, lift = prepared
+    status, bits = _dpll(inst.num_vars, clauses, timeout)
     if status != "sat":
         return SolveResult(status, None)
     if lift is not None:
-        # variable v equals the rewritten literal lift[v]
+        # variable v equals the literal lift[v]
         bits = sum(((bits >> (x >> 1) & 1) ^ (x & 1)) << v for v, x in enumerate(lift))
     return _checked_model(inst, bits, "DPLL")
-
-
-def _substituted(
-    num_vars: int, clauses: list[list[int]]
-) -> tuple[int, list[list[int]], list[int]] | None:
-    """Equivalent-literal substitution (Brafman 2001): (number of variables,
-    rewritten clauses, lift), or None when some literal is equivalent to its
-    negation.
-
-    The variables that represent a class are numbered densely in their
-    order; every literal maps to its representative's new code, and clauses
-    that this makes tautological are dropped.  lift[v] is the new literal
-    that variable v equals.
-    """
-    rep = _literal_classes(2 * num_vars, clauses)
-    code = [0] * (2 * num_vars)
-    k = 0
-    for v in range(num_vars):
-        r = rep[2 * v]
-        if rep[2 * v + 1] == r:
-            return None
-        if r == 2 * v:
-            code[r] = 2 * k
-            code[r + 1] = 2 * k + 1
-            k += 1
-        else:  # the representative's variable is smaller, so already numbered
-            code[2 * v] = code[r]
-            code[2 * v + 1] = code[r] ^ 1
-    out = []
-    for c in clauses:
-        if len(c) == 2:  # most of them, where the classes come from
-            a, b = code[c[0]], code[c[1]]
-            if a ^ b != 1:  # else a tautology
-                out.append([a] if a == b else [a, b] if a < b else [b, a])
-            continue
-        lits = {code[x] for x in c}
-        if len({x >> 1 for x in lits}) == len(lits):
-            out.append(sorted(lits))
-    return k, out, code[::2]
 
 
 def _literal_classes(size: int, clauses: list[list[int]]) -> list[int]:
@@ -623,20 +599,20 @@ def split_forced(inst: CnfInstance) -> tuple[list[int], list[int]]:
     clause subset plus the multiset of literal codes of the excluded clauses.
 
     Clauses are considered in input order, so the result is deterministic.
+    An instance whose every clause is kept is satisfiable, and refused.
     Every returned literal is false under every model of the kept subset;
     this is re-checked literal by literal against the oracle.
     """
     if inst.mode != SAT:
         raise ValueError("split_forced is defined for sat mode")
-    if solve_auto(inst).status != "unsat":
-        raise ValueError("split_forced requires an unsatisfiable instance")
-
     kept: list[tuple[int, ...]] = []
     core: list[int] = []
     for i, c in enumerate(inst.codes):
         if solve_auto(CnfInstance.from_codes(inst.num_vars, kept + [c])).status == "sat":
             kept.append(c)
             core.append(i)
+    if len(core) == inst.num_clauses:
+        raise ValueError("split_forced requires an unsatisfiable instance")
     core_set = set(core)
     forced = [x for i, c in enumerate(inst.codes) if i not in core_set for x in c]
     for x in set(forced):

@@ -497,8 +497,6 @@ def build_m_gadget(param: CnfInstance) -> MGadget:
         # apply_reduction has already rejected a parameter not in sat mode
         raise ReductionInputError("R10 parameter instance must be unsatisfiable") from exc
     q = param.num_clauses - len(core)
-    if q == 0:
-        raise ReductionInputError("parameter instance has no excluded clauses")
     nv = param.num_vars
     kept = [param.codes[i] for i in core]
     # then the flipped copy over shifted variables

@@ -54,8 +54,6 @@ NINE_VAR_TABLE = (
     "~c ~d ~f",
 )
 
-WITNESS_NAMES = ("ss_bar", "nine_var", "mon51", "hitting27")
-
 
 def _nine_var() -> CnfInstance:
     codes = [
@@ -104,16 +102,19 @@ def _hitting27() -> CnfInstance:
     return CnfInstance.from_codes(9, codes, SAT)
 
 
+_WITNESSES = {
+    "ss_bar": _ss_bar,
+    "nine_var": _nine_var,
+    "mon51": _mon51,
+    "hitting27": _hitting27,
+}
+WITNESS_NAMES = tuple(_WITNESSES)
+
+
 def known_unsat(name: str) -> CnfInstance:
-    builders = {
-        "ss_bar": _ss_bar,
-        "nine_var": _nine_var,
-        "mon51": _mon51,
-        "hitting27": _hitting27,
-    }
-    if name not in builders:
+    if name not in _WITNESSES:
         raise KeyError(f"unknown witness {name!r}; choices: {WITNESS_NAMES}")
-    return builders[name]()
+    return _WITNESSES[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,13 @@ def test_exhaustive_empty_instance():
     assert res.status == "sat" and res.model == ()
 
 
+def test_empty_clause_is_unsat():
+    # no literal can satisfy it, whichever solver decides
+    inst = CnfInstance.from_codes(1, [()])
+    assert solve_exhaustive(inst).status == "unsat"
+    assert solve_dpll(inst).status == "unsat"
+
+
 def test_exhaustive_ss_bar_unsat():
     inst = known_unsat("ss_bar")
     assert inst.num_vars == 13
@@ -185,12 +192,12 @@ def test_dpll_mixed_lengths_fuzz():
 
 
 def _dpll_inputs(monkeypatch):
-    """The (variables, clauses) counts of every later _dpll call."""
+    """The (variables, clauses) arguments of every later _dpll call."""
     seen = []
     inner = oracle._dpll
 
     def watched(num_vars, clauses, timeout):
-        seen.append((num_vars, len(clauses)))
+        seen.append((num_vars, clauses))
         return inner(num_vars, clauses, timeout)
 
     monkeypatch.setattr(oracle, "_dpll", watched)
@@ -200,12 +207,20 @@ def _dpll_inputs(monkeypatch):
 @pytest.mark.parametrize("name", ["nine_var", "ss_bar"])
 def test_r9_output_reaches_dpll_as_its_input(name, monkeypatch):
     # the STAR22 stars make the six copies of each variable equal through
-    # binary clauses; substituting one literal per class leaves the witness
+    # binary clauses; substituting one literal per class leaves the witness,
+    # over one copy of each of its variables
     base = known_unsat(name)
-    output = apply_reduction("R9", base).output
+    cert = apply_reduction("R9", base)
     seen = _dpll_inputs(monkeypatch)
-    assert solve_dpll(output).status == "unsat"
-    assert seen == [(base.num_vars, base.num_clauses)]
+    assert solve_dpll(cert.output).status == "unsat"
+    [(num_vars, clauses)] = seen
+    assert num_vars == cert.output.num_vars
+
+    def renamed(x):
+        v, negated = cert.back_map[x >> 1]
+        return 2 * v | (x & 1) ^ negated
+
+    assert [sorted(map(renamed, c)) for c in clauses] == [sorted(c) for c in base.codes]
 
 
 def test_literal_equivalent_to_its_negation_is_unsat(monkeypatch):
@@ -239,7 +254,9 @@ def test_substitution_fuzz(monkeypatch):
         assert res.status == status, (kind, inst)
         if res.status == "sat":
             assert evaluate(inst, res.model)
-        substituted[kind] += any(n < inst.num_vars for n, _ in seen)
+        for _, clauses in seen:
+            used = {x >> 1 for c in clauses for x in c}
+            substituted[kind] += len(used) < len({x >> 1 for c in inst.codes for x in c})
     assert substituted["mixed"] > 0 and substituted["R9"] == 30, substituted
 
 
@@ -248,7 +265,7 @@ def test_encoded_clauses_drop_tautologies_and_repeats():
     # hold the variable, a repeated literal is merged, and a clause of three
     # variables is only sorted
     inst = CnfInstance.from_codes(3, [(4, 1, 2), (0, 1, 2), (2, 0, 3), (0, 2, 3), (4, 2, 4)])
-    assert oracle._encoded_clauses(inst) == ([[1, 2, 4], [2, 4]], True)
+    assert oracle._dpll_clauses(inst) == ([[1, 2, 4], [2, 4]], [0, 2, 4])
 
 
 def _recounted_pick(clauses, val):

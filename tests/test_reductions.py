@@ -260,6 +260,17 @@ def test_check_equisat_reports_a_consistent_but_wrong_back_map():
     ), rep.reason
 
 
+def test_check_equisat_reports_a_status_mismatch():
+    # a satisfiable input whose certificate carries an unsatisfiable output:
+    # the check fails naming both statuses, with no pull-back tried
+    cert = R.apply_reduction("R5", seed_22())
+    bad = dataclasses.replace(cert, output=known_unsat("nine_var"))
+    rep = R.check_equisat(bad, timeout=60)
+    assert rep.ok is False
+    assert rep.reason == "R5: input is sat but output is unsat", rep.reason
+    assert rep.witness == {"input_status": "sat", "output_status": "unsat"}
+
+
 def _patch_r5(monkeypatch, apply):
     monkeypatch.setitem(
         R.REDUCTIONS, "R5", dataclasses.replace(R.REDUCTIONS["R5"], apply=apply)
