@@ -23,11 +23,11 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-# an integer as the library reads one from text (DIMACS, options, the
-# environment): ASCII digits with an optional minus, and no `+` sign, `_`
-# separator or non-ASCII digit, all of which int() would take.  20 digits
-# hold every 64-bit value and stay below int()'s own digit limit (at least
-# 640), past which it raises instead of converting.
+# an integer as the library reads one from text (DIMACS and options):
+# ASCII digits with an optional minus, and no `+` sign, `_` separator or
+# non-ASCII digit, all of which int() would take.  20 digits hold every
+# 64-bit value and stay below int()'s own digit limit (at least 640), past
+# which it raises instead of converting.
 ASCII_INT = re.compile(r"-?[0-9]{1,20}")
 
 SAT = "sat"

@@ -7,8 +7,7 @@ prepared in one pass over the instance's own variables (which, when some
 clause is binary, also substitutes one literal for each class of
 equivalent literals: strongly connected components of the binary
 implication graph), extension checking for gadget boundary predicates,
-subsumption, and the forced-literal split used by the conditional (2,2)
-machinery.
+and subsumption.
 
 Enumeration runs on the pure-Python big-integer kernel in _bitkernel, which
 this module alone calls.  Each kernel call splits every clause once, into a
@@ -30,7 +29,6 @@ from typing import Iterable, NamedTuple, Sequence
 from . import _bitkernel
 from .formulas import (
     NAE,
-    SAT,
     CnfInstance,
     VerificationReport,
     assignment_from_bits,
@@ -588,37 +586,3 @@ def subsumes(
                 False, f"target clause {i} is not subsumed", ("clause", i, tuple(t))
             )
     return VerificationReport(True)
-
-
-# ---------------------------------------------------------------------------
-# Forced-literal split (maximal satisfiable subset, greedy in input order)
-
-
-def split_forced(inst: CnfInstance) -> tuple[list[int], list[int]]:
-    """Split an unsatisfiable sat-mode instance into a maximal satisfiable
-    clause subset plus the multiset of literal codes of the excluded clauses.
-
-    Clauses are considered in input order, so the result is deterministic.
-    An instance whose every clause is kept is satisfiable, and refused.
-    Every returned literal is false under every model of the kept subset;
-    this is re-checked literal by literal against the oracle.
-    """
-    if inst.mode != SAT:
-        raise ValueError("split_forced is defined for sat mode")
-    kept: list[tuple[int, ...]] = []
-    core: list[int] = []
-    for i, c in enumerate(inst.codes):
-        if solve_auto(CnfInstance.from_codes(inst.num_vars, kept + [c])).status == "sat":
-            kept.append(c)
-            core.append(i)
-    if len(core) == inst.num_clauses:
-        raise ValueError("split_forced requires an unsatisfiable instance")
-    core_set = set(core)
-    forced = [x for i, c in enumerate(inst.codes) if i not in core_set for x in c]
-    for x in set(forced):
-        probe = CnfInstance.from_codes(inst.num_vars, kept + [(x,)])
-        if solve_auto(probe).status != "unsat":
-            raise AssertionError(
-                f"literal code {x} from an excluded clause is not forced false"
-            )
-    return core, forced

@@ -42,7 +42,7 @@ from .generate import (
     random_nae_e4,
     random_nae_star,
 )
-from .oracle import solve_auto, solve_dpll, split_forced
+from .oracle import solve_auto, solve_dpll
 
 
 class ReductionInputError(ValueError):
@@ -86,7 +86,8 @@ class ReductionRow:
     The spec functions take k on the k-lifting rows and nothing otherwise.
     apply fills a _Builder made for the input; sample(rng) returns an input
     and its k (None on rows without k), small enough for the exhaustive
-    oracle to decide directly.
+    oracle to decide directly.  param_spec is the variant of the parameter
+    instance on a row that takes one (R10), and None otherwise.
     """
 
     rid: str
@@ -98,7 +99,7 @@ class ReductionRow:
     apply: Callable[["_Builder"], None]
     sample: Callable[[random.Random], tuple[CnfInstance, int | None]]
     needs_k: bool = False
-    needs_param: bool = False
+    param_spec: VariantSpec | None = None
 
     def specs(self, k: int | None = None) -> tuple[VariantSpec, VariantSpec]:
         """The (input, output) variant specs, at k on the k-lifting rows."""
@@ -226,16 +227,12 @@ def _check_input(
         raise ReductionInputError(f"{row.rid} needs the appearance parameter k")
     if not row.needs_k and k is not None:
         raise ReductionInputError(f"{row.rid} takes no appearance parameter k")
-    if row.needs_param and param is None:
+    if row.param_spec is not None and param is None:
         raise ReductionInputError(
             f"{row.rid} needs an unsatisfiable Monotone 3-Sat-(2,2) parameter instance"
         )
-    if not row.needs_param and param is not None:
+    if row.param_spec is None and param is not None:
         raise ReductionInputError(f"{row.rid} takes no parameter instance")
-    if param is not None and param.mode != SAT:
-        raise ReductionInputError(
-            f"{row.rid} expects a sat-mode parameter instance, got {param.mode}"
-        )
     if inst.mode != row.input_mode:
         raise ReductionInputError(
             f"{row.rid} expects a {row.input_mode}-mode instance, got {inst.mode}"
@@ -244,6 +241,10 @@ def _check_input(
     rep = validate(inst, spec)
     if not rep.ok:
         raise ReductionInputError(f"{row.rid} input invalid: {rep.reason}")
+    if param is not None:
+        rep = validate(param, row.param_spec)
+        if not rep.ok:
+            raise ReductionInputError(f"{row.rid} parameter invalid: {rep.reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +490,30 @@ class MGadget:
 
 
 def build_m_gadget(param: CnfInstance) -> MGadget:
-    """The satisfiable core plus forced literals, doubled with its polarity
-    flip so the positive and negative pools balance."""
-    try:
-        core, forced = split_forced(param)
-    except ValueError as exc:
-        # apply_reduction has already rejected a parameter not in sat mode
-        raise ReductionInputError("R10 parameter instance must be unsatisfiable") from exc
-    q = param.num_clauses - len(core)
+    """Cut an unsatisfiable sat-mode parameter into a maximal satisfiable
+    core, kept greedily in input order, and the literals of the clauses it
+    excludes, each re-checked forced false; then double it with its
+    polarity flip so the positive and negative pools balance."""
+    if param.mode != SAT:
+        raise ReductionInputError(
+            f"R10 expects a sat-mode parameter instance, got {param.mode}"
+        )
     nv = param.num_vars
-    kept = [param.codes[i] for i in core]
+    kept: list[tuple[int, ...]] = []
+    forced: list[int] = []
+    for c in param.codes:
+        if solve_auto(CnfInstance.from_codes(nv, kept + [c])).status == "sat":
+            kept.append(c)
+        else:
+            forced += c
+    q = param.num_clauses - len(kept)
+    if not q:
+        raise ReductionInputError("R10 parameter instance must be unsatisfiable")
+    for x in set(forced):
+        if solve_auto(CnfInstance.from_codes(nv, kept + [(x,)])).status != "unsat":
+            raise AssertionError(
+                f"literal code {x} from an excluded clause is not forced false"
+            )
     # then the flipped copy over shifted variables
     clauses = kept + [tuple([x ^ 1 for x in c]) for c in _shifted(kept, nv)]
     pos_pool: list[int] = []
@@ -516,15 +531,6 @@ def build_m_gadget(param: CnfInstance) -> MGadget:
             f"3q = {3 * q}"
         )
     return MGadget(2 * nv, tuple(clauses), tuple(pos_pool), tuple(neg_pool), q)
-
-
-def _apply_r10(b: _Builder) -> None:
-    rep = validate(b.param, monotone_sat(2, 2))
-    if not rep.ok:
-        raise ReductionInputError(
-            f"R10 parameter is not a Monotone 3-Sat-(2,2) instance: {rep.reason}"
-        )
-    _assemble_r10(b, build_m_gadget(b.param))
 
 
 def _assemble_r10(b: _Builder, mg: MGadget) -> None:
@@ -682,7 +688,8 @@ REDUCTIONS: dict[str, ReductionRow] = {row.rid: row for row in (
         "R10", SAT, SAT,
         "Monotone 3-Sat-(3,3) -> Monotone 3-Sat-(2,2), given an unsat (2,2) instance",
         lambda: monotone_sat(3, 3), lambda: monotone_sat(2, 2),
-        _apply_r10, _sample_33, needs_param=True),
+        lambda b: _assemble_r10(b, build_m_gadget(b.param)), _sample_33,
+        param_spec=monotone_sat(2, 2)),
     ReductionRow(
         "R11", SAT, SAT,
         "3-Sat-(2,2) -> Monotone 3-Sat-(3,2) (G + H + padding blocks)",

@@ -33,7 +33,6 @@ from mono3sat.oracle import (
     sat_codes,
     solve_dpll,
     solve_exhaustive,
-    split_forced,
     subsumes,
 )
 from mono3sat.reductions import REDUCTIONS, apply_reduction
@@ -390,7 +389,7 @@ def test_dpll_models_are_pinned():
     # models must keep every status
     corpus = []
     for rid, row in REDUCTIONS.items():
-        if row.needs_param:
+        if row.param_spec is not None:
             continue
         rng = random.Random(zlib.crc32(rid.encode()))
         for _ in range(8):
@@ -543,42 +542,6 @@ def test_subsumption_preserves_satisfiability():
         assert subsumes(base.codes, target).ok
         if ref_solve(base) == "sat":
             assert ref_solve(CnfInstance.from_codes(n, target, SAT)) == "sat"
-
-
-def test_split_forced_nine_var():
-    nine = known_unsat("nine_var")
-    core, forced = split_forced(nine)
-    # deterministic greedy in input order: the first 17 clauses are
-    # satisfiable, leaving the final negative triple's 3 literals forced
-    assert core == list(range(17))
-    assert sorted(forced) == [5, 7, 11]  # ~x2 ~x3 ~x5
-    kept = [nine.codes[i] for i in core]
-    base = CnfInstance.from_codes(9, kept, SAT)
-    assert solve_exhaustive(base).status == "sat"
-    # maximality: adding any excluded clause makes it unsatisfiable
-    for i in range(18):
-        if i not in core:
-            ext = CnfInstance.from_codes(9, kept + [nine.codes[i]], SAT)
-            assert solve_exhaustive(ext).status == "unsat"
-    # every forced literal is false in all models of the kept subset
-    for x in set(forced):
-        probe = CnfInstance.from_codes(9, kept + [(x,)], SAT)
-        assert solve_exhaustive(probe).status == "unsat"
-
-
-def test_split_forced_ss_bar():
-    inst = known_unsat("ss_bar")
-    core, forced = split_forced(inst)
-    kept = [inst.codes[i] for i in core]
-    for x in set(forced):
-        probe = CnfInstance.from_codes(inst.num_vars, kept + [(x,)], SAT)
-        assert solve_exhaustive(probe).status == "unsat"
-
-
-def test_split_forced_rejects_satisfiable():
-    sat_inst = CnfInstance.from_codes(2, [positive((0, 1))], SAT)
-    with pytest.raises(ValueError):
-        split_forced(sat_inst)
 
 
 def test_backends_agree():

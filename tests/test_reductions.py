@@ -22,7 +22,7 @@ from mono3sat import generate as G
 from mono3sat.dimacs import emit_dimacs, parse_dimacs
 from mono3sat import reductions as R
 from mono3sat.gadgets import GADGET_NAMES, verify_gadget
-from mono3sat.oracle import solve_dpll, solve_exhaustive, split_forced
+from mono3sat.oracle import solve_dpll, solve_exhaustive
 from mono3sat.witnesses import (
     WITNESS_NAMES,
     SearchBudget,
@@ -108,8 +108,8 @@ def test_reduction_outputs_are_pinned():
 def test_build_path_makes_no_views(monkeypatch):
     # codes are the one clause form: the reductions, generators, witnesses,
     # DIMACS input and the (2,2) candidate stream write them, and the
-    # solvers, the gadget verifier, the equisat check, the forced-literal
-    # split and the unsat search read them, without a Literal or a Clause
+    # solvers, the gadget verifier, the equisat check, R10's M-gadget cut
+    # and the unsat search read them, without a Literal or a Clause
     # (the benchmark's view) in between
     inputs = []
     for rid in UNCONDITIONAL:
@@ -152,7 +152,7 @@ def test_build_path_makes_no_views(monkeypatch):
         assert verify_gadget(kind).ok, kind
     for cert in certs:
         assert R.check_equisat(cert, timeout=60).ok, cert.rid
-    assert split_forced(known_unsat("nine_var"))[0] == list(range(17))
+    assert R.build_m_gadget(known_unsat("nine_var")).q == 1
     assert search_unsat((2, 2), SearchBudget(max_n=6)).found is None
     assert made == {}
 
@@ -417,7 +417,7 @@ def test_r1_degenerate_ring_keeps_one_closing_clause(monkeypatch):
         R.apply_reduction("R1", inst)
 
 
-def test_r10_error_paths():
+def test_r10_error_paths(monkeypatch):
     rng = random.Random(5)
     inst33 = G.random_kk(6, 3, rng)
     with pytest.raises(R.ReductionInputError):
@@ -433,8 +433,16 @@ def test_r10_error_paths():
         R.apply_reduction("R10", inst33, param=mono)
     # a nae-mode parameter is rejected for its mode before anything is
     # solved: this one is sat in sat mode and unsat in nae mode
-    with pytest.raises(R.ReductionInputError, match="sat-mode parameter.*got nae"):
-        R.apply_reduction("R10", inst33, param=parse_dimacs(NAE_UNSAT_PARAM))
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a nae-mode parameter reached the oracle")
+
+    nine_nae = CnfInstance.from_codes(9, known_unsat("nine_var").codes, NAE)
+    with monkeypatch.context() as m:
+        m.setattr(R, "solve_auto", no_solve)
+        with pytest.raises(R.ReductionInputError, match="sat-mode parameter.*got nae"):
+            R.apply_reduction("R10", inst33, param=parse_dimacs(NAE_UNSAT_PARAM))
+        with pytest.raises(R.ReductionInputError, match="sat-mode parameter.*got nae"):
+            R.build_m_gadget(nine_nae)
 
 
 def test_r10_assembly_structure():
@@ -510,6 +518,56 @@ def test_m_gadget_on_nine_var():
         for v in set(mg.neg_pool):
             probe = CnfInstance.from_codes(mg.num_vars, inst.codes + ((neg(v),),), SAT)
             assert solve_dpll(probe).status == "unsat"
+
+
+def test_m_gadget_core_is_a_maximal_satisfiable_prefix():
+    # greedy in input order: nine_var's first 17 clauses are satisfiable,
+    # and its last clause, ~x2 ~x3 ~x5, is the one excluded
+    nine = known_unsat("nine_var")
+    mg = R.build_m_gadget(nine)
+    kept = mg.clauses[: len(mg.clauses) // 2]  # then the flipped copy
+    assert kept == nine.codes[:17]
+    assert mg.neg_pool[:3] == (2, 3, 5)
+    assert solve_exhaustive(CnfInstance.from_codes(9, kept, SAT)).status == "sat"
+    # maximality: adding any excluded clause makes it unsatisfiable
+    for c in nine.codes[17:]:
+        ext = CnfInstance.from_codes(9, kept + (c,), SAT)
+        assert solve_exhaustive(ext).status == "unsat"
+
+
+def test_m_gadget_pools_are_forced_false_on_ss_bar():
+    mg = R.build_m_gadget(known_unsat("ss_bar"))
+    assert len(mg.pos_pool) == len(mg.neg_pool) == 3 * mg.q > 0
+    inst = CnfInstance.from_codes(mg.num_vars, mg.clauses, SAT)
+    assert solve_dpll(inst).status == "sat"
+    for lits in ([pos(v) for v in mg.pos_pool], [neg(v) for v in mg.neg_pool]):
+        for x in set(lits):
+            probe = CnfInstance.from_codes(mg.num_vars, inst.codes + ((x,),), SAT)
+            assert solve_dpll(probe).status == "unsat"
+
+
+def test_m_gadget_rejects_a_satisfiable_parameter():
+    sat_inst = CnfInstance.from_codes(2, [positive((0, 1))], SAT)
+    with pytest.raises(R.ReductionInputError, match="must be unsatisfiable"):
+        R.build_m_gadget(sat_inst)
+
+
+def test_r10_internal_guards():
+    # the excluded clause (~x0) gives one forced literal, not 3q = 3
+    with pytest.raises(AssertionError, match="M-gadget pools have 1 and 1 entries"):
+        R.build_m_gadget(CnfInstance.from_codes(1, [(0,), (1,)]))
+    # a positive pool one short of the 3q positive 2-clauses per variable
+    mg = R.MGadget(
+        num_vars=3,
+        clauses=(positive((0, 1, 2)), negative((0, 1, 2))),
+        pos_pool=(0, 1),
+        neg_pool=(0, 1, 2),
+        q=1,
+    )
+    inst = G.random_kk(6, 3, random.Random(10))
+    b = R._Builder(R.REDUCTIONS["R10"], inst)
+    with pytest.raises(AssertionError, match="R10: 12 pad variables for 18 2-clauses"):
+        R._assemble_r10(b, mg)
 
 
 def test_back_map_polarity_relations():
