@@ -97,12 +97,11 @@ def solve_exhaustive(inst: CnfInstance) -> SolveResult:
     bits = _bitkernel.solve(inst.num_vars, clause_masks(sat_codes(inst.codes, inst.mode)))
     if bits is None:
         return SolveResult("unsat", None)
-    return _checked_model(inst, bits, "enumeration kernel")
+    return _checked_model(inst, assignment_from_bits(bits, inst.num_vars), "enumeration kernel")
 
 
-def _checked_model(inst: CnfInstance, bits: int, solver: str) -> SolveResult:
+def _checked_model(inst: CnfInstance, model: tuple[bool, ...], solver: str) -> SolveResult:
     """A sat result, after re-evaluating the model against the instance."""
-    model = assignment_from_bits(bits, inst.num_vars)
     if not evaluate(inst, model):
         raise AssertionError(f"{solver} returned an assignment that is not a model")
     return SolveResult("sat", model)
@@ -185,13 +184,13 @@ def solve_dpll(inst: CnfInstance, timeout: float | None = None) -> SolveResult:
     if prepared is None:
         return SolveResult("unsat", None)
     clauses, lift = prepared
-    status, bits = _dpll(inst.num_vars, clauses, timeout)
+    status, model = _dpll(inst.num_vars, clauses, timeout)
     if status != "sat":
         return SolveResult(status, None)
     if lift is not None:
         # variable v equals the literal lift[v]
-        bits = sum(((bits >> (x >> 1) & 1) ^ (x & 1)) << v for v, x in enumerate(lift))
-    return _checked_model(inst, bits, "DPLL")
+        model = tuple([model[x >> 1] != (x & 1) for x in lift])
+    return _checked_model(inst, model, "DPLL")
 
 
 def _literal_classes(size: int, clauses: list[list[int]]) -> list[int]:
@@ -249,7 +248,8 @@ def _literal_classes(size: int, clauses: list[list[int]]) -> list[int]:
 
 
 def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
-    """Counter-based DPLL with first-UIP conflict learning and backjumping.
+    """Counter-based DPLL with first-UIP conflict learning and backjumping;
+    a model is returned as a tuple of bools.
 
     Unit propagation is always on, and every decision is the literal that
     pick() returns: there is no pure-literal rule.  Branching picks the most
@@ -257,19 +257,18 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     going to the smallest encoded literal, and the search answers sat once
     every input clause is satisfied.  A learned clause follows from the
     input clauses, so it only yields units and conflicts; it never steers a
-    decision.  The shortest input clauses come from an index, by_free[k],
-    of the unsatisfied input clauses with exactly k non-false literals,
-    which assignments and backjumps keep as clauses move.  Only what a
-    decision reads is counted: cnt counts the literals of the unsatisfied
-    input clauses, which pick reads when the longest bucket is the
-    shortest, as all those literals are free then; a shorter bucket's free
-    literals are counted when pick is called.  Deterministic; no restarts.
-    The clauses are non-empty: `solve_dpll` answers an empty one before
-    calling.
+    decision.  It enters asserting (GRASP; MiniSat): the backjump keeps its
+    other literals assigned and false and frees its first, which is queued.
+    The shortest input clauses come from an index, by_free[k], of the
+    unsatisfied input clauses with exactly k non-false literals, which
+    assignments and backjumps keep as clauses move.  Only what a decision
+    reads is counted: cnt counts the literals of the unsatisfied input
+    clauses, which pick reads when the longest bucket is the shortest and
+    every count fits in a byte; any other bucket is counted when pick is
+    called.  Deterministic; no restarts.  The clauses are non-empty:
+    `solve_dpll` answers an empty one before calling.
     """
     m = len(clauses)
-    if m == 0:
-        return "sat", 0
     deadline = None if timeout is None else time.monotonic() + timeout
 
     occ: list[list[int]] = [[] for _ in range(2 * num_vars)]
@@ -280,12 +279,12 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     # or false; a bytearray, which pick searches with memchr, when every
     # count fits in a byte.  No entry ever exceeds its initial count.
     counts = [len(o) for o in occ]
-    top_cnt = max(counts)
+    top_cnt = max(counts, default=0)
     cnt = bytearray(counts) if top_cnt < 256 else counts
     nfree = [len(c) for c in clauses]
     ntrue = [0] * m
     # by_free[k]: unsatisfied input clauses with k non-false literals
-    longest = max(nfree)
+    longest = max(nfree, default=0)
     by_free: list[set[int]] = [set() for _ in range(longest + 1)]
     for ci, k in enumerate(nfree):
         by_free[k].add(ci)
@@ -343,7 +342,6 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                 by_free[k].remove(ci)
                 by_free[k + 1].add(ci)
         val[v] = -1
-        reason[v] = NO_REASON
         for ci in occ[f ^ 1]:
             ntrue[ci] -= 1
             if ntrue[ci] == 0 and ci < n_input:
@@ -399,7 +397,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                 break
             if reason[v] == NO_REASON:
                 raise AssertionError("resolving past a decision")
-            cur = [l for l in clauses[reason[v]] if l >> 1 != v]
+            # v, whose literal this clause implied, is seen: the loop skips it
+            cur = clauses[reason[v]]
         jump = 0
         for lit in learned[1:]:
             jump = max(jump, level[lit >> 1])
@@ -408,8 +407,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
     def add_learned(lits: list[int]) -> int:
         ci = len(clauses)
         clauses.append(lits)
-        ntrue.append(sum(1 for l in lits if val[l >> 1] == 1 - (l & 1)))
-        nfree.append(sum(1 for l in lits if val[l >> 1] != (l & 1)))
+        ntrue.append(0)  # asserting: lits[0] free, the others false
+        nfree.append(1)
         for l in lits:
             occ[l].append(ci)
         return ci
@@ -424,24 +423,21 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
         unsatisfied input clause is shorter or has a false literal, so cnt
         counts exactly their literals and reads 0 on every assigned one: the
         answer is the first index of cnt's largest value, found by searching
-        the bytes for each value from the initial maximum down, or, with a
-        count of 256 or more, by max and index.  A bucket below the longest,
-        small on the reductions' outputs, is counted here.
+        the bytes for each value from the initial maximum down.  Any other
+        bucket is counted here, as is the longest when a count of 256 or
+        more makes cnt a list; counting it gives the same literal.
         """
         for k, bucket in enumerate(by_free):
             if bucket:
                 break
         if k < 2:
             return None
-        if k == longest:
-            if top_cnt < 256:
-                for top in range(top_cnt, 0, -1):
-                    lit = cnt.find(top)
-                    if lit >= 0:
-                        return lit
-                return None
-            top = max(cnt)
-            return cnt.index(top) if top else None
+        if k == longest and top_cnt < 256:
+            for top in range(top_cnt, 0, -1):
+                lit = cnt.find(top)
+                if lit >= 0:
+                    return lit
+            return None
         counts: dict[int, int] = {}
         get = counts.get
         for ci in bucket:
@@ -460,9 +456,9 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
             return False
         learned, jump = analyze(conflict)
         backjump(jump)
-        ci = add_learned(learned)
-        if val[learned[0] >> 1] == -1:
-            units.append((learned[0], ci))
+        if val[learned[0] >> 1] != -1:
+            raise AssertionError("learned clause is not asserting after the backjump")
+        units.append((learned[0], add_learned(learned)))
         return True
 
     while True:
@@ -479,11 +475,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout: float | None):
                 return "unsat", None
             continue
         if not any(by_free):  # every input clause is satisfied
-            bits = 0
-            for v in range(num_vars):
-                if val[v] == 1:
-                    bits |= 1 << v
-            return "sat", bits
+            return "sat", tuple([x == 1 for x in val])
         lit = pick()
         # some clause is unsatisfied and no conflict is pending, so the
         # shortest unsatisfied clauses have free literals

@@ -337,9 +337,7 @@ def regular_hypergraphs_exhaustive(n: int, degree: int):
         if len(chosen) == m:
             yield tuple(chosen)
             return
-        v = next((u for u in range(n) if deg[u] > 0), None)
-        if v is None:
-            return
+        v = next(u for u in range(n) if deg[u] > 0)
         rest = [u for u in range(v + 1, n) if deg[u] > 0]
         for bi in range(len(rest)):
             for cj in range(bi + 1, len(rest)):

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from mono3sat.cli import main, parse_variant, VariantSyntaxError
-from mono3sat.dimacs import emit_dimacs
+from mono3sat import witnesses
+from mono3sat.dimacs import emit_dimacs, parse_dimacs
 from mono3sat.formulas import MONOTONE_NAE, MONOTONE_SAT, total
 from mono3sat.generate import random_monotone_nae, random_nae_star
 from mono3sat.witnesses import known_unsat
@@ -174,6 +175,23 @@ def test_search_unsat_cli(tmp_path, capsys):
     assert main(["search-unsat", "--profile", "7,7"]) == 2
     assert main(["search-unsat", "--profile", "x"]) == 2
     assert main(["search-unsat", "--profile", "٢,٢"]) == 2
+
+
+def test_search_unsat_cli_prints_a_find(monkeypatch, capsys):
+    # the certify step answers unsat on the third candidate, the third of
+    # n = 6; the text output names the find and gives it as DIMACS
+    given = []
+
+    def certify(inst, spec):
+        given.append(inst)
+        return len(given) == 3, len(given) == 3
+
+    monkeypatch.setattr(witnesses, "_certify_unsat_candidate", certify)
+    assert main(["search-unsat", "--profile", "2,2", "--max-n", "6"]) == 0
+    out = capsys.readouterr().out
+    _, found, text = out.partition("FOUND unsatisfiable (2,2) instance with 6 variables\n")
+    assert found, out
+    assert parse_dimacs(text).codes == given[2].codes
 
 
 def test_search_unsat_cli_says_why_each_size_ended(capsys):

@@ -217,6 +217,17 @@ def test_validate_names_the_first_variable_out_of_profile():
         apply_reduction("R5", e4)
 
 
+def test_validate_reports_arity_and_linearity():
+    binary = CnfInstance.from_codes(3, [(pos(0), pos(1)), positive((0, 1, 2))], SAT)
+    rep = validate(binary, VariantSpec())
+    assert not rep.ok and rep.witness == ("clause", 0)
+    assert rep.reason == "clause 0 has arity 2 != 3", rep.reason
+    two_shared = CnfInstance.from_codes(4, [positive((0, 1, 2)), positive((0, 1, 3))], SAT)
+    rep = validate(two_shared, VariantSpec(linear="linear"))
+    assert not rep.ok and rep.witness == ("clause_pair", 0, 1)
+    assert rep.reason == "clauses 0 and 1 share 2 variables", rep.reason
+
+
 def test_validate_distinct_clauses():
     inst = CnfInstance.from_codes(3, [positive((0, 1, 2))] * 2, SAT)
     rep = validate(inst, VariantSpec())

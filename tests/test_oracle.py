@@ -348,8 +348,8 @@ def test_dpll_picks_match_a_recount():
 
 def test_dpll_counts_past_a_byte():
     # a clause repeated 256 times puts its literals' counts past a byte, so
-    # pick reads the longest bucket off a list instead of searching bytes;
-    # the verdicts must still be the kernel's and the models models
+    # cnt is a list and pick counts the longest bucket as it counts shorter
+    # ones; the verdicts must still be the kernel's and the models models
     rng = random.Random(256)
     kinds, statuses = set(), set()
 
@@ -727,6 +727,22 @@ except AssertionError as exc:
     print("dpll pick check raised:", exc)
 sys.setprofile(None)
 
+# a learned clause whose first two literals are swapped: the one put first
+# stays assigned and false after the backjump, so the clause is not asserting
+
+def swap_learned(frame, event, arg):
+    if event == "return" and frame.f_code.co_name == "analyze" and len(arg[0]) > 1:
+        lits = arg[0]
+        lits[0], lits[1] = lits[1], lits[0]
+
+from mono3sat.witnesses import known_unsat
+sys.setprofile(swap_learned)
+try:
+    oracle.solve_dpll(known_unsat("mon51"))
+except AssertionError as exc:
+    print("dpll learned check raised:", exc)
+sys.setprofile(None)
+
 # R1's padding, handed a variable that already appears five times
 from mono3sat import reductions
 b = reductions._Builder(reductions.REDUCTIONS["R1"], CnfInstance.from_codes(3, ()))
@@ -787,7 +803,7 @@ reductions.REDUCTIONS["R5"] = r5
 
 inst = CnfInstance.from_codes(1, [(pos(0),)])
 _bitkernel.solve = lambda *args: 0
-oracle._dpll = lambda num_vars, clauses, timeout: ("sat", 0)
+oracle._dpll = lambda num_vars, clauses, timeout: ("sat", (False,))
 for solve in (oracle.solve_exhaustive, oracle.solve_dpll):
     try:
         solve(inst)
@@ -856,6 +872,7 @@ def test_model_checks_survive_optimize():
     assert "blocked check raised: DPLL finds a model" in out.stdout
     assert "dpll invariant raised" in out.stdout
     assert "dpll pick check raised: pick returned an assigned literal" in out.stdout
+    assert "dpll learned check raised: learned clause is not asserting" in out.stdout
     assert "pad_to_four raised" in out.stdout
     assert "split raised" in out.stdout
     assert "pull-back check failed: R5" in out.stdout

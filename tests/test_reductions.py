@@ -271,6 +271,13 @@ def test_check_equisat_reports_a_status_mismatch():
     assert rep.witness == {"input_status": "sat", "output_status": "unsat"}
 
 
+def test_check_equisat_reports_an_oracle_timeout():
+    # a zero DPLL budget runs out at the first tick, before any pull-back
+    rep = R.check_equisat(R.apply_reduction("R5", seed_22()), timeout=0.0)
+    assert rep.ok is False
+    assert rep.reason == "indeterminate: oracle timeout", rep.reason
+
+
 def _patch_r5(monkeypatch, apply):
     monkeypatch.setitem(
         R.REDUCTIONS, "R5", dataclasses.replace(R.REDUCTIONS["R5"], apply=apply)
@@ -365,6 +372,12 @@ def test_pull_back_rejects_non_model():
     bad = tuple(False for _ in range(cert.output.num_vars))
     with pytest.raises(ValueError):
         R.pull_back(cert, bad)
+
+
+def test_pull_back_rejects_a_short_model():
+    cert = R.apply_reduction("R5", seed_22())
+    with pytest.raises(ValueError, match="model length does not match"):
+        R.pull_back(cert, (False,) * (cert.output.num_vars - 1))
 
 
 def test_pull_back_model_satisfies_input():

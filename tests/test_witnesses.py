@@ -406,6 +406,32 @@ def test_search_reports_a_sampler_that_gives_up(monkeypatch):
         {"n": 21, "candidates": 0, "dpll": 0, "exhausted": False, "ended": "generator failed"}]
 
 
+def test_search_records_a_find(monkeypatch):
+    # the certify step answers unsat, as DPLL would, on the third candidate;
+    # n = 3 has no (2,2) candidate, so that is n = 6's third
+    given = []
+
+    def certify(inst, spec):
+        given.append(inst)
+        return len(given) == 3, len(given) == 3
+
+    monkeypatch.setattr(W, "_certify_unsat_candidate", certify)
+    events = []
+    out = search_unsat((2, 2), SearchBudget(max_n=6), journal=events.append)
+    assert out.records[-1] == {"n": 6, "candidates": 3, "dpll": 1, "exhausted": False,
+                               "ended": "found"}
+    assert len(given) == 3 and out.found is given[2]
+    assert events[-1]["event"] == "found"
+
+
+def test_search_reports_progress():
+    # a sampled size reports progress every 200 candidates; 800 candidates
+    # give n = 21 a quota of 200
+    events = []
+    search_unsat((4, 1), SearchBudget(max_n=21, max_candidates=800), journal=events.append)
+    assert [e["event"] for e in events] == ["n-start", "progress", "n-done"]
+
+
 def test_search_unknown_profile():
     with pytest.raises(KeyError):
         search_unsat((9, 9), SearchBudget())
